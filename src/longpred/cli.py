@@ -260,10 +260,9 @@ def cmd_montecarlo(cfg: RunConfig) -> list[Path]:
                               ma_cov_tol=cfg.ma_cov_tol)
         if first_plan is None:
             first_plan = plan
-        for weights in (truncated_wk_weights(model, k, h),
-                        projection_weights(seq, k, h)):
+        pair = (truncated_wk_weights(model, k, h), projection_weights(seq, k, h))
+        for weights, est in zip(pair, empirical_mse(plan, pair)):
             analytic = mse.mse_of_weights(model, weights)
-            est = empirical_mse(plan, weights)
             z = (est.mean - analytic.total) / est.std_error
             rows.append((weights.method, cfg.d if model.d is not None else "",
                          k, int(h), est.mean, est.std_error, analytic.total, z))

@@ -22,7 +22,6 @@ Documented keys:
     out             output directory
     svg             true | false, also emit SVG charts
     acvf_tol        certified relative autocovariance accuracy
-    tail_tol        certified relative tail accuracy of spectral sums
     sim_method      circulant_embedding | ma_truncation
     ma_cov_tol      certified covariance error of the MA sampler
     dump_paths      true | false, dump simulated paths from montecarlo
@@ -87,7 +86,6 @@ _PARSERS = {
     "out": str,
     "svg": _parse_bool,
     "acvf_tol": float,
-    "tail_tol": float,
     "sim_method": str,
     "ma_cov_tol": float,
     "dump_paths": _parse_bool,
@@ -120,7 +118,6 @@ class RunConfig:
     out: str = "out"
     svg: bool = False
     acvf_tol: float = 1e-10
-    tail_tol: float = 1e-8
     sim_method: str = CIRCULANT_EMBEDDING
     ma_cov_tol: float = 1e-6
     dump_paths: bool = False
@@ -141,7 +138,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.reps < 30:
             raise ConfigError("reps must be >= 30 for meaningful standard errors")
-        for name in ("acvf_tol", "tail_tol", "ma_cov_tol"):
+        for name in ("acvf_tol", "ma_cov_tol"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
         if self.sim_method not in (CIRCULANT_EMBEDDING, MA_TRUNCATION):

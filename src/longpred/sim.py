@@ -10,13 +10,17 @@ the sampling spectrum.  Moving-average truncation is the fallback and
 cross-check; it carries a certified covariance error.
 
 Randomness is counter-based: each replication draws from its own Philox
-stream keyed by (seed, replication index), so results are reproducible
-regardless of execution order and safe to parallelize.
+stream keyed by (seed, replication index), so row r depends only on
+(seed, r) and results are reproducible regardless of execution order and
+safe to parallelize.  One bit generator per :func:`simulate` call is
+re-keyed for each row, and circulant-embedding paths are transformed in
+blocks of rows with one FFT per block, so temporaries stay bounded.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +43,7 @@ MA_TRUNCATION = "ma_truncation"
 
 _EIGENVALUE_TOL_REL = 1e-10
 _MAX_MA_ORDER = 1 << 21
+_BLOCK_BYTES = 1 << 20  # complex temporaries per FFT block
 
 
 @dataclass(frozen=True)
@@ -85,9 +90,19 @@ class McEstimate:
             raise ValueError("reported estimates need at least 30 replications")
 
 
-def _stream(seed: int, rep: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, rep],
-                                                             dtype=np.uint64)))
+def _streams(seed: int, reps: int) -> Iterator[np.random.Generator]:
+    """For r = 0..reps-1, one Philox generator re-keyed to the start of
+    stream (seed, r): bit-identical to a fresh ``Philox(key=[seed, r])``."""
+    key = np.array([seed, 0], dtype=np.uint64)
+    zero = np.zeros(4, dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    rng = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
+             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for r in range(reps):
+        key[1] = r
+        bitgen.state = state
+        yield rng
 
 
 def _circulant_spectrum(model: ProcessModel, n: int) -> np.ndarray:
@@ -167,45 +182,59 @@ def simulate(plan: SimulationPlan) -> np.ndarray:
     """
     n, reps = plan.length, plan.replications
     out = np.empty((reps, n))
+    rows = _streams(plan.seed, reps)
     if plan.method == CIRCULANT_EMBEDDING:
         lam = _circulant_spectrum(plan.model, n)
         if n == 1:
             scale = math.sqrt(lam[0])
-            for r in range(reps):
-                out[r, 0] = scale * _stream(plan.seed, r).standard_normal()
+            for r, rng in enumerate(rows):
+                out[r, 0] = scale * rng.standard_normal()
             return out
         m = 2 * n - 2
         amp = np.sqrt(lam / m)
-        for r in range(reps):
-            rng = _stream(plan.seed, r)
-            z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            out[r] = np.fft.fft(z * amp).real[:n]
+        block = max(1, _BLOCK_BYTES // (16 * m))
+        z = np.empty((min(block, reps), m), dtype=complex)
+        for start in range(0, reps, block):
+            count = min(block, reps - start)
+            for i, rng in zip(range(count), rows):
+                z.real[i] = rng.standard_normal(m)
+                z.imag[i] = rng.standard_normal(m)
+            out[start:start + count] = np.fft.fft(z[:count] * amp, axis=1).real[:, :n]
         return out
     order = _ma_truncation_order(plan)
     b = np.asarray(ma_coeffs(plan.model, order).prefix(order))
     scale = math.sqrt(plan.model.noise_variance)
-    for r in range(reps):
-        eps = scale * _stream(plan.seed, r).standard_normal(n + order)
+    for r, rng in enumerate(rows):
+        eps = scale * rng.standard_normal(n + order)
         out[r] = np.convolve(eps, b)[order: order + n]
     return out
 
 
-def empirical_mse(plan: SimulationPlan, weights: PredictorWeights) -> McEstimate:
+def empirical_mse(plan: SimulationPlan,
+                  weights: PredictorWeights | Sequence[PredictorWeights],
+                  ) -> McEstimate | tuple[McEstimate, ...]:
     """Monte-Carlo squared prediction error of a weight vector.
 
     Each replication forecasts X_{k+h} from (X_1..X_k); the estimate is the
-    sample mean of squared errors with its standard error.
+    sample mean of squared errors with its standard error.  Given a sequence
+    of weight vectors, all are scored on the paths of one simulation and a
+    tuple of estimates is returned in the same order.
     """
-    k, h = weights.k, weights.h
-    if plan.length < k + h:
-        raise ValueError(
-            f"plan length {plan.length} too short for k + h = {k + h}")
+    single = isinstance(weights, PredictorWeights)
+    batch = (weights,) if single else tuple(weights)
+    need = max(w.k + w.h for w in batch)
+    if plan.length < need:
+        raise ValueError(f"plan length {plan.length} too short for k + h = {need}")
     if plan.replications < 30:
         raise ValueError("empirical MSE estimation needs at least 30 replications")
     paths = simulate(plan)
-    preds = paths[:, k - 1::-1][:, :k] @ weights.weights
-    errs = (paths[:, k + h - 1] - preds) ** 2
     r = plan.replications
-    return McEstimate(mean=float(np.mean(errs)),
-                      std_error=float(np.std(errs, ddof=1) / math.sqrt(r)),
-                      replications=r)
+    estimates = []
+    for w in batch:
+        k, h = w.k, w.h
+        preds = paths[:, k - 1::-1][:, :k] @ w.weights
+        errs = (paths[:, k + h - 1] - preds) ** 2
+        estimates.append(McEstimate(mean=float(np.mean(errs)),
+                                    std_error=float(np.std(errs, ddof=1) / math.sqrt(r)),
+                                    replications=r))
+    return estimates[0] if single else tuple(estimates)

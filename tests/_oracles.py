@@ -9,9 +9,11 @@ forms.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from longpred.process import ProcessModel, acvf, ar_coeffs
+from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 
 
 def gamma_by_quadrature(x: float, nodes: int = 120) -> float:
@@ -182,4 +184,42 @@ def arma_acvf_brute(phi: float, theta: float, n: int, s2: float = 1.0) -> np.nda
         out[1] = g1
         for s in range(2, n + 1):
             out[s] = phi * out[s - 1]
+    return out
+
+
+def per_row_paths(plan) -> np.ndarray:
+    """Sample paths of a ``SimulationPlan`` drawn one replication at a time.
+
+    Row r draws from a freshly constructed ``Philox(key=[seed, r])``
+    generator; circulant embedding takes one single-row FFT per
+    replication, MA truncation one ``np.convolve`` at the plan's explicit
+    ``ma_order``.  The production sampler must match it bit for bit.
+    """
+    n, reps = plan.length, plan.replications
+    out = np.empty((reps, n))
+
+    def stream(r):
+        key = np.array([plan.seed, r], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    if plan.method == "circulant_embedding":
+        g = np.asarray(acvf(plan.model, n - 1).prefix(n - 1))
+        if n == 1:
+            for r in range(reps):
+                out[r, 0] = math.sqrt(g[0]) * stream(r).standard_normal()
+            return out
+        m = 2 * n - 2
+        lam = np.maximum(np.fft.fft(np.concatenate([g, g[n - 2: 0: -1]])).real, 0.0)
+        amp = np.sqrt(lam / m)
+        for r in range(reps):
+            rng = stream(r)
+            z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            out[r] = np.fft.fft(z * amp).real[:n]
+        return out
+    order = plan.ma_order
+    b = np.asarray(ma_coeffs(plan.model, order).prefix(order))
+    scale = math.sqrt(plan.model.noise_variance)
+    for r in range(reps):
+        eps = scale * stream(r).standard_normal(n + order)
+        out[r] = np.convolve(eps, b)[order: order + n]
     return out

@@ -125,6 +125,22 @@ def test_montecarlo_z_scores(tmp_path):
     assert np.all(np.abs(arr[:, 2]) <= 3.0)
 
 
+def test_montecarlo_simulates_each_plan_once(tmp_path, monkeypatch):
+    from longpred import sim
+    calls = []
+    simulate = sim.simulate
+
+    def counted(plan):
+        calls.append(plan)
+        return simulate(plan)
+
+    monkeypatch.setattr(sim, "simulate", counted)
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("h_grid = 1,2\nreps = 60\nk = 10\n")
+    assert run(["montecarlo", "--config", cfgfile, "--out", tmp_path / "o"]) == 0
+    assert [plan.length for plan in calls] == [11, 12]
+
+
 def test_montecarlo_certification_exit_code(tmp_path):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text("sim_method = ma_truncation\nreps = 30\nk = 5\n")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from _oracles import per_row_paths
+from longpred import sim
 from longpred.errors import CertificationError
 from longpred.fit import projection_weights
 from longpred.mse import mse_of_weights
@@ -39,6 +41,32 @@ def test_replication_streams_do_not_depend_on_batch_shape():
     full = simulate(SimulationPlan(model, length=8, replications=6, seed=5))
     one = simulate(SimulationPlan(model, length=8, replications=1, seed=5))
     assert np.array_equal(full[0], one[0])
+
+
+@pytest.mark.parametrize("n", (1, 2, 51, 221))
+def test_circulant_matches_per_row_oracle(n):
+    # 700 replications span more than one block at n = 51 and n = 221 and
+    # end part-way through the last one
+    plan = SimulationPlan(ProcessModel.frac_noise(0.3), length=n,
+                          replications=700, seed=2 ** 63 + 5)
+    assert np.array_equal(simulate(plan), per_row_paths(plan))
+
+
+@pytest.mark.parametrize("n", (2, 51))
+@pytest.mark.parametrize("block_rows", (1, 3))
+def test_circulant_block_edges_match_per_row_oracle(n, block_rows, monkeypatch):
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", block_rows * 16 * (2 * n - 2))
+    plan = SimulationPlan(ProcessModel.frac_noise(0.2), length=n,
+                          replications=10, seed=4)
+    assert np.array_equal(simulate(plan), per_row_paths(plan))
+
+
+@pytest.mark.parametrize("model", (ProcessModel.white_noise(1.5),
+                                   ProcessModel.arma(ar=(0.5,), ma=(0.3,))))
+def test_ma_truncation_matches_per_row_oracle(model):
+    plan = SimulationPlan(model, length=13, replications=40, seed=77,
+                          method=MA_TRUNCATION, ma_order=64)
+    assert np.array_equal(simulate(plan), per_row_paths(plan))
 
 
 def test_white_noise_sample_covariance():
@@ -169,6 +197,16 @@ def test_empirical_projection_not_worse_than_truncated():
     et = empirical_mse(plan, wt)
     assert abs(ep.mean - mse_of_weights(model, wp).total) <= 3.0 * ep.std_error
     assert ep.mean <= et.mean + 3.0 * np.hypot(ep.std_error, et.std_error)
+
+
+def test_empirical_mse_batch_equals_separate_calls():
+    model = ProcessModel.frac_noise(0.3)
+    k, h = 20, 3
+    w1 = truncated_wk_weights(model, k, h)
+    w2 = projection_weights(acvf(model, k + h), k, h)
+    plan = SimulationPlan(model, length=k + h, replications=300, seed=9)
+    assert empirical_mse(plan, (w1, w2)) == (empirical_mse(plan, w1),
+                                             empirical_mse(plan, w2))
 
 
 def test_empirical_mse_length_guard():
