@@ -11,8 +11,8 @@ cross-validation.
 from .asymptotics import RateFit, improvement_ratio, rate_fit, truncation_constant
 from .errors import (CertificationError, ConfigError, IllConditionedError,
                      ModelError, NotPositiveDefiniteError, NumericError, PoleError)
-from .fit import (FittedAr, ToeplitzSystem, closed_form_ar_fit, levinson_durbin,
-                  projection_weights, solve_toeplitz, yule_walker)
+from .fit import (FittedAr, closed_form_ar_fit, levinson_durbin, projection_weights,
+                  solve_toeplitz, yule_walker)
 from .mse import (ErrorDecomposition, MseReport, error_decomposition,
                   infinite_past_mse, mse_of_weights, spectral_contrast_mse)
 from .predict import (PROJECTION, TRUNCATED_WK, PredictorWeights, forecast,
@@ -29,7 +29,7 @@ __all__ = [
     "ErrorDecomposition", "FittedAr", "IllConditionedError", "McEstimate",
     "ModelError", "MseReport", "NotPositiveDefiniteError", "NumericError",
     "PoleError", "PredictorWeights", "ProcessModel", "PROJECTION", "RateFit",
-    "SignedLogValue", "SimulationPlan", "ToeplitzSystem", "TRUNCATED_WK",
+    "SignedLogValue", "SimulationPlan", "TRUNCATED_WK",
     "acvf", "ar_coeffs", "closed_form_ar_fit", "empirical_mse",
     "error_decomposition", "forecast", "gamma_ratio", "improvement_ratio",
     "infinite_past_coeffs", "infinite_past_mse", "levinson_durbin",

@@ -119,6 +119,11 @@ def cmd_fit(cfg: RunConfig) -> list[Path]:
     return [path]
 
 
+def _write_svg(path: Path, svg: str) -> Path:
+    path.write_text(svg, encoding="utf-8", newline="\n")
+    return path
+
+
 def cmd_figure1(cfg: RunConfig) -> list[Path]:
     out = cfg.out_dir()
     grid = cfg.d_grid or tuple(np.linspace(0.01, 0.49, 50))
@@ -130,9 +135,7 @@ def cmd_figure1(cfg: RunConfig) -> list[Path]:
         svg = line_chart([("constant", [r[0] for r in rows], [r[1] for r in rows])],
                          title="Truncation-excess constant",
                          xlabel="d", ylabel="constant")
-        path = out / "figure1.svg"
-        path.write_text(svg, encoding="utf-8", newline="\n")
-        written.append(path)
+        written.append(_write_svg(out / "figure1.svg", svg))
     return written
 
 
@@ -155,9 +158,7 @@ def cmd_figure2(cfg: RunConfig) -> list[Path]:
             series.append((f"d={d:g}", [p[0] for p in pts], [p[1] for p in pts]))
         svg = line_chart(series, title="Improvement ratio of AR(k) over truncation",
                          xlabel="k", ylabel="r", logx=True)
-        path = out / "figure2.svg"
-        path.write_text(svg, encoding="utf-8", newline="\n")
-        written.append(path)
+        written.append(_write_svg(out / "figure2.svg", svg))
     return written
 
 
@@ -191,9 +192,7 @@ def cmd_figure3(cfg: RunConfig) -> list[Path]:
                           ("llspe", hs, [r[3] for r in rows])],
                          title=f"h-step prediction error (k={k})",
                          xlabel="h", ylabel="MSE")
-        path = out / "figure3.svg"
-        path.write_text(svg, encoding="utf-8", newline="\n")
-        written.append(path)
+        written.append(_write_svg(out / "figure3.svg", svg))
     return written
 
 

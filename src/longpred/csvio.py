@@ -35,20 +35,6 @@ def write_csv(path: str | Path, schema: str, comments: Sequence[str],
     return path
 
 
-def write_weights_csv(path: str | Path, weights) -> Path:
-    """Dump a predictor weight vector as (j, w_j) rows.
-
-    The method, order and horizon ride along in comment lines so the file is
-    self-describing.
-    """
-    rows = ((j + 1, float(w)) for j, w in enumerate(weights.weights))
-    return write_csv(path, "longpred/weights v1",
-                     [f"method: {weights.method}", f"k: {weights.k}",
-                      f"h: {weights.h}",
-                      "prediction = sum_j w_j X_{k+1-j}"],
-                     ["j", "w"], rows)
-
-
 def read_csv(path: str | Path) -> tuple[list[str], list[str], list[list[str]]]:
     """Read back (comments, columns, string rows); inverse of write_csv."""
     comments: list[str] = []

@@ -5,10 +5,11 @@ The order-k Yule-Walker equations
     sum_{i=1..k} phi_i sigma(i - j) = sigma(j),   j = 1..k
 
 define the best linear one-step predictor over k observations.  They are
-solved by the Levinson-Durbin recursion in O(k^2); the same recursion with a
-general right-hand side yields the h-step projection weights.  A dense solver
-is deliberately *not* used here so that the test suite can keep one as an
-independent oracle.
+solved by the Levinson-Durbin recursion in O(k^2).  One kernel runs it:
+``levinson_durbin`` takes the predictor and ``solve_toeplitz`` additionally
+carries a general right-hand side along, which yields the h-step projection
+weights.  A dense solver is deliberately *not* used here so that the test
+suite can keep one as an independent oracle.
 
 Two coefficient conventions coexist and are both stored on the result:
 ``phi`` are predictor weights (prediction = sum phi_j X_{n+1-j}) while
@@ -29,7 +30,6 @@ from .process import CoefSeq, ProcessModel, acvf as _model_acvf, ar_coeffs
 from .special import log_gamma, log_gamma_diff
 
 __all__ = [
-    "ToeplitzSystem",
     "FittedAr",
     "levinson_durbin",
     "solve_toeplitz",
@@ -42,36 +42,6 @@ __all__ = [
 # Levinson variance iterates below this fraction of the innovation variance
 # can only arise from catastrophic rounding; abort rather than return noise.
 _VARIANCE_FLOOR_REL = 1e-3
-
-
-@dataclass(frozen=True)
-class ToeplitzSystem:
-    """Symmetric positive-definite Toeplitz system T x = rhs.
-
-    ``first_row`` holds sigma(0..k-1); T[i, j] = first_row[|i - j|].
-    Positive definiteness is established constructively: the Levinson
-    recursion must keep every prediction-variance iterate strictly positive.
-    """
-
-    first_row: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self) -> None:
-        fr = np.asarray(self.first_row, dtype=float)
-        rhs = np.asarray(self.rhs, dtype=float)
-        if fr.ndim != 1 or fr.shape != rhs.shape or fr.size == 0:
-            raise ValueError("first_row and rhs must be equal-length 1-d arrays")
-        if not fr[0] > 0.0:
-            raise NotPositiveDefiniteError("sigma(0) must be positive")
-        object.__setattr__(self, "first_row", fr)
-        object.__setattr__(self, "rhs", rhs)
-
-    @property
-    def k(self) -> int:
-        return self.first_row.size
-
-    def solve(self, variance_floor: float = 0.0) -> np.ndarray:
-        return solve_toeplitz(self.first_row, self.rhs, variance_floor)
 
 
 @dataclass(frozen=True)
@@ -101,6 +71,38 @@ def _check_variance(v: float, order: int, variance_floor: float) -> None:
             f"floor {variance_floor:.3e} at order {order}")
 
 
+def _levinson(t: np.ndarray, variance_floor: float, rhs: np.ndarray | None = None):
+    """Levinson-Durbin recursion on sigma(0..) = t, one reflection per lag.
+
+    Returns ``(phi, v, kappa, x)``: the order t.size - 1 predictor, its
+    prediction variance, the reflections and, given ``rhs`` as long as ``t``,
+    the solution of T x = rhs (T the Toeplitz matrix of t), else None.
+    """
+    k = t.size if rhs is not None else t.size - 1
+    v = float(t[0])
+    _check_variance(v, 0, variance_floor)
+    phi = np.zeros(k)
+    kappa = np.zeros(k)
+    x = np.zeros(k) if rhs is not None else None
+    for m in range(k):
+        prev_rev = phi[m - 1::-1]  # order-m predictor, reversed (unused at m = 0)
+        if x is not None:
+            mu = (rhs[m] - (np.dot(x[:m], t[m:0:-1]) if m else 0.0)) / v
+            if m:
+                x[:m] -= mu * prev_rev
+            x[m] = mu
+        if m + 1 < t.size:
+            num = t[m + 1] - (np.dot(phi[:m], t[m:0:-1]) if m else 0.0)
+            km = num / v
+            kappa[m] = km
+            if m:
+                phi[:m] -= km * prev_rev
+            phi[m] = km
+            v = v * (1.0 - km * km)
+            _check_variance(v, m + 1, variance_floor)
+    return phi, v, kappa, x
+
+
 def levinson_durbin(acvf_prefix, variance_floor: float = 0.0):
     """Solve the Yule-Walker equations given sigma(0..k).
 
@@ -108,56 +110,23 @@ def levinson_durbin(acvf_prefix, variance_floor: float = 0.0):
     sum_i phi_i sigma(i-j) = sigma(j) for j = 1..k.
     """
     t = np.asarray(acvf_prefix, dtype=float)
-    k = t.size - 1
-    if k < 1:
+    if t.size < 2:
         raise ValueError("need sigma(0) and at least sigma(1)")
-    v = float(t[0])
-    _check_variance(v, 0, variance_floor)
-    phi = np.zeros(k)
-    kappa = np.zeros(k)
-    for m in range(k):
-        num = t[m + 1] - (np.dot(phi[:m], t[m:0:-1]) if m else 0.0)
-        km = num / v
-        kappa[m] = km
-        if m:
-            phi[:m] = phi[:m] - km * phi[m - 1::-1]
-        phi[m] = km
-        v = v * (1.0 - km * km)
-        _check_variance(v, m + 1, variance_floor)
+    phi, v, kappa, _ = _levinson(t, variance_floor)
     return phi, v, kappa
 
 
 def solve_toeplitz(first_row, rhs, variance_floor: float = 0.0) -> np.ndarray:
     """Solve T x = rhs for symmetric PD Toeplitz T, first row sigma(0..k-1).
 
-    Classical Levinson recursion: the prediction vectors of successive
-    orders are carried along to update the solution of the general
-    right-hand side in O(k^2).
+    The Levinson recursion carries the solution of the general right-hand
+    side along with the predictors of successive orders, in O(k^2).
     """
     t = np.asarray(first_row, dtype=float)
     b = np.asarray(rhs, dtype=float)
     if t.shape != b.shape or t.ndim != 1 or t.size == 0:
         raise ValueError("first_row and rhs must be equal-length 1-d arrays")
-    k = b.size
-    v = float(t[0])
-    _check_variance(v, 0, variance_floor)
-    phi = np.zeros(k)
-    x = np.zeros(k)
-    for m in range(k):
-        prev_rev = phi[m - 1::-1].copy() if m else None
-        mu = (b[m] - (np.dot(x[:m], t[m:0:-1]) if m else 0.0)) / v
-        if m:
-            x[:m] -= mu * prev_rev
-        x[m] = mu
-        if m < k - 1:
-            num = t[m + 1] - (np.dot(phi[:m], t[m:0:-1]) if m else 0.0)
-            km = num / v
-            if m:
-                phi[:m] -= km * prev_rev
-            phi[m] = km
-            v = v * (1.0 - km * km)
-            _check_variance(v, m + 1, variance_floor)
-    return x
+    return _levinson(t, variance_floor, b)[3]
 
 
 def _acvf_values(acvf, n: int) -> tuple[np.ndarray, float]:

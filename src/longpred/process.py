@@ -24,6 +24,8 @@ Three model kinds are supported:
 For the fractional kind the one-term recursions are the production path:
 O(1) per term, no cancellation, exact sign propagation.  The closed-form
 Gamma-ratio expressions are kept as independent oracles in the test suite.
+The ARMA stream, the FARIMA filter and the AR inversion of a generic moving
+average share one power-series division, ``_rational_series``.
 """
 
 from __future__ import annotations
@@ -168,7 +170,9 @@ class ProcessModel:
         _check_roots_outside_unit_disk((1.0,) + theta, "MA")
 
         def stream(n: int) -> np.ndarray:
-            return _rational_series((1.0,) + theta, (1.0,) + tuple(-p for p in phi), n)
+            b = _rational_series((1.0,) + theta, (1.0,) + tuple(-p for p in phi), n)
+            b += 0.0  # writes the exact zeros of an underflowed tail as +0, not -0
+            return b
 
         return cls(kind=GENERIC_MA, noise_variance=noise_variance, ma_stream=stream)
 
@@ -198,16 +202,20 @@ class ProcessModel:
 
 
 def _rational_series(num: Sequence[float], den: Sequence[float], n: int) -> np.ndarray:
-    """First n+1 coefficients of num(z)/den(z), both with constant term 1."""
+    """First n+1 coefficients of num(z)/den(z), both with constant term 1.
+
+    c_j = num_j - sum_{i>=1} den_i c_{j-i}; where ``num`` has no term j,
+    c_j = -sum, so an exact +0 sum gives c_j = -0.
+    """
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     out = np.zeros(n + 1)
     for j in range(n + 1):
-        v = num[j] if j < num.size else 0.0
         top = min(j, den.size - 1)
         if top >= 1:
-            v -= np.dot(den[1:top + 1], out[j - 1::-1][:top])
-        out[j] = v
+            out[j] = -np.dot(den[1:top + 1], out[j - 1::-1][:top])
+        if j < num.size:
+            out[j] += num[j]
     return out
 
 
@@ -240,6 +248,11 @@ def _certified_rational_series(num: Sequence[float], den: Sequence[float],
     raise CertificationError(
         f"rational series tail not certified below {tol:g} "
         f"within {_SERIES_MAX_TERMS} terms")
+
+
+def _lag_products(b: np.ndarray, s2: float, n: int) -> np.ndarray:
+    """s2 * sum_m b_m b_{m+s} for lags s = 0..n (n < b.size)."""
+    return np.array([s2 * np.dot(b[: b.size - s], b[s:]) for s in range(n + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +413,7 @@ class CoefSeq:
             b = np.asarray(stream(n), dtype=float)
             support = self.model.finite_ma_support
             q = support if support is not None else n
-            a = np.empty(n + 1)
-            a[0] = 1.0
-            for j in range(1, n + 1):
-                top = min(j, q)
-                a[j] = -np.dot(b[1: top + 1], a[j - 1:: -1][:top]) if top >= 1 else 0.0
-            self._values = a
+            self._values = _rational_series((1.0,), b[:q + 1], n)
             return
         self._extend_generic_acvf(n)
 
@@ -415,8 +423,7 @@ class CoefSeq:
         if support is not None:
             b = np.asarray(self.model.ma_stream(support), dtype=float)
             out = np.zeros(n + 1)
-            for s in range(min(n, support) + 1):
-                out[s] = s2 * np.dot(b[: b.size - s], b[s:])
+            out[: min(n, support) + 1] = _lag_products(b, s2, min(n, support))
             self._values = out
             self.certified_tol = 0.0
             return
@@ -428,11 +435,8 @@ class CoefSeq:
             sigma0 = s2 * float(np.dot(b, b))
             tail_sq = self._tail_sq_bound(b)
             if tail_sq is not None and s2 * tail_sq <= self.acvf_tol * sigma0:
-                out = np.empty(n + 1)
-                for s in range(n + 1):
-                    out[s] = s2 * np.dot(b[: b.size - s], b[s:])
-                self._values = out
-                self.certified_tol = s2 * tail_sq / out[0]
+                self._values = _lag_products(b, s2, n)
+                self.certified_tol = s2 * tail_sq / self._values[0]
                 return
             if m >= _MAX_STREAM_TERMS:
                 achieved = (s2 * tail_sq / sigma0) if tail_sq is not None else None

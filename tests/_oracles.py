@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from longpred.errors import IllConditionedError, NotPositiveDefiniteError
 from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 
 
@@ -222,4 +223,87 @@ def per_row_paths(plan) -> np.ndarray:
     for r in range(reps):
         eps = scale * stream(r).standard_normal(n + order)
         out[r] = np.convolve(eps, b)[order: order + n]
+    return out
+
+
+# -- bitwise references: Levinson loops and series divisions written out apart
+
+
+def _reference_check_variance(v: float, order: int, variance_floor: float) -> None:
+    if not v > 0.0:
+        raise NotPositiveDefiniteError(
+            f"covariance sequence is not positive definite at order {order}")
+    if v < variance_floor:
+        raise IllConditionedError(
+            f"prediction-variance iterate {v:.3e} fell below the precision "
+            f"floor {variance_floor:.3e} at order {order}")
+
+
+def reference_levinson_durbin(acvf_prefix, variance_floor: float = 0.0):
+    """The Yule-Walker Levinson-Durbin loop on its own: (phi, v, kappa)."""
+    t = np.asarray(acvf_prefix, dtype=float)
+    k = t.size - 1
+    v = float(t[0])
+    _reference_check_variance(v, 0, variance_floor)
+    phi = np.zeros(k)
+    kappa = np.zeros(k)
+    for m in range(k):
+        num = t[m + 1] - (np.dot(phi[:m], t[m:0:-1]) if m else 0.0)
+        km = num / v
+        kappa[m] = km
+        if m:
+            phi[:m] = phi[:m] - km * phi[m - 1::-1]
+        phi[m] = km
+        v = v * (1.0 - km * km)
+        _reference_check_variance(v, m + 1, variance_floor)
+    return phi, v, kappa
+
+
+def reference_solve_toeplitz(first_row, rhs, variance_floor: float = 0.0) -> np.ndarray:
+    """The Levinson loop for a general right-hand side on its own."""
+    t = np.asarray(first_row, dtype=float)
+    b = np.asarray(rhs, dtype=float)
+    k = b.size
+    v = float(t[0])
+    _reference_check_variance(v, 0, variance_floor)
+    phi = np.zeros(k)
+    x = np.zeros(k)
+    for m in range(k):
+        prev_rev = phi[m - 1::-1].copy() if m else None
+        mu = (b[m] - (np.dot(x[:m], t[m:0:-1]) if m else 0.0)) / v
+        if m:
+            x[:m] -= mu * prev_rev
+        x[m] = mu
+        if m < k - 1:
+            num = t[m + 1] - (np.dot(phi[:m], t[m:0:-1]) if m else 0.0)
+            km = num / v
+            if m:
+                phi[:m] -= km * prev_rev
+            phi[m] = km
+            v = v * (1.0 - km * km)
+            _reference_check_variance(v, m + 1, variance_floor)
+    return x
+
+
+def reference_ma_inversion(b: np.ndarray, q: int, n: int) -> np.ndarray:
+    """a_0..a_n of 1/b(z) by the generic-model loop, -dot at every lag."""
+    a = np.empty(n + 1)
+    a[0] = 1.0
+    for j in range(1, n + 1):
+        top = min(j, q)
+        a[j] = -np.dot(b[1: top + 1], a[j - 1:: -1][:top]) if top >= 1 else 0.0
+    return a
+
+
+def reference_rational_series(num, den, n: int) -> np.ndarray:
+    """num(z)/den(z) by the loop that writes 0.0 - dot past the numerator."""
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
+    out = np.zeros(n + 1)
+    for j in range(n + 1):
+        v = num[j] if j < num.size else 0.0
+        top = min(j, den.size - 1)
+        if top >= 1:
+            v -= np.dot(den[1:top + 1], out[j - 1::-1][:top])
+        out[j] = v
     return out

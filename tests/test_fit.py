@@ -1,14 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from longpred.errors import IllConditionedError, NotPositiveDefiniteError
-from longpred.fit import (ToeplitzSystem, closed_form_ar_fit,
-                          levinson_durbin, projection_weights, solve_toeplitz,
-                          yule_walker)
+from longpred.fit import (_VARIANCE_FLOOR_REL, closed_form_ar_fit, levinson_durbin,
+                          projection_weights, solve_toeplitz, yule_walker)
 from longpred.process import ProcessModel, acvf
 
-from _oracles import dense_toeplitz_solve
+from _oracles import (dense_toeplitz_solve, reference_levinson_durbin,
+                      reference_solve_toeplitz)
 
 D_VALUES = (0.1, 0.3, 0.45)
 
@@ -143,7 +145,7 @@ def test_not_positive_definite_raises():
     with pytest.raises(NotPositiveDefiniteError):
         levinson_durbin(np.array([1.0, 1.2]))
     with pytest.raises(NotPositiveDefiniteError):
-        ToeplitzSystem(np.array([-1.0, 0.5]), np.array([1.0, 0.0]))
+        solve_toeplitz(np.array([-1.0, 0.5]), np.array([1.0, 0.0]))
 
 
 def test_variance_floor_diagnostic():
@@ -158,8 +160,7 @@ def test_variance_floor_diagnostic():
 def test_toeplitz_system_solve():
     g = acvf(ProcessModel.frac_noise(0.3), 6).prefix(5)
     rhs = np.array([0.3, -0.1, 0.7, 0.0, 1.0])
-    system = ToeplitzSystem(g[:5], rhs)
-    x = system.solve()
+    x = solve_toeplitz(g[:5], rhs)
     assert np.max(np.abs(x - dense_toeplitz_solve(g[:5], rhs))) < 1e-11
 
 
@@ -186,3 +187,67 @@ def test_levinson_on_random_invertible_ma(theta):
     g = seq.prefix(k)
     dense = dense_toeplitz_solve(g[:k], g[1: k + 1])
     assert np.max(np.abs(fit.phi - dense)) < 1e-9
+
+
+# The Levinson kernel behind levinson_durbin and solve_toeplitz must
+# reproduce the two loops written out apart (tests/_oracles.py) bit for bit.
+KERNEL_MODELS = {
+    "frac_noise_0.05": ProcessModel.frac_noise(0.05),
+    "frac_noise_0.3": ProcessModel.frac_noise(0.3),
+    "frac_noise_0.49": ProcessModel.frac_noise(0.49),
+    "farima_1_d_1": ProcessModel.farima(0.3, ar=(0.4,), ma=(-0.3,)),
+    "arma_0.9": ProcessModel.arma(ar=(0.9,)),
+    "finite_ma": ProcessModel.generic_ma([1.0, 0.2, -0.1, 0.05]),
+}
+KERNEL_K = (1, 2, 3, 50, 1024)
+KERNEL_H = (1, 2, 7)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_acvf(name: str) -> np.ndarray:
+    return np.array(acvf(KERNEL_MODELS[name], max(KERNEL_K) + max(KERNEL_H)).values)
+
+
+def _outcome(fn, *args):
+    """Arrays fn(*args) returns, or the type and message of what it raised."""
+    try:
+        out = fn(*args)
+    except (NotPositiveDefiniteError, IllConditionedError) as exc:
+        return type(exc), str(exc)
+    return tuple(np.atleast_1d(a) for a in (out if isinstance(out, tuple) else (out,)))
+
+
+def _assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, np.ndarray):
+            assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+        else:
+            assert g == w
+
+
+@pytest.mark.parametrize("k", KERNEL_K)
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_levinson_kernel_bitwise_matches_reference_loops(name, k):
+    g = _kernel_acvf(name)
+    floor = _VARIANCE_FLOOR_REL * KERNEL_MODELS[name].noise_variance
+    _assert_bitwise(_outcome(levinson_durbin, g[: k + 1], floor),
+                    _outcome(reference_levinson_durbin, g[: k + 1], floor))
+    for h in KERNEL_H:
+        _assert_bitwise(_outcome(solve_toeplitz, g[:k], g[h: h + k], floor),
+                        _outcome(reference_solve_toeplitz, g[:k], g[h: h + k], floor))
+
+
+@pytest.mark.parametrize("g, floor", [
+    (np.array([1.0, 1.0 - 1e-9, 1.0 - 2e-9]), 1e-3),  # floor at order 1
+    (np.array([1.0, 0.5, 0.9, 0.2]), 0.5),            # floor at order 2
+    (np.array([1.0, 1.2, 0.3]), 0.0),                 # not PD at order 1
+    (np.array([-1.0, 0.5, 0.1]), 0.0),                # not PD at order 0
+])
+def test_levinson_kernel_fails_like_reference_loops(g, floor):
+    want = _outcome(reference_levinson_durbin, g, floor)
+    assert isinstance(want, tuple) and isinstance(want[0], type)
+    assert _outcome(levinson_durbin, g, floor) == want
+    rhs = np.linspace(1.0, 0.5, g.size)
+    assert _outcome(solve_toeplitz, g, rhs, floor) == \
+        _outcome(reference_solve_toeplitz, g, rhs, floor)

@@ -106,20 +106,6 @@ def test_infinite_past_coeffs_white_noise():
     assert np.array_equal(got, np.zeros(7))
 
 
-def test_weights_csv_round_trip(tmp_path):
-    from longpred.csvio import read_csv, write_weights_csv
-
-    model = ProcessModel.frac_noise(0.3)
-    w = truncated_wk_weights(model, 8, 3)
-    path = write_weights_csv(tmp_path / "w.csv", w)
-    comments, cols, rows = read_csv(path)
-    assert cols == ["j", "w"]
-    assert any("method: truncated_wk" in c for c in comments)
-    assert any("h: 3" in c for c in comments)
-    got = np.array([float(r[1]) for r in rows])
-    assert np.array_equal(got, w.weights)
-
-
 def test_weight_vector_validation():
     with pytest.raises(ValueError):
         PredictorWeights(np.zeros(3), k=4, h=1, method="truncated_wk")

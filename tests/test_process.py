@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from longpred.errors import CertificationError, ModelError
-from longpred.process import (CoefSeq, ProcessModel, acvf, ar_coeffs, ma_coeffs,
+from longpred.process import (AR, MA, CoefSeq, ProcessModel, acvf, ar_coeffs, ma_coeffs,
                               verify_decay)
 from longpred.special import gamma_ratio
 
-from _oracles import arma_acvf_brute, brute_orthogonality_sum
+from _oracles import (arma_acvf_brute, brute_orthogonality_sum, reference_ma_inversion,
+                      reference_rational_series)
 
 D_VALUES = (0.05, 0.25, 0.45)
 
@@ -201,6 +202,54 @@ def test_generic_inversion_round_trip():
     conv = np.convolve(a, np.asarray(coeffs))[: n + 1]
     assert conv[0] == pytest.approx(1.0)
     assert np.max(np.abs(conv[1:])) < 1e-12
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# (model, indices j whose AR coefficient is -0, or None)
+INVERSION_MODELS = {
+    "arma_0.9": (ProcessModel.arma(ar=(0.9,)), slice(2, None)),
+    "arma_2_1": (ProcessModel.arma(ar=(0.5, -0.2), ma=(0.4,)), None),
+    "finite_ma_1_0_0.5": (ProcessModel.generic_ma((1.0, 0.0, 0.5)), slice(1, None, 2)),
+    "white_noise": (ProcessModel.white_noise(), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVERSION_MODELS))
+def test_generic_ar_inversion_bitwise_matches_reference_loop(name):
+    model, negative_zeros = INVERSION_MODELS[name]
+    n = 300
+    b = np.asarray(model.ma_stream(n))
+    support = model.finite_ma_support
+    want = reference_ma_inversion(b, support if support is not None else n, n)
+    got = ar_coeffs(model, n).prefix(n)
+    assert _same_bits(got, want)
+    if negative_zeros is not None:  # the -0 rows that coeffs_ar.csv writes
+        assert np.all(got[negative_zeros] == 0.0) and np.all(np.signbit(got[negative_zeros]))
+
+
+@pytest.mark.parametrize("ar, ma, n", [
+    ((0.9,), (), 300),
+    ((0.5, -0.2), (0.4,), 300),
+    ((-0.5,), (), 1500),  # underflows to exact zeros after about 1075 terms
+])
+def test_arma_stream_bitwise_matches_reference_series(ar, ma, n):
+    want = reference_rational_series((1.0,) + ma, (1.0,) + tuple(-p for p in ar), n)
+    got = ma_coeffs(ProcessModel.arma(ar=ar, ma=ma), n).prefix(n)
+    assert _same_bits(got, want)
+    if n > 1100:  # coeffs_ma.csv writes these zeros unsigned
+        assert np.any(got == 0.0) and not np.any(np.signbit(got[got == 0.0]))
+
+
+@pytest.mark.parametrize("kind", [AR, MA])
+def test_farima_filter_expansion_matches_reference_series(kind):
+    model = ProcessModel.farima(0.3, ar=(0.4,), ma=(-0.3,))
+    psi, _ = CoefSeq(model, kind)._psi_series()
+    phi_op, theta_op = (1.0, -0.4), (1.0, -0.3)
+    num, den = (phi_op, theta_op) if kind == AR else (theta_op, phi_op)
+    assert _same_bits(psi, reference_rational_series(num, den, psi.size - 1))
 
 
 def test_arma_stream_matches_textbook_acvf():
