@@ -12,7 +12,8 @@ Subcommands::
 
 Every command is deterministic given its configuration and seed: re-running
 writes byte-identical files.  Exit codes: 0 success, 1 invalid
-configuration, 2 numeric certification failure.
+configuration, 2 numeric certification failure (its stderr line ends with
+``; achieved_bound <value>`` when a bound was reached).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import ConfigError, ModelError, NumericError, PoleError
 from .fit import projection_weights, yule_walker
 from .predict import TRUNCATED_WK, truncated_wk_weights
 from .process import ProcessModel, acvf, ar_coeffs, ma_coeffs
-from .sim import SimulationPlan, empirical_mse, simulate
+from .sim import SimulationPlan, _simulate_and_score, empirical_mse
 from .svgplot import line_chart
 
 __all__ = ["main", "build_parser"]
@@ -252,15 +253,17 @@ def cmd_montecarlo(cfg: RunConfig) -> list[Path]:
     k = cfg.k
     seq = acvf(model, k + max(h_grid), tol=cfg.acvf_tol)
     rows = []
-    first_plan = None
+    first_paths = None
     for h in h_grid:
         plan = SimulationPlan(model, length=k + h, replications=cfg.reps,
                               seed=cfg.seed, method=cfg.sim_method,
                               ma_cov_tol=cfg.ma_cov_tol)
-        if first_plan is None:
-            first_plan = plan
         pair = (truncated_wk_weights(model, k, h), projection_weights(seq, k, h))
-        for weights, est in zip(pair, empirical_mse(plan, pair)):
+        if cfg.dump_paths and first_paths is None:
+            first_paths, estimates = _simulate_and_score(plan, pair)
+        else:
+            estimates = empirical_mse(plan, pair)
+        for weights, est in zip(pair, estimates):
             analytic = mse.mse_of_weights(model, weights)
             z = (est.mean - analytic.total) / est.std_error
             rows.append((weights.method, cfg.d if model.d is not None else "",
@@ -271,14 +274,13 @@ def cmd_montecarlo(cfg: RunConfig) -> list[Path]:
                           f"sim_method: {cfg.sim_method}"],
                          ["method", "d", "k", "h", "mc_mean", "mc_stderr",
                           "analytic_total", "z"], rows)]
-    if cfg.dump_paths and first_plan is not None:
-        paths = simulate(first_plan)
+    if first_paths is not None:
         written.append(write_csv(
             out / "paths.csv", "longpred/paths v1",
             [f"model: {model.describe()}", f"seed: {cfg.seed}",
              "one replication per row"],
-            [f"x{t + 1}" for t in range(first_plan.length)],
-            (tuple(float(v) for v in row) for row in paths)))
+            [f"x{t + 1}" for t in range(first_paths.shape[1])],
+            (tuple(float(v) for v in row) for row in first_paths)))
     return written
 
 
@@ -303,7 +305,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"longpred: invalid configuration: {exc}", file=sys.stderr)
         return 1
     except (NumericError, PoleError, ArithmeticError) as exc:
-        print(f"longpred: numeric certification failure: {exc}", file=sys.stderr)
+        bound = getattr(exc, "achieved_bound", None)
+        suffix = f"; achieved_bound {bound:.3g}" if bound is not None else ""
+        print(f"longpred: numeric certification failure: {exc}{suffix}", file=sys.stderr)
         return 2
     for path in written:
         print(path)

@@ -25,7 +25,10 @@ For the fractional kind the one-term recursions are the production path:
 O(1) per term, no cancellation, exact sign propagation.  The closed-form
 Gamma-ratio expressions are kept as independent oracles in the test suite.
 The ARMA stream, the FARIMA filter and the AR inversion of a generic moving
-average share one power-series division, ``_rational_series``.
+average share one power-series division, ``_rational_series``.  FARIMA
+autocovariances, and ARMA ones whose stream sticks at subnormal values
+before the block-ratio tail test passes, are certified from the filter's
+root modulus (``_certified_rational_series``).
 """
 
 from __future__ import annotations
@@ -169,11 +172,16 @@ class ProcessModel:
         _check_roots_outside_unit_disk((1.0,) + tuple(-p for p in phi), "AR")
         _check_roots_outside_unit_disk((1.0,) + theta, "MA")
 
+        num, den = (1.0,) + theta, (1.0,) + tuple(-p for p in phi)
+
         def stream(n: int) -> np.ndarray:
-            b = _rational_series((1.0,) + theta, (1.0,) + tuple(-p for p in phi), n)
+            b = _rational_series(num, den, n)
             b += 0.0  # writes the exact zeros of an underflowed tail as +0, not -0
             return b
 
+        # the filter certifies the autocovariance where the block test on
+        # the stream cannot (a geometric tail that underflows when squared)
+        stream.rational_filter = (num, den)  # type: ignore[attr-defined]
         return cls(kind=GENERIC_MA, noise_variance=noise_variance, ma_stream=stream)
 
     # -- helpers -----------------------------------------------------------
@@ -219,28 +227,39 @@ def _rational_series(num: Sequence[float], den: Sequence[float], n: int) -> np.n
     return out
 
 
+def _envelope_rate(den: Sequence[float]) -> float:
+    """r = (1 + rho)/2 with rho > 1 the smallest root modulus of the stable,
+    non-constant ``den``."""
+    roots = np.roots(np.asarray(den, dtype=float)[::-1])
+    return 0.5 * (1.0 + float(np.min(np.abs(roots))))
+
+
+def _geometric_envelope(c: np.ndarray, r: float) -> float | None:
+    """Peak P of |c_j| r^j over the computed range once that sequence has
+    peaked and decayed inside it, else None; |c_j| <= P r^-j is then taken
+    to hold for every j, a convergent geometric envelope."""
+    n = c.size - 1
+    scaled = np.abs(c) * np.power(r, np.arange(n + 1))
+    peak = float(np.max(scaled))
+    if np.max(scaled[n // 2:]) < peak and scaled[-1] <= peak * 1e-3:
+        return peak
+    return None
+
+
 def _certified_rational_series(num: Sequence[float], den: Sequence[float],
                                tol: float) -> tuple[np.ndarray, float]:
-    """Expand num/den far enough that the certified L1 tail is below ``tol``.
-
-    The coefficients of a stable rational filter decay geometrically; the
-    tail past the computed range is bounded by a geometric comparison at rate
-    r = (1 + rho)/2 where rho is the smallest root modulus of ``den``.
-    """
+    """Expand num/den far enough that the L1 tail past the computed range,
+    bounded by ``_geometric_envelope``, is below ``tol``."""
     den_t = np.trim_zeros(np.asarray(den, dtype=float), "b")
     if den_t.size <= 1:
         coeffs = np.asarray(num, dtype=float).copy()
         return coeffs, 0.0
-    rho = float(np.min(np.abs(np.roots(den_t[::-1]))))
-    r = 0.5 * (1.0 + rho)
+    r = _envelope_rate(den_t)
     n = max(64, 4 * (len(num) + len(den)))
     while n <= _SERIES_MAX_TERMS:
         c = _rational_series(num, den, n)
-        scaled = np.abs(c) * np.power(r, np.arange(n + 1))
-        peak = float(np.max(scaled))
-        # certified once the scaled sequence has peaked and decayed: beyond
-        # the range, |c_j| <= peak * r^-j, a convergent geometric envelope
-        if np.max(scaled[n // 2:]) < peak and scaled[-1] <= peak * 1e-3:
+        peak = _geometric_envelope(c, r)
+        if peak is not None:
             tail = peak * r ** (-(n + 1)) / (1.0 - 1.0 / r)
             if tail < tol:
                 return c, tail
@@ -250,9 +269,26 @@ def _certified_rational_series(num: Sequence[float], den: Sequence[float],
         f"within {_SERIES_MAX_TERMS} terms")
 
 
+def _stuck_rational_tail(stream: Callable[[int], np.ndarray], b: np.ndarray,
+                         start: int) -> bool:
+    """Whether every square of a rational-filter stream's prefix ``b`` from
+    ``start`` on underflows while ``b`` does not end in exact zeros.
+
+    Squares underflow from some index L on, and the values reach their floor
+    by about 2L < b.size: exact zeros, or subnormals the recursion rounds back
+    to (ar = 0.9 sticks at 2.5e-323), which never pass a block-ratio test.
+    """
+    filt = getattr(stream, "rational_filter", None)
+    return (filt is not None and not np.any(b[start:] ** 2)
+            and bool(np.any(b[-len(filt[1]):])))
+
+
 def _lag_products(b: np.ndarray, s2: float, n: int) -> np.ndarray:
-    """s2 * sum_m b_m b_{m+s} for lags s = 0..n (n < b.size)."""
-    return np.array([s2 * np.dot(b[: b.size - s], b[s:]) for s in range(n + 1)])
+    """s2 * sum_m b_m b_{m+s} for lags s = 0..n; 0 past the last lag of b."""
+    out = np.zeros(n + 1)
+    for s in range(min(n, b.size - 1) + 1):
+        out[s] = s2 * np.dot(b[: b.size - s], b[s:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +394,31 @@ class CoefSeq:
     # -- FARIMA: fractional core composed with a rational filter -----------
 
     def _psi_series(self) -> tuple[np.ndarray, float]:
+        """Certified expansion of the model's rational filter theta/phi (phi/theta
+        for AR sequences): FARIMA's ar/ma, or an ARMA stream's filter."""
         if self._psi is None:
-            phi_op = (1.0,) + tuple(-p for p in self.model.ar)
-            theta_op = (1.0,) + self.model.ma
+            if self.model.kind == FARIMA:
+                theta_op = (1.0,) + self.model.ma
+                phi_op = (1.0,) + tuple(-p for p in self.model.ar)
+            else:
+                theta_op, phi_op = self.model.ma_stream.rational_filter
             # the ACVF path squares the filter, so certify well below tol
             tol = min(1e-15, 0.01 * self.acvf_tol)
-            if self.kind == AR:
-                self._psi, self._psi_tail = _certified_rational_series(phi_op, theta_op, tol)
-            else:  # MA and ACVF both need theta/phi
-                self._psi, self._psi_tail = _certified_rational_series(theta_op, phi_op, tol)
+            num, den = (phi_op, theta_op) if self.kind == AR else (theta_op, phi_op)
+            self._psi, self._psi_tail = _certified_rational_series(num, den, tol)
         return self._psi, self._psi_tail
+
+    def _certify_filter_tail(self, psi: np.ndarray, psi_tail: float, core0: float,
+                             sigma0: float, what: str) -> None:
+        """Relative error bound for an autocovariance whose filter lost the L1
+        tail ``psi_tail``; ``core0`` is the variance of the filtered core."""
+        l1 = float(np.sum(np.abs(psi)))
+        abs_err = (2.0 * psi_tail * l1 + psi_tail ** 2) * core0
+        self.certified_tol = abs_err / sigma0
+        if self.certified_tol > self.acvf_tol:
+            raise CertificationError(
+                f"{what} autocovariance accuracy not certified below "
+                f"{self.acvf_tol:g}", achieved_bound=self.certified_tol)
 
     def _extend_farima(self, n: int) -> None:
         psi, psi_tail = self._psi_series()
@@ -388,14 +439,7 @@ class CoefSeq:
         out = np.empty(n + 1)
         for s in range(n + 1):
             out[s] = np.dot(gbar, sig_f[np.abs(s - lags)])
-        # neglected filter tail, relative to sigma_X(0)
-        l1 = float(np.sum(np.abs(psi)))
-        abs_err = (2.0 * psi_tail * l1 + psi_tail ** 2) * sig_f[0]
-        self.certified_tol = abs_err / out[0]
-        if self.certified_tol > self.acvf_tol:
-            raise CertificationError(
-                "FARIMA autocovariance accuracy not certified below "
-                f"{self.acvf_tol:g}", achieved_bound=self.certified_tol)
+        self._certify_filter_tail(psi, psi_tail, sig_f[0], out[0], "FARIMA")
         self._values = out
 
     # -- generic MA streams -------------------------------------------------
@@ -422,9 +466,7 @@ class CoefSeq:
         support = self.model.finite_ma_support
         if support is not None:
             b = np.asarray(self.model.ma_stream(support), dtype=float)
-            out = np.zeros(n + 1)
-            out[: min(n, support) + 1] = _lag_products(b, s2, min(n, support))
-            self._values = out
+            self._values = _lag_products(b, s2, n)
             self.certified_tol = 0.0
             return
         # infinite stream: extend until the certified tail of
@@ -437,6 +479,14 @@ class CoefSeq:
             if tail_sq is not None and s2 * tail_sq <= self.acvf_tol * sigma0:
                 self._values = _lag_products(b, s2, n)
                 self.certified_tol = s2 * tail_sq / self._values[0]
+                return
+            if tail_sq is None and _stuck_rational_tail(self.model.ma_stream, b, m // 2):
+                # no longer prefix passes the block test: certify from the
+                # filter's root modulus instead
+                psi, psi_tail = self._psi_series()
+                out = _lag_products(psi, s2, n)
+                self._certify_filter_tail(psi, psi_tail, s2, out[0], "ARMA")
+                self._values = out
                 return
             if m >= _MAX_STREAM_TERMS:
                 achieved = (s2 * tail_sq / sigma0) if tail_sq is not None else None

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import CertificationError, NumericError
 from .predict import PredictorWeights
-from .process import FARIMA, FRAC_NOISE, ProcessModel, acvf, ma_coeffs
+from .process import (FARIMA, FRAC_NOISE, ProcessModel, _envelope_rate, _geometric_envelope,
+                      _stuck_rational_tail, acvf, ma_coeffs)
 
 __all__ = [
     "CIRCULANT_EMBEDDING",
@@ -145,6 +146,17 @@ def _ma_tail_sq_bound(model: ProcessModel, order: int) -> float | None:
     if s1 > 0.0 and s2 < 0.7 * s1:
         q = s2 / s1
         return s2 / (1.0 - q)
+    if not _stuck_rational_tail(model.ma_stream, b, order // 2):
+        return None
+    # the filter's geometric envelope |b_m| <= peak r^-m, read off the
+    # shortest prefix that shows it
+    r = _envelope_rate(model.ma_stream.rational_filter[1])
+    n = 64
+    while n <= 2 * order:
+        peak = _geometric_envelope(b[:n + 1], r)
+        if peak is not None:
+            return peak * peak * r ** (-2.0 * (order + 1)) / (1.0 - r ** -2.0)
+        n *= 2
     return None
 
 
@@ -221,7 +233,14 @@ def empirical_mse(plan: SimulationPlan,
     tuple of estimates is returned in the same order.
     """
     single = isinstance(weights, PredictorWeights)
-    batch = (weights,) if single else tuple(weights)
+    _, estimates = _simulate_and_score(plan, (weights,) if single else tuple(weights))
+    return estimates[0] if single else estimates
+
+
+def _simulate_and_score(plan: SimulationPlan, batch: tuple[PredictorWeights, ...],
+                        ) -> tuple[np.ndarray, tuple[McEstimate, ...]]:
+    """The paths of one ``simulate(plan)`` call and each weight vector's
+    estimate on them, so a caller that also needs the paths simulates once."""
     need = max(w.k + w.h for w in batch)
     if plan.length < need:
         raise ValueError(f"plan length {plan.length} too short for k + h = {need}")
@@ -237,4 +256,4 @@ def empirical_mse(plan: SimulationPlan,
         estimates.append(McEstimate(mean=float(np.mean(errs)),
                                     std_error=float(np.std(errs, ddof=1) / math.sqrt(r)),
                                     replications=r))
-    return estimates[0] if single else tuple(estimates)
+    return paths, tuple(estimates)

@@ -307,3 +307,27 @@ def reference_rational_series(num, den, n: int) -> np.ndarray:
             v -= np.dot(den[1:top + 1], out[j - 1::-1][:top])
         out[j] = v
     return out
+
+
+def reference_block_ratio_acvf(model, n: int, tol: float = 1e-10):
+    """(sigma(0..n), certified_tol) of an infinite, undeclared-d MA stream by
+    the block-ratio loop alone: double the prefix until the geometric decay of
+    its squared half-blocks certifies the tail below ``tol`` * sigma(0)."""
+    s2 = model.noise_variance
+    m = max(4 * (n + 1), 1024)
+    while m <= 1 << 21:
+        b = np.asarray(model.ma_stream(m), dtype=float)
+        sigma0 = s2 * float(np.dot(b, b))
+        t1 = float(np.sum(b[m // 2: (3 * m) // 4] ** 2))
+        t2 = float(np.sum(b[(3 * m) // 4:] ** 2))
+        tail_sq = None
+        if t2 == 0.0 and np.all(b[m // 2:] == 0.0):
+            tail_sq = 0.0
+        elif t1 > 0.0 and t2 < 0.7 * t1:
+            q = t2 / t1
+            tail_sq = t2 * q / (1.0 - q)
+        if tail_sq is not None and s2 * tail_sq <= tol * sigma0:
+            values = np.array([s2 * np.dot(b[: b.size - s], b[s:]) for s in range(n + 1)])
+            return values, s2 * tail_sq / values[0]
+        m *= 2
+    raise AssertionError("block-ratio loop did not certify")

@@ -141,11 +141,35 @@ def test_montecarlo_simulates_each_plan_once(tmp_path, monkeypatch):
     assert [plan.length for plan in calls] == [11, 12]
 
 
-def test_montecarlo_certification_exit_code(tmp_path):
+def test_montecarlo_dump_paths_reuses_first_simulation(tmp_path, monkeypatch):
+    from longpred import sim
+    calls = []
+    simulate = sim.simulate
+
+    def counted(plan):
+        calls.append(plan)
+        return simulate(plan)
+
+    monkeypatch.setattr(sim, "simulate", counted)
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("h_grid = 1,2\nreps = 60\nk = 10\ndump_paths = true\n")
+    out = tmp_path / "o"
+    assert run(["montecarlo", "--config", cfgfile, "--out", out]) == 0
+    assert [plan.length for plan in calls] == [11, 12]
+    _, arr = rows_as_floats(out / "paths.csv")
+    assert np.array_equal(arr, simulate(calls[0]))
+
+
+def test_montecarlo_certification_exit_code(tmp_path, capsys):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text("sim_method = ma_truncation\nreps = 30\nk = 5\n")
     assert run(["montecarlo", "--config", cfgfile, "--out", tmp_path / "o",
                 "--d", "0.3"]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line.startswith("longpred: numeric certification failure: ")
+    # the bound reached, above the 1e-6 requested, ends the line
+    _, sep, bound = line.rpartition("; achieved_bound ")
+    assert sep and float(bound) > 1e-6
 
 
 def test_montecarlo_path_dump(tmp_path):

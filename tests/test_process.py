@@ -1,16 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from longpred.cli import main
+from longpred.csvio import read_csv
 from longpred.errors import CertificationError, ModelError
 from longpred.process import (AR, MA, CoefSeq, ProcessModel, acvf, ar_coeffs, ma_coeffs,
                               verify_decay)
 from longpred.special import gamma_ratio
 
-from _oracles import (arma_acvf_brute, brute_orthogonality_sum, reference_ma_inversion,
-                      reference_rational_series)
+from _oracles import (arma_acvf_brute, brute_orthogonality_sum, reference_block_ratio_acvf,
+                      reference_ma_inversion, reference_rational_series)
 
 D_VALUES = (0.05, 0.25, 0.45)
 
@@ -257,6 +260,51 @@ def test_arma_stream_matches_textbook_acvf():
     got = acvf(model, 10).prefix(10)
     want = arma_acvf_brute(0.5, 0.3, 10)
     assert np.allclose(got, want, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [50, 240, 1024])
+@pytest.mark.parametrize("ar, ma", [((0.9,), ()), ((0.5, -0.2), (0.4,))])
+def test_arma_acvf_bitwise_matches_block_ratio_loop(ar, ma, n):
+    # where the block test certifies, the root-modulus fallback never runs
+    seq = acvf(ProcessModel.arma(ar=ar, ma=ma), n)
+    want, want_tol = reference_block_ratio_acvf(ProcessModel.arma(ar=ar, ma=ma), n)
+    assert _same_bits(seq.prefix(n), want)
+    assert seq.certified_tol == want_tol
+
+
+def test_arma_near_unit_root_certified_from_root_modulus():
+    # ar = 0.9: the stream sticks at the subnormal 2.5e-323 from j ~ 6724, so
+    # the squared tail underflows and only the root-modulus certificate holds
+    model = ProcessModel.arma(ar=(0.9,))
+    asked = []
+
+    def stream(n):
+        asked.append(n)
+        return model.ma_stream(n)
+
+    stream.rational_filter = model.ma_stream.rational_filter
+    counted = dataclasses.replace(model, ma_stream=stream)
+    n = 4096
+    seq = acvf(counted, n)
+    assert max(asked) <= 4 * (n + 1)  # one block-test prefix, no doubling
+    assert 0.0 < seq.certified_tol <= 1e-10
+    got = seq.prefix(n)
+    want = 0.9 ** np.arange(n + 1) / 0.19
+    # the certificate covers the dropped tail; allow a few ulp of rounding
+    slack = seq.certified_tol + 32 * np.finfo(float).eps
+    assert np.max(np.abs(got - want)) <= slack * got[0]
+
+
+@pytest.mark.parametrize("args", [["coeffs", "--n", "4096"], ["fit", "--k", "2000"]])
+def test_arma_near_unit_root_commands_succeed(tmp_path, args):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("kind = arma\nar = 0.9\n")
+    out = tmp_path / "o"
+    assert main([*args, "--config", str(cfgfile), "--out", str(out)]) == 0
+    if args[0] == "coeffs":
+        comments, _, rows = read_csv(out / "coeffs_acvf.csv")
+        tol = float(next(c for c in comments if c.startswith("certified_tol:")).split()[1])
+        assert 0.0 < tol <= 1e-10 and len(rows) == 4097
 
 
 def test_long_memory_stream_certification_failure():

@@ -69,6 +69,15 @@ def test_ma_truncation_matches_per_row_oracle(model):
     assert np.array_equal(simulate(plan), per_row_paths(plan))
 
 
+@pytest.mark.parametrize("length, order", [(51, 204), (2001, 8004)])
+def test_ma_truncation_order_near_unit_root_arma(length, order):
+    # at 204 the block test certifies; at 8004 the squared tail underflows and
+    # the root-modulus envelope certifies the first order tried
+    plan = SimulationPlan(ProcessModel.arma(ar=(0.9,)), length=length,
+                          replications=30, seed=1, method=MA_TRUNCATION)
+    assert sim._ma_truncation_order(plan) == order
+
+
 def test_white_noise_sample_covariance():
     s2 = 1.5
     plan = SimulationPlan(ProcessModel.white_noise(s2), length=4,
