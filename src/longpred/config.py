@@ -5,7 +5,8 @@ a comment.  Command-line flags mirror config keys and take precedence.
 Documented keys:
 
     kind            frac_noise | farima | generic_ma | arma | white_noise
-    d               memory parameter in (0, 1/2)
+    d               memory parameter in (0, 1/2) (frac_noise / farima;
+                    only a label on generic_ma)
     noise_variance  innovation variance, > 0
     ar              comma-separated phi_1..phi_p   (farima / arma)
     ma              comma-separated theta_1..theta_q (farima / arma)
@@ -92,6 +93,15 @@ _PARSERS = {
 }
 
 
+# model keys and the kinds that read them; setting one for another kind is an error
+_KIND_KEYS = {
+    "d": ("frac_noise", "farima", "generic_ma"),
+    "ar": ("farima", "arma"),
+    "ma": ("farima", "arma"),
+    "ma_coeffs": ("generic_ma",),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration.
@@ -126,6 +136,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("frac_noise", "farima", "generic_ma", "arma", "white_noise"):
             raise ConfigError(f"unknown model kind {self.kind!r}")
+        for key, kinds in _KIND_KEYS.items():
+            if key in self.provided and self.kind not in kinds:
+                raise ConfigError(f"{key} is not a parameter of kind = {self.kind}")
         if self.kind in ("frac_noise", "farima") and not 0.0 < self.d < 0.5:
             raise ConfigError("d must lie strictly inside (0, 1/2)")
         if not self.noise_variance > 0.0:

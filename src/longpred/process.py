@@ -16,17 +16,18 @@ Three model kinds are supported:
   recursions,
 * FARIMA(p, d, q): the fractional core filtered through a stable and
   invertible rational ARMA filter,
-* generic invertible moving averages given as a finite coefficient list or
-  a prefix-generating callable (this is also how plain white noise and ARMA
-  comparison models are expressed, since d = 0 is outside the fractional
-  range).
+* generic moving averages ``X = (num(B)/den(B)) e`` given by the
+  coefficients of a rational filter (``ProcessModel.ma_filter``): a finite
+  list ``b_0..b_q`` has ``den = (1,)``, white noise is ``((1,), (1,))`` and
+  the ARMA comparison models are ``((1,) + theta, (1,) - phi)``; d = 0 is
+  outside the fractional range, so these short-memory models are not FARIMA.
 
 For the fractional kind the one-term recursions are the production path:
 O(1) per term, no cancellation, exact sign propagation.  The closed-form
 Gamma-ratio expressions are kept as independent oracles in the test suite.
-The ARMA stream, the FARIMA filter and the AR inversion of a generic moving
-average share one power-series division, ``_rational_series``.  FARIMA
-autocovariances, and ARMA ones whose stream sticks at subnormal values
+The ARMA moving-average series, the FARIMA filter and the AR inversion of a
+generic moving average share one power-series division, ``_rational_series``.
+FARIMA autocovariances, and ARMA ones whose series sticks at subnormal values
 before the block-ratio tail test passes, are certified from the filter's
 root modulus (``_certified_rational_series``).
 """
@@ -34,8 +35,8 @@ root modulus (``_certified_rational_series``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -57,7 +58,7 @@ FARIMA = "farima"
 GENERIC_MA = "generic_ma"
 
 DEFAULT_ACVF_TOL = 1e-10
-_MAX_STREAM_TERMS = 1 << 21
+_MAX_MA_TERMS = 1 << 21
 _SERIES_MAX_TERMS = 1 << 22
 
 
@@ -85,12 +86,15 @@ def _check_roots_outside_unit_disk(coeffs_ascending: Sequence[float], what: str)
 
 @dataclass(frozen=True)
 class ProcessModel:
-    """Immutable description of a stationary process.
+    """Immutable, hashable description of a stationary process.
 
     ``ar`` holds the coefficients phi of ``1 - phi_1 z - ... - phi_p z^p``
     and ``ma`` the coefficients theta of ``1 + theta_1 z + ... + theta_q z^q``
-    (both FARIMA only).  ``ma_stream`` maps n to the first n+1 moving-average
-    coefficients of a generic model.
+    (both FARIMA only).  ``ma_filter = (num, den)`` gives a generic model's
+    moving-average coefficients as the power series of num(z)/den(z), both
+    with constant term 1; ``den = (1,)`` makes it a finite list.  On a
+    generic model ``d`` only labels the model.  Equal constructions compare
+    and hash equal.
     """
 
     kind: str
@@ -98,7 +102,7 @@ class ProcessModel:
     d: float | None = None
     ar: tuple[float, ...] = ()
     ma: tuple[float, ...] = ()
-    ma_stream: Callable[[int], np.ndarray] | None = field(default=None, repr=False)
+    ma_filter: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in (FRAC_NOISE, FARIMA, GENERIC_MA):
@@ -113,10 +117,18 @@ class ProcessModel:
         if self.kind == FARIMA:
             _check_roots_outside_unit_disk((1.0,) + tuple(-p for p in self.ar), "AR")
             _check_roots_outside_unit_disk((1.0,) + self.ma, "MA")
-        if self.kind == GENERIC_MA and self.ma_stream is None:
-            raise ModelError("generic MA model requires coefficients or a stream")
         if self.kind != FARIMA and (self.ar or self.ma):
             raise ModelError("ar/ma polynomials are only valid for FARIMA models")
+        if (self.kind == GENERIC_MA) != (self.ma_filter is not None):
+            raise ModelError("generic MA models, and only they, take an ma_filter")
+        if self.kind == GENERIC_MA:
+            num, den = (np.asarray(c, dtype=float) for c in self.ma_filter)
+            if any(c.ndim != 1 or c.size == 0 or c[0] != 1.0 for c in (num, den)):
+                raise ModelError("MA filter polynomials must be 1-d and start with 1")
+            # a stable den and an invertible num keep both representations summable
+            _check_roots_outside_unit_disk(den, "AR")
+            _check_roots_outside_unit_disk(num, "MA")
+            object.__setattr__(self, "ma_filter", (tuple(num.tolist()), tuple(den.tolist())))
 
     # -- constructors ------------------------------------------------------
 
@@ -133,32 +145,15 @@ class ProcessModel:
                    noise_variance=noise_variance)
 
     @classmethod
-    def generic_ma(cls, coeffs: Sequence[float] | None = None,
-                   stream: Callable[[int], np.ndarray] | None = None,
-                   noise_variance: float = 1.0, d: float | None = None) -> "ProcessModel":
-        """Generic invertible MA given by a finite list or a prefix callable.
+    def generic_ma(cls, coeffs: Sequence[float], noise_variance: float = 1.0,
+                   d: float | None = None) -> "ProcessModel":
+        """Invertible finite MA b_0..b_q (b_0 = 1), zero beyond its support.
 
-        A finite list is implicitly zero beyond its support.  ``d``, when
-        supplied, declares the power-law decay used for tail certification of
-        infinite streams.
+        ``d`` only labels the model (``describe()``, decay diagnostics): a
+        finite moving average has short memory whatever its value.
         """
-        if (coeffs is None) == (stream is None):
-            raise ModelError("provide exactly one of coeffs or stream")
-        if coeffs is not None:
-            arr = np.asarray(coeffs, dtype=float)
-            if arr.ndim != 1 or arr.size == 0 or arr[0] != 1.0:
-                raise ModelError("MA coefficient list must be 1-d and start with 1")
-            # invertibility keeps the autoregressive representation summable
-            _check_roots_outside_unit_disk(arr, "MA")
-            frozen = arr.copy()
-
-            def stream(n: int, _c: np.ndarray = frozen) -> np.ndarray:
-                out = np.zeros(n + 1)
-                out[: min(n + 1, _c.size)] = _c[: n + 1]
-                return out
-
-            stream.finite_support = frozen.size - 1  # type: ignore[attr-defined]
-        return cls(kind=GENERIC_MA, d=d, noise_variance=noise_variance, ma_stream=stream)
+        return cls(kind=GENERIC_MA, d=d, noise_variance=noise_variance,
+                   ma_filter=(coeffs, (1.0,)))
 
     @classmethod
     def white_noise(cls, noise_variance: float = 1.0) -> "ProcessModel":
@@ -167,30 +162,19 @@ class ProcessModel:
     @classmethod
     def arma(cls, ar: Sequence[float] = (), ma: Sequence[float] = (),
              noise_variance: float = 1.0) -> "ProcessModel":
-        """Short-memory ARMA comparison model, expressed as a generic MA stream."""
-        phi, theta = _as_tuple(ar), _as_tuple(ma)
-        _check_roots_outside_unit_disk((1.0,) + tuple(-p for p in phi), "AR")
-        _check_roots_outside_unit_disk((1.0,) + theta, "MA")
-
-        num, den = (1.0,) + theta, (1.0,) + tuple(-p for p in phi)
-
-        def stream(n: int) -> np.ndarray:
-            b = _rational_series(num, den, n)
-            b += 0.0  # writes the exact zeros of an underflowed tail as +0, not -0
-            return b
-
-        # the filter certifies the autocovariance where the block test on
-        # the stream cannot (a geometric tail that underflows when squared)
-        stream.rational_filter = (num, den)  # type: ignore[attr-defined]
-        return cls(kind=GENERIC_MA, noise_variance=noise_variance, ma_stream=stream)
+        """Short-memory ARMA comparison model, the generic MA with filter theta/phi."""
+        # + 0.0: a zero theta expands to +0, as the series division writes it
+        num = (1.0,) + tuple(t + 0.0 for t in _as_tuple(ma))
+        den = (1.0,) + tuple(-p for p in _as_tuple(ar))
+        return cls(kind=GENERIC_MA, noise_variance=noise_variance, ma_filter=(num, den))
 
     # -- helpers -----------------------------------------------------------
 
     @property
     def finite_ma_support(self) -> int | None:
-        """Largest nonzero MA lag for finite generic models, else None."""
-        if self.kind == GENERIC_MA and self.ma_stream is not None:
-            return getattr(self.ma_stream, "finite_support", None)
+        """Last MA lag of a finite generic model (den = (1,)), else None."""
+        if self.kind == GENERIC_MA and len(self.ma_filter[1]) == 1:
+            return len(self.ma_filter[0]) - 1
         return None
 
     def describe(self) -> str:
@@ -225,6 +209,19 @@ def _rational_series(num: Sequence[float], den: Sequence[float], n: int) -> np.n
         if j < num.size:
             out[j] += num[j]
     return out
+
+
+def _ma_series(ma_filter: tuple[tuple[float, ...], tuple[float, ...]],
+               n: int) -> np.ndarray:
+    """MA coefficients b_0..b_n of a generic model's filter ``(num, den)``."""
+    num, den = ma_filter
+    if len(den) == 1:  # finite list: a copy that keeps its signed zeros
+        b = np.zeros(n + 1)
+        b[: min(n + 1, len(num))] = num[: n + 1]
+        return b
+    b = _rational_series(num, den, n)
+    b += 0.0  # writes the exact zeros of an underflowed tail as +0, not -0
+    return b
 
 
 def _envelope_rate(den: Sequence[float]) -> float:
@@ -269,18 +266,15 @@ def _certified_rational_series(num: Sequence[float], den: Sequence[float],
         f"within {_SERIES_MAX_TERMS} terms")
 
 
-def _stuck_rational_tail(stream: Callable[[int], np.ndarray], b: np.ndarray,
-                         start: int) -> bool:
-    """Whether every square of a rational-filter stream's prefix ``b`` from
-    ``start`` on underflows while ``b`` does not end in exact zeros.
+def _stuck_rational_tail(den: Sequence[float], b: np.ndarray, start: int) -> bool:
+    """Whether every square of the series prefix ``b`` from ``start`` on
+    underflows while ``b`` does not end in len(den) exact zeros.
 
     Squares underflow from some index L on, and the values reach their floor
     by about 2L < b.size: exact zeros, or subnormals the recursion rounds back
     to (ar = 0.9 sticks at 2.5e-323), which never pass a block-ratio test.
     """
-    filt = getattr(stream, "rational_filter", None)
-    return (filt is not None and not np.any(b[start:] ** 2)
-            and bool(np.any(b[-len(filt[1]):])))
+    return not np.any(b[start:] ** 2) and bool(np.any(b[-len(den):]))
 
 
 def _lag_products(b: np.ndarray, s2: float, n: int) -> np.ndarray:
@@ -395,13 +389,13 @@ class CoefSeq:
 
     def _psi_series(self) -> tuple[np.ndarray, float]:
         """Certified expansion of the model's rational filter theta/phi (phi/theta
-        for AR sequences): FARIMA's ar/ma, or an ARMA stream's filter."""
+        for AR sequences): FARIMA's ar/ma, or a generic model's ma_filter."""
         if self._psi is None:
             if self.model.kind == FARIMA:
                 theta_op = (1.0,) + self.model.ma
                 phi_op = (1.0,) + tuple(-p for p in self.model.ar)
             else:
-                theta_op, phi_op = self.model.ma_stream.rational_filter
+                theta_op, phi_op = self.model.ma_filter
             # the ACVF path squares the filter, so certify well below tol
             tol = min(1e-15, 0.01 * self.acvf_tol)
             num, den = (phi_op, theta_op) if self.kind == AR else (theta_op, phi_op)
@@ -442,22 +436,17 @@ class CoefSeq:
         self._certify_filter_tail(psi, psi_tail, sig_f[0], out[0], "FARIMA")
         self._values = out
 
-    # -- generic MA streams -------------------------------------------------
+    # -- generic MA models: the power series of num/den ----------------------
 
     def _extend_generic(self, n: int) -> None:
-        stream = self.model.ma_stream
         if self.kind == MA:
-            vals = np.asarray(stream(n), dtype=float)
-            if vals.shape != (n + 1,) or vals[0] != 1.0:
-                raise ModelError("MA stream must return n+1 values starting with 1")
-            self._values = vals
+            self._values = _ma_series(self.model.ma_filter, n)
             return
         if self.kind == AR:
             # power-series inversion of the MA polynomial
-            b = np.asarray(stream(n), dtype=float)
             support = self.model.finite_ma_support
-            q = support if support is not None else n
-            self._values = _rational_series((1.0,), b[:q + 1], n)
+            b = _ma_series(self.model.ma_filter, n if support is None else support)
+            self._values = _rational_series((1.0,), b, n)
             return
         self._extend_generic_acvf(n)
 
@@ -465,22 +454,23 @@ class CoefSeq:
         s2 = self.model.noise_variance
         support = self.model.finite_ma_support
         if support is not None:
-            b = np.asarray(self.model.ma_stream(support), dtype=float)
+            b = _ma_series(self.model.ma_filter, support)
             self._values = _lag_products(b, s2, n)
             self.certified_tol = 0.0
             return
-        # infinite stream: extend until the certified tail of
+        # infinite series: extend until the certified tail of
         # sum_m b_m b_{m+s} drops below acvf_tol * sigma(0)
+        den = self.model.ma_filter[1]
         m = max(4 * (n + 1), 1024)
         while True:
-            b = np.asarray(self.model.ma_stream(m), dtype=float)
+            b = _ma_series(self.model.ma_filter, m)
             sigma0 = s2 * float(np.dot(b, b))
             tail_sq = self._tail_sq_bound(b)
             if tail_sq is not None and s2 * tail_sq <= self.acvf_tol * sigma0:
                 self._values = _lag_products(b, s2, n)
                 self.certified_tol = s2 * tail_sq / self._values[0]
                 return
-            if tail_sq is None and _stuck_rational_tail(self.model.ma_stream, b, m // 2):
+            if tail_sq is None and _stuck_rational_tail(den, b, m // 2):
                 # no longer prefix passes the block test: certify from the
                 # filter's root modulus instead
                 psi, psi_tail = self._psi_series()
@@ -488,7 +478,7 @@ class CoefSeq:
                 self._certify_filter_tail(psi, psi_tail, s2, out[0], "ARMA")
                 self._values = out
                 return
-            if m >= _MAX_STREAM_TERMS:
+            if m >= _MAX_MA_TERMS:
                 achieved = (s2 * tail_sq / sigma0) if tail_sq is not None else None
                 raise CertificationError(
                     "generic MA autocovariance accuracy not certified below "
@@ -506,14 +496,6 @@ class CoefSeq:
         if s1 > 0.0 and s2 < 0.7 * s1:
             q = s2 / s1  # blockwise geometric decay of the squared tail
             return s2 * q / (1.0 - q)
-        d = self.model.d
-        if d is not None:
-            # declared power-law decay; constant from the computed range
-            delta = 0.01
-            j = np.arange(half, m + 1, dtype=float)
-            c = float(np.max(np.abs(b[half:]) * j ** (1.0 - d - delta)))
-            p = 2.0 * d - 2.0 + 2.0 * delta
-            return c * c * m ** (p + 1.0) / (-p - 1.0)
         return None
 
     # -- invariants ---------------------------------------------------------

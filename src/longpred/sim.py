@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CertificationError, NumericError
 from .predict import PredictorWeights
 from .process import (FARIMA, FRAC_NOISE, ProcessModel, _envelope_rate, _geometric_envelope,
-                      _stuck_rational_tail, acvf, ma_coeffs)
+                      _ma_series, _stuck_rational_tail, acvf, ma_coeffs)
 
 __all__ = [
     "CIRCULANT_EMBEDDING",
@@ -137,8 +137,9 @@ def _ma_tail_sq_bound(model: ProcessModel, order: int) -> float | None:
         j = np.arange(half, order + 1, dtype=float)
         c = float(np.max(np.abs(b[half:]) * j ** (1.0 - d)))
         return c * c * order ** (2.0 * d - 1.0) / (1.0 - 2.0 * d)
-    # generic stream: geometric block certification
-    b = np.asarray(model.ma_stream(2 * order), dtype=float)
+    # infinite generic series: geometric block certification
+    den = model.ma_filter[1]
+    b = _ma_series(model.ma_filter, 2 * order)
     s1 = float(np.sum(b[order // 2: order] ** 2))
     s2 = float(np.sum(b[order: 2 * order] ** 2))
     if s2 == 0.0 and np.all(b[order:] == 0.0):
@@ -146,11 +147,11 @@ def _ma_tail_sq_bound(model: ProcessModel, order: int) -> float | None:
     if s1 > 0.0 and s2 < 0.7 * s1:
         q = s2 / s1
         return s2 / (1.0 - q)
-    if not _stuck_rational_tail(model.ma_stream, b, order // 2):
+    if not _stuck_rational_tail(den, b, order // 2):
         return None
     # the filter's geometric envelope |b_m| <= peak r^-m, read off the
     # shortest prefix that shows it
-    r = _envelope_rate(model.ma_stream.rational_filter[1])
+    r = _envelope_rate(den)
     n = 64
     while n <= 2 * order:
         peak = _geometric_envelope(b[:n + 1], r)
@@ -218,7 +219,7 @@ def simulate(plan: SimulationPlan) -> np.ndarray:
     scale = math.sqrt(plan.model.noise_variance)
     for r, rng in enumerate(rows):
         eps = scale * rng.standard_normal(n + order)
-        out[r] = np.convolve(eps, b)[order: order + n]
+        out[r] = np.convolve(eps, b, mode="valid")
     return out
 
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from longpred.errors import IllConditionedError, NotPositiveDefiniteError
-from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
+from longpred.process import ProcessModel, _ma_series, acvf, ar_coeffs, ma_coeffs
 
 
 def gamma_by_quadrature(x: float, nodes: int = 120) -> float:
@@ -310,13 +310,13 @@ def reference_rational_series(num, den, n: int) -> np.ndarray:
 
 
 def reference_block_ratio_acvf(model, n: int, tol: float = 1e-10):
-    """(sigma(0..n), certified_tol) of an infinite, undeclared-d MA stream by
-    the block-ratio loop alone: double the prefix until the geometric decay of
-    its squared half-blocks certifies the tail below ``tol`` * sigma(0)."""
+    """(sigma(0..n), certified_tol) of an ARMA model by the block-ratio loop
+    alone: double the MA prefix until the geometric decay of its squared
+    half-blocks certifies the tail below ``tol`` * sigma(0)."""
     s2 = model.noise_variance
     m = max(4 * (n + 1), 1024)
     while m <= 1 << 21:
-        b = np.asarray(model.ma_stream(m), dtype=float)
+        b = _ma_series(model.ma_filter, m)
         sigma0 = s2 * float(np.dot(b, b))
         t1 = float(np.sum(b[m // 2: (3 * m) // 4] ** 2))
         t2 = float(np.sum(b[(3 * m) // 4:] ** 2))

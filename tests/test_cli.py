@@ -273,6 +273,19 @@ def test_config_rejects_bad_values(tmp_path):
         load_config(None, {"sim_method": "dice"})
     with pytest.raises(ConfigError):
         load_config(None, {"reps": 0})
+    # model keys the configured kind does not read
+    for text in ("kind = white_noise\nma_coeffs = 1,0.5\n",
+                 "kind = frac_noise\nar = 0.5\n",
+                 "kind = generic_ma\nma_coeffs = 1,0.5\nma = 0.3\n",
+                 "kind = farima\nd = 0.3\nma_coeffs = 1,0.5\n",
+                 "kind = arma\nar = 0.5\nd = 0.3\n",
+                 "kind = white_noise\nd = 0.3\n"):
+        cfgfile.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(cfgfile)
+        assert main(["coeffs", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
+    with pytest.raises(ConfigError):
+        load_config(None, {"kind": "arma", "d": 0.3})
 
 
 def test_bad_flag_exits_one(capsys):

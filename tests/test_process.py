@@ -1,15 +1,15 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from longpred import process
 from longpred.cli import main
 from longpred.csvio import read_csv
-from longpred.errors import CertificationError, ModelError
-from longpred.process import (AR, MA, CoefSeq, ProcessModel, acvf, ar_coeffs, ma_coeffs,
-                              verify_decay)
+from longpred.errors import ModelError
+from longpred.process import (AR, MA, CoefSeq, ProcessModel, _ma_series, acvf, ar_coeffs,
+                              ma_coeffs, verify_decay)
 from longpred.special import gamma_ratio
 
 from _oracles import (arma_acvf_brute, brute_orthogonality_sum, reference_block_ratio_acvf,
@@ -42,6 +42,37 @@ def test_farima_unit_root_rejected():
 def test_generic_ma_leading_one_required():
     with pytest.raises(ModelError):
         ProcessModel.generic_ma((0.5, 1.0))
+
+
+def test_generic_models_are_comparable_values():
+    finite = ProcessModel.generic_ma((1.0, 0.5))
+    equal = [
+        (ProcessModel.arma(ar=(0.5,), ma=(0.3,)), ProcessModel.arma([0.5], np.array([0.3]))),
+        (finite, ProcessModel.generic_ma(np.array([1.0, 0.5]))),
+        (finite, ProcessModel.arma(ma=(0.5,))),
+        (finite, ProcessModel(kind="generic_ma", ma_filter=([1, 0.5], [1]))),
+        (ProcessModel.white_noise(2.0), ProcessModel.generic_ma((1.0,), noise_variance=2.0)),
+    ]
+    for a, b in equal:
+        assert a == b and hash(a) == hash(b)
+    different = [
+        ProcessModel.arma(ar=(0.5,), ma=(0.3,)), ProcessModel.arma(ar=(0.5,)),
+        finite, ProcessModel.generic_ma((1.0, 0.5), d=0.3),
+        ProcessModel.generic_ma((1.0, 0.5), noise_variance=2.0),
+        ProcessModel.white_noise(), ProcessModel.white_noise(2.0),
+    ]
+    assert len(set(different)) == len(different)
+
+
+@pytest.mark.parametrize("ma_filter", [
+    ((0.5, 1.0), (1.0,)),   # leading num coefficient != 1
+    ((1.0,), (2.0, 0.5)),   # leading den coefficient != 1
+    ((1.0, 2.0), (1.0,)),   # num has a root inside the unit disk
+    ((1.0,), (1.0, -1.0)),  # den has a unit root
+])
+def test_generic_ma_filter_checked_on_construction(ma_filter):
+    with pytest.raises(ModelError):
+        ProcessModel(kind="generic_ma", ma_filter=ma_filter)
 
 
 # -- fractional-noise coefficients -------------------------------------------
@@ -224,13 +255,22 @@ INVERSION_MODELS = {
 def test_generic_ar_inversion_bitwise_matches_reference_loop(name):
     model, negative_zeros = INVERSION_MODELS[name]
     n = 300
-    b = np.asarray(model.ma_stream(n))
+    b = _ma_series(model.ma_filter, n)
     support = model.finite_ma_support
     want = reference_ma_inversion(b, support if support is not None else n, n)
     got = ar_coeffs(model, n).prefix(n)
     assert _same_bits(got, want)
     if negative_zeros is not None:  # the -0 rows that coeffs_ar.csv writes
         assert np.all(got[negative_zeros] == 0.0) and np.all(np.signbit(got[negative_zeros]))
+
+
+def test_ma_series_zero_signs():
+    # coeffs_ma.csv writes a finite list's -0 as given and an ARMA theta's as +0
+    finite = ma_coeffs(ProcessModel.generic_ma((1.0, -0.0, 0.5)), 4).prefix(4)
+    arma = ma_coeffs(ProcessModel.arma(ma=(-0.0, 0.5)), 4).prefix(4)
+    assert np.array_equal(finite, [1.0, 0.0, 0.5, 0.0, 0.0])
+    assert np.array_equal(np.signbit(finite), [False, True, False, False, False])
+    assert np.array_equal(arma, finite) and not np.any(np.signbit(arma))
 
 
 @pytest.mark.parametrize("ar, ma, n", [
@@ -272,20 +312,19 @@ def test_arma_acvf_bitwise_matches_block_ratio_loop(ar, ma, n):
     assert seq.certified_tol == want_tol
 
 
-def test_arma_near_unit_root_certified_from_root_modulus():
-    # ar = 0.9: the stream sticks at the subnormal 2.5e-323 from j ~ 6724, so
-    # the squared tail underflows and only the root-modulus certificate holds
+def test_arma_near_unit_root_certified_from_root_modulus(monkeypatch):
+    # ar = 0.9: the MA series sticks at the subnormal 2.5e-323 from j ~ 6724,
+    # so the squared tail underflows and only the root-modulus certificate holds
     model = ProcessModel.arma(ar=(0.9,))
     asked = []
 
-    def stream(n):
+    def counted(ma_filter, n):
         asked.append(n)
-        return model.ma_stream(n)
+        return _ma_series(ma_filter, n)
 
-    stream.rational_filter = model.ma_stream.rational_filter
-    counted = dataclasses.replace(model, ma_stream=stream)
+    monkeypatch.setattr(process, "_ma_series", counted)
     n = 4096
-    seq = acvf(counted, n)
+    seq = acvf(model, n)
     assert max(asked) <= 4 * (n + 1)  # one block-test prefix, no doubling
     assert 0.0 < seq.certified_tol <= 1e-10
     got = seq.prefix(n)
@@ -305,27 +344,6 @@ def test_arma_near_unit_root_commands_succeed(tmp_path, args):
         comments, _, rows = read_csv(out / "coeffs_acvf.csv")
         tol = float(next(c for c in comments if c.startswith("certified_tol:")).split()[1])
         assert 0.0 < tol <= 1e-10 and len(rows) == 4097
-
-
-def test_long_memory_stream_certification_failure():
-    # a declared-d power-law stream cannot be certified at the default
-    # tolerance; the error carries the achieved bound
-    d = 0.3
-
-    def stream(n):
-        out = np.ones(n + 1)
-        js = np.arange(1, n + 1, dtype=float)
-        out[1:] = js ** (d - 1.0)
-        return out
-
-    model = ProcessModel.generic_ma(stream=stream, d=d)
-    with pytest.raises(CertificationError) as exc_info:
-        acvf(model, 2)
-    assert exc_info.value.achieved_bound is not None
-    assert exc_info.value.achieved_bound > 1e-10
-    # the same stream certifies fine at a loose tolerance
-    g = acvf(model, 2, tol=1e-2)
-    assert g.certified_tol < 1e-2
 
 
 # -- FARIMA ------------------------------------------------------------------
