@@ -9,6 +9,8 @@ Writes into out/rates by default:
 """
 
 import sys
+import tempfile
+from pathlib import Path
 
 from longpred.cli import main
 
@@ -17,18 +19,11 @@ def run(out_dir: str = "out/rates") -> int:
     code = main(["rates", "--out", out_dir])
     if code != 0:
         return code
-    return main(["montecarlo", "--out", out_dir, "--d", "0.3", "--k", "50",
-                 "--reps", "2000", "--seed", "8001", "--config",
-                 _horizons_config(out_dir)])
-
-
-def _horizons_config(out_dir: str) -> str:
-    import pathlib
-
-    path = pathlib.Path(out_dir) / "mc.cfg"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("h_grid = 1,5\n", encoding="utf-8")
-    return str(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        horizons = Path(tmp) / "mc.cfg"
+        horizons.write_text("h_grid = 1,5\n", encoding="utf-8")
+        return main(["montecarlo", "--out", out_dir, "--d", "0.3", "--k", "50",
+                     "--reps", "2000", "--seed", "8001", "--config", str(horizons)])
 
 
 if __name__ == "__main__":

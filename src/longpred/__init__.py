@@ -11,30 +11,26 @@ cross-validation.
 from .asymptotics import RateFit, improvement_ratio, rate_fit, truncation_constant
 from .errors import (CertificationError, ConfigError, IllConditionedError,
                      ModelError, NotPositiveDefiniteError, NumericError, PoleError)
-from .fit import (FittedAr, closed_form_ar_fit, levinson_durbin, projection_weights,
-                  solve_toeplitz, yule_walker)
-from .mse import (ErrorDecomposition, MseReport, error_decomposition,
-                  infinite_past_mse, mse_of_weights, spectral_contrast_mse)
-from .predict import (PROJECTION, TRUNCATED_WK, PredictorWeights, forecast,
-                      infinite_past_coeffs, truncated_wk_weights)
-from .process import (CoefSeq, DecayReport, ProcessModel, acvf, ar_coeffs,
-                      ma_coeffs, verify_decay)
+from .fit import FittedAr, levinson_durbin, projection_weights, solve_toeplitz, yule_walker
+from .mse import (ErrorDecomposition, MseReport, error_decomposition, infinite_past_mse,
+                  mse_of_weights)
+from .predict import PROJECTION, TRUNCATED_WK, PredictorWeights, forecast, truncated_wk_weights
+from .process import CoefSeq, ProcessModel, acvf, ar_coeffs, ma_coeffs
 from .sim import McEstimate, SimulationPlan, empirical_mse, simulate
 from .special import SignedLogValue, gamma_ratio, log_gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertificationError", "CoefSeq", "ConfigError", "DecayReport",
+    "CertificationError", "CoefSeq", "ConfigError",
     "ErrorDecomposition", "FittedAr", "IllConditionedError", "McEstimate",
     "ModelError", "MseReport", "NotPositiveDefiniteError", "NumericError",
     "PoleError", "PredictorWeights", "ProcessModel", "PROJECTION", "RateFit",
     "SignedLogValue", "SimulationPlan", "TRUNCATED_WK",
-    "acvf", "ar_coeffs", "closed_form_ar_fit", "empirical_mse",
+    "acvf", "ar_coeffs", "empirical_mse",
     "error_decomposition", "forecast", "gamma_ratio", "improvement_ratio",
-    "infinite_past_coeffs", "infinite_past_mse", "levinson_durbin",
+    "infinite_past_mse", "levinson_durbin",
     "log_gamma", "ma_coeffs", "mse_of_weights", "projection_weights",
-    "rate_fit", "simulate", "solve_toeplitz", "spectral_contrast_mse",
-    "truncated_wk_weights", "truncation_constant", "verify_decay",
-    "yule_walker",
+    "rate_fit", "simulate", "solve_toeplitz",
+    "truncated_wk_weights", "truncation_constant", "yule_walker",
 ]

@@ -30,6 +30,7 @@ Documented keys:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -62,10 +63,9 @@ def _parse_floats(s: str) -> tuple[float, ...]:
 
 def _parse_ints(s: str) -> tuple[int, ...]:
     vals = _parse_floats(s)
-    out = tuple(int(v) for v in vals)
-    if any(o != v for o, v in zip(out, vals)):
+    if not all(v.is_integer() for v in vals):  # False for inf and nan too
         raise ConfigError(f"expected comma-separated integers, got {s!r}")
-    return out
+    return tuple(int(v) for v in vals)
 
 
 _PARSERS = {
@@ -141,8 +141,8 @@ class RunConfig:
                 raise ConfigError(f"{key} is not a parameter of kind = {self.kind}")
         if self.kind in ("frac_noise", "farima") and not 0.0 < self.d < 0.5:
             raise ConfigError("d must lie strictly inside (0, 1/2)")
-        if not self.noise_variance > 0.0:
-            raise ConfigError("noise_variance must be positive")
+        if not 0.0 < self.noise_variance < math.inf:
+            raise ConfigError("noise_variance must be positive and finite")
         for name in ("n",):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")

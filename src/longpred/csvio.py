@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-__all__ = ["fmt", "write_csv", "read_csv"]
+__all__ = ["fmt", "write_csv"]
 
 
 def fmt(value) -> str:
@@ -33,18 +33,3 @@ def write_csv(path: str | Path, schema: str, comments: Sequence[str],
         lines.append(",".join(fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
-
-
-def read_csv(path: str | Path) -> tuple[list[str], list[str], list[list[str]]]:
-    """Read back (comments, columns, string rows); inverse of write_csv."""
-    comments: list[str] = []
-    columns: list[str] = []
-    rows: list[list[str]] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        if raw.startswith("#"):
-            comments.append(raw[1:].strip())
-        elif not columns:
-            columns = raw.split(",")
-        elif raw:
-            rows.append(raw.split(","))
-    return comments, columns, rows

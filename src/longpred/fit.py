@@ -16,6 +16,11 @@ Two coefficient conventions coexist and are both stored on the result:
 ``a_fit = (1, -phi_1, ..., -phi_k)`` is the operator form that compares
 directly against the autoregressive coefficients a_j.  Every downstream
 formula names which one it consumes.
+
+For fractional noise the fit is also known in closed form.
+``closed_form_log_inflation`` gives log(a_{j,k} / a_j), which the error
+decomposition in :mod:`longpred.mse` uses; the whole closed-form fit is a
+test oracle.
 """
 
 from __future__ import annotations
@@ -26,15 +31,14 @@ import numpy as np
 
 from .errors import IllConditionedError, NotPositiveDefiniteError
 from .predict import PROJECTION, PredictorWeights
-from .process import CoefSeq, ProcessModel, acvf as _model_acvf, ar_coeffs
-from .special import log_gamma, log_gamma_diff
+from .process import CoefSeq
+from .special import log_gamma_diff
 
 __all__ = [
     "FittedAr",
     "levinson_durbin",
     "solve_toeplitz",
     "yule_walker",
-    "closed_form_ar_fit",
     "closed_form_log_inflation",
     "projection_weights",
 ]
@@ -51,7 +55,7 @@ class FittedAr:
     ``innovation_variance`` is the one-step prediction variance over a
     k-observation span; it is nonincreasing in k and bounded below by the
     model's noise variance.  ``reflections`` holds the partial correlation
-    coefficients produced by the recursion (or their closed-form values).
+    coefficients produced by the recursion.
     """
 
     order: int
@@ -132,12 +136,12 @@ def solve_toeplitz(first_row, rhs, variance_floor: float = 0.0) -> np.ndarray:
 def _acvf_values(acvf, n: int) -> tuple[np.ndarray, float]:
     """Accept a CoefSeq or plain array; return (sigma(0..n), variance floor)."""
     if isinstance(acvf, CoefSeq):
-        g = acvf.prefix(n)
-        return g, _VARIANCE_FLOOR_REL * acvf.model.noise_variance
-    g = np.asarray(acvf, dtype=float)
+        g, floor = acvf.values, _VARIANCE_FLOOR_REL * acvf.model.noise_variance
+    else:
+        g, floor = np.asarray(acvf, dtype=float), 0.0
     if g.size < n + 1:
         raise ValueError(f"need sigma(0..{n}), got {g.size} values")
-    return g[: n + 1], 0.0
+    return g[: n + 1], floor
 
 
 def yule_walker(acvf, k: int) -> FittedAr:
@@ -168,32 +172,6 @@ def closed_form_log_inflation(d: float, k: int) -> np.ndarray:
     base = log_gamma_diff(k + 1.0, k - d + 1.0)
     diffs = np.array([log_gamma_diff(k - d - jj + 1.0, k - jj + 1.0) for jj in j])
     return base + diffs
-
-
-def closed_form_ar_fit(d: float, k: int, noise_variance: float = 1.0) -> FittedAr:
-    """Fractional-noise order-k fit in closed form.
-
-    Evaluates a_{j,k} = a_j * exp(inflation) through log-Gamma differences
-    and checks the sign property a_j - a_{j,k} > 0 for 1 <= j <= k, which
-    the error decomposition relies on.  The innovation variance uses the
-    closed-form partial correlations kappa_m = d / (m - d).
-    """
-    if not 0.0 < d < 0.5:
-        raise ValueError("memory parameter d must lie strictly inside (0, 1/2)")
-    if k < 1:
-        raise ValueError("order k must be >= 1")
-    a = ar_coeffs(ProcessModel.frac_noise(d), k).prefix(k)
-    infl = closed_form_log_inflation(d, k)
-    a_fit = np.concatenate([[1.0], a[1:] * np.exp(infl)])
-    diff = -a[1:] * np.expm1(infl)  # a_j - a_{j,k}
-    if not np.all(diff > 0.0):  # pragma: no cover - inflation is positive
-        raise AssertionError("closed-form fit violated a_j - a_{j,k} > 0")
-    m = np.arange(1, k + 1, dtype=float)
-    kappa = d / (m - d)
-    sigma0 = _model_acvf(ProcessModel.frac_noise(d, noise_variance), 0)[0]
-    v = sigma0 * float(np.prod(1.0 - kappa ** 2))
-    return FittedAr(order=k, phi=-a_fit[1:], a_fit=a_fit,
-                    innovation_variance=v, reflections=kappa)
 
 
 def projection_weights(acvf, k: int, h: int = 1) -> PredictorWeights:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, ModelError
-from .fit import FittedAr, closed_form_log_inflation
-from .predict import PROJECTION, PredictorWeights
+from .errors import ModelError
+from .fit import closed_form_log_inflation
+from .predict import PredictorWeights
 from .process import FRAC_NOISE, ProcessModel, acvf, ar_coeffs, ma_coeffs
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "toeplitz_quadratic_form",
     "mse_of_weights",
     "infinite_past_mse",
-    "spectral_contrast_mse",
     "error_decomposition",
 ]
 
@@ -111,61 +110,6 @@ def infinite_past_mse(model: ProcessModel, h: int) -> MseReport:
 
 
 # ---------------------------------------------------------------------------
-# spectral-contrast evaluation of the one-step AR(k) error
-
-
-def spectral_contrast_mse(model: ProcessModel, ar_fit: FittedAr,
-                          n_terms: int = 1 << 20, tail_tol: float = 1e-8) -> float:
-    """One-step error of an AR(k) fit evaluated through the spectral contrast.
-
-    Filtering the process by the fitted operator gives residuals with
-    moving-average coefficients t(j) = sum_{m<=min(j,k)} a_fit_m b_{j-m};
-    the prediction error is noise_variance * sum_j t(j)^2.  The series is
-    summed to ``n_terms`` and closed with a power-law tail estimate fitted on
-    the trailing window; evaluation fails unless the certified residual
-    uncertainty of that estimate is below ``tail_tol`` relative to the value.
-
-    This is an independent computational route from
-    :func:`mse_of_weights`; the two must agree within combined tolerances.
-    """
-    k = ar_fit.order
-    phi_op = ar_fit.a_fit
-    s2 = model.noise_variance
-    support = model.finite_ma_support
-    if support is not None:
-        b = ma_coeffs(model, support + k).prefix(support + k)
-        t = np.convolve(phi_op, b)
-        return s2 * float(np.dot(t, t))
-    if model.d is None:
-        raise CertificationError(
-            "tail estimation requires a known power-law decay (model.d)")
-    d = model.d
-    b = ma_coeffs(model, n_terms).prefix(n_terms)
-    t = np.convolve(phi_op, b)[: n_terms + 1]
-    partial = s2 * float(np.dot(t, t))
-    # trailing-window fit of t(j)^2 ~ j^(2d-2) (c + e/j)
-    lo = max(n_terms // 2, 8 * k, 1024)
-    if lo >= n_terms:
-        raise CertificationError("n_terms too small for tail estimation")
-    j = np.arange(lo, n_terms + 1, dtype=float)
-    y = t[lo:] ** 2 * j ** (2.0 - 2.0 * d)
-    design = np.column_stack([np.ones_like(j), 1.0 / j])
-    (c, e), *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = float(np.max(np.abs(y - design @ np.array([c, e]))))
-    edge = n_terms + 0.5
-    int_c = edge ** (2.0 * d - 1.0) / (1.0 - 2.0 * d)
-    int_e = edge ** (2.0 * d - 2.0) / (2.0 - 2.0 * d)
-    tail_est = s2 * (c * int_c + e * int_e)
-    value = partial + tail_est
-    bound = 2.0 * s2 * resid * int_c
-    if not bound <= tail_tol * abs(value):
-        raise CertificationError(
-            f"spectral tail uncertainty {bound:.3e} exceeds "
-            f"{tail_tol:g} * value", achieved_bound=bound / abs(value))
-    return float(value)
-
-
-# ---------------------------------------------------------------------------
 # three-term decomposition of the AR(k) excess
 
 
@@ -229,23 +173,3 @@ def error_decomposition(model: ProcessModel, k: int) -> ErrorDecomposition:
             f"({term_quad:.3e}, {term_cross:.3e}, {term_trunc:.3e})")
     return ErrorDecomposition(term_quad=term_quad, term_cross=term_cross,
                               term_trunc=term_trunc, k=k)
-
-
-def truncated_one_step_excess(model: ProcessModel, k: int) -> float:
-    """Truncation excess at h = 1 computed directly from the quadratic form.
-
-    Equals sum_{i,j=0..k} a_i a_j sigma(i-j) - noise_variance; kept separate
-    from the decomposition so the two routes can cross-check each other.
-    """
-    a = ar_coeffs(model, k).prefix(k)
-    g = acvf(model, k).prefix(k)
-    return toeplitz_quadratic_form(g, a) - model.noise_variance
-
-
-def fitted_ar_mse(model: ProcessModel, k: int) -> MseReport:
-    """One-step MSE of the Yule-Walker AR(k) fit, as a report."""
-    from .fit import yule_walker
-
-    fit = yule_walker(acvf(model, k), k)
-    total = fit.innovation_variance
-    return _make_report(total, _floor(model, 1), PROJECTION, k, 1, 0.0)

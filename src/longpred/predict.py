@@ -9,6 +9,9 @@ so ``w_1`` multiplies the most recent observation.  Two constructions are
 supported: the truncated Wiener-Kolmogorov predictor (infinite-past optimal
 weights cut off at lag k, extended to horizon h by unrolling its one-step
 recursion) and the exact finite-past projection, built in :mod:`longpred.fit`.
+The infinite-past predictor has no finite weight vector; its h-step error,
+the floor of every error report, is computed in :mod:`longpred.mse` from
+b_0..b_{h-1}.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import ProcessModel, ar_coeffs, ma_coeffs
+from .process import ProcessModel, ar_coeffs
 
 __all__ = [
     "TRUNCATED_WK",
@@ -25,7 +28,6 @@ __all__ = [
     "PredictorWeights",
     "truncated_wk_weights",
     "forecast",
-    "infinite_past_coeffs",
 ]
 
 TRUNCATED_WK = "truncated_wk"
@@ -83,19 +85,3 @@ def forecast(weights: PredictorWeights, observations: np.ndarray) -> float:
         raise ValueError(
             f"expected {weights.k} observations, got shape {obs.shape}")
     return float(np.dot(weights.weights, obs[::-1]))
-
-
-def infinite_past_coeffs(model: ProcessModel, h: int, n: int) -> np.ndarray:
-    """Innovation-domain coefficients (b_h, ..., b_{h+n}) of the h-step
-    infinite-past predictor.
-
-    The infinite-past predictor is not expressible over finitely many
-    observations, so only its moving-average representation is returned; it
-    feeds the error-floor computation in :mod:`longpred.mse`.
-    """
-    if h < 1:
-        raise ValueError("horizon must be >= 1")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    b = ma_coeffs(model, h + n).prefix(h + n)
-    return b[h:].copy()

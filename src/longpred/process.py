@@ -22,8 +22,10 @@ Three model kinds are supported:
   the ARMA comparison models are ``((1,) + theta, (1,) - phi)``; d = 0 is
   outside the fractional range, so these short-memory models are not FARIMA.
 
-For the fractional kind the one-term recursions are the production path:
-O(1) per term, no cancellation, exact sign propagation.  The closed-form
+``ar_coeffs``, ``ma_coeffs`` and ``acvf`` compute a sequence once, to the
+length asked for, and return it as an immutable :class:`CoefSeq`.  For the
+fractional kind the one-term recursions are the production path: O(1) per
+term, no cancellation, exact sign propagation.  The closed-form
 Gamma-ratio expressions are kept as independent oracles in the test suite.
 The ARMA moving-average series, the FARIMA filter and the AR inversion of a
 generic moving average share one power-series division, ``_rational_series``.
@@ -46,11 +48,9 @@ from .special import gamma_ratio
 __all__ = [
     "ProcessModel",
     "CoefSeq",
-    "DecayReport",
     "ar_coeffs",
     "ma_coeffs",
     "acvf",
-    "verify_decay",
 ]
 
 FRAC_NOISE = "frac_noise"
@@ -107,8 +107,10 @@ class ProcessModel:
     def __post_init__(self) -> None:
         if self.kind not in (FRAC_NOISE, FARIMA, GENERIC_MA):
             raise ModelError(f"unknown model kind {self.kind!r}")
-        if not self.noise_variance > 0.0:
-            raise ModelError("noise_variance must be positive")
+        if not 0.0 < self.noise_variance < math.inf:
+            raise ModelError("noise_variance must be positive and finite")
+        if not all(math.isfinite(v) for v in (*self.ar, *self.ma)):
+            raise ModelError("ar/ma coefficients must be finite")
         if self.kind in (FRAC_NOISE, FARIMA):
             if self.d is None or not 0.0 < self.d < 0.5:
                 raise ModelError("memory parameter d must lie strictly inside (0, 1/2)")
@@ -123,8 +125,9 @@ class ProcessModel:
             raise ModelError("generic MA models, and only they, take an ma_filter")
         if self.kind == GENERIC_MA:
             num, den = (np.asarray(c, dtype=float) for c in self.ma_filter)
-            if any(c.ndim != 1 or c.size == 0 or c[0] != 1.0 for c in (num, den)):
-                raise ModelError("MA filter polynomials must be 1-d and start with 1")
+            if any(c.ndim != 1 or c.size == 0 or c[0] != 1.0 or not np.all(np.isfinite(c))
+                   for c in (num, den)):
+                raise ModelError("MA filter polynomials must be finite, 1-d and start with 1")
             # a stable den and an invertible num keep both representations summable
             _check_roots_outside_unit_disk(den, "AR")
             _check_roots_outside_unit_disk(num, "MA")
@@ -149,8 +152,8 @@ class ProcessModel:
                    d: float | None = None) -> "ProcessModel":
         """Invertible finite MA b_0..b_q (b_0 = 1), zero beyond its support.
 
-        ``d`` only labels the model (``describe()``, decay diagnostics): a
-        finite moving average has short memory whatever its value.
+        ``d`` only labels the model (``describe()``): a finite moving
+        average has short memory whatever its value.
         """
         return cls(kind=GENERIC_MA, d=d, noise_variance=noise_variance,
                    ma_filter=(coeffs, (1.0,)))
@@ -285,6 +288,20 @@ def _lag_products(b: np.ndarray, s2: float, n: int) -> np.ndarray:
     return out
 
 
+def _tail_sq_bound(b: np.ndarray) -> float | None:
+    """Certified bound on sum_{m > M} b_m^2 given the computed prefix."""
+    m = b.size - 1
+    half, three_q = m // 2, (3 * m) // 4
+    s1 = float(np.sum(b[half: three_q] ** 2))
+    s2 = float(np.sum(b[three_q:] ** 2))
+    if s2 == 0.0 and np.all(b[half:] == 0.0):
+        return 0.0
+    if s1 > 0.0 and s2 < 0.7 * s1:
+        q = s2 / s1  # blockwise geometric decay of the squared tail
+        return s2 * q / (1.0 - q)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # coefficient sequences
 
@@ -292,227 +309,165 @@ def _lag_products(b: np.ndarray, s2: float, n: int) -> np.ndarray:
 AR = "ar"
 MA = "ma"
 ACVF = "acvf"
-_TARGET_EXPONENT = {AR: lambda d: -d - 1.0, MA: lambda d: d - 1.0, ACVF: lambda d: 2.0 * d - 1.0}
 
 
+@dataclass(frozen=True, eq=False)
 class CoefSeq:
-    """Lazily extendable coefficient sequence tied to a model.
+    """Entries 0..len-1 of one coefficient sequence of a model.
 
-    Extension is single-writer; completed prefixes are returned as read-only
-    views and never mutated afterwards, so they are safe to share across
-    threads.  ``certified_tol`` reports the certified relative accuracy of an
-    autocovariance computed by truncated summation (0.0 for exact paths).
+    The entries are computed once, when the sequence is made; ``values`` is
+    read-only, so a sequence can be shared freely.  ``certified_tol``
+    reports the certified relative accuracy of an autocovariance computed by
+    truncated summation (0.0 for exact paths).
     """
 
-    def __init__(self, model: ProcessModel, kind: str,
-                 acvf_tol: float = DEFAULT_ACVF_TOL):
-        if kind not in (AR, MA, ACVF):
-            raise ValueError(f"unknown sequence kind {kind!r}")
-        self.model = model
-        self.kind = kind
-        self.acvf_tol = acvf_tol
-        self.certified_tol = 0.0
-        self._values = np.empty(0)
-        # FARIMA rational-filter expansions, built on first use
-        self._psi: np.ndarray | None = None
-        self._psi_tail = 0.0
-        self._frac_acvf: CoefSeq | None = None
+    model: ProcessModel
+    kind: str
+    values: np.ndarray
+    certified_tol: float = 0.0
 
-    # -- public API --------------------------------------------------------
+    def __post_init__(self) -> None:
+        self.values.flags.writeable = False
 
     def __len__(self) -> int:
-        return self._values.size
+        return self.values.size
+
+    def _check_index(self, j: int) -> None:
+        if not 0 <= j < self.values.size:
+            raise IndexError(f"index {j} outside the computed entries 0..{self.values.size - 1}")
 
     def __getitem__(self, j: int) -> float:
-        if j < 0:
-            raise IndexError("coefficient index must be nonnegative")
-        self.extend_to(j)
-        return float(self._values[j])
-
-    @property
-    def values(self) -> np.ndarray:
-        v = self._values[:]
-        v.flags.writeable = False
-        return v
+        self._check_index(j)
+        return float(self.values[j])
 
     def prefix(self, n: int) -> np.ndarray:
-        """Read-only view of entries 0..n, computing them if needed."""
-        self.extend_to(n)
-        v = self._values[: n + 1]
-        v.flags.writeable = False
-        return v
+        """Read-only view of entries 0..n."""
+        self._check_index(n)
+        return self.values[: n + 1]
 
-    def extend_to(self, n: int) -> "CoefSeq":
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if self._values.size >= n + 1:
-            return self
-        mk = self.model.kind
-        if mk == FRAC_NOISE:
-            self._extend_frac(n)
-        elif mk == FARIMA:
-            self._extend_farima(n)
-        else:
-            self._extend_generic(n)
-        self._check_signs()
-        return self
 
-    # -- fractional noise: exact ratio recursions --------------------------
+def _frac(d: float, noise_variance: float, kind: str, n: int) -> np.ndarray:
+    """Entries 0..n of a fractional-noise sequence by its exact one-term
+    ratio recursion."""
+    j = np.arange(n, dtype=float)
+    if kind == AR:
+        first, ratios = 1.0, (j - d) / (j + 1.0)
+    elif kind == MA:
+        first, ratios = 1.0, (j + d) / (j + 1.0)
+    else:
+        first = noise_variance * gamma_ratio([1.0 - 2.0 * d], [1.0 - d, 1.0 - d]).value()
+        ratios = (j + d) / (j + 1.0 - d)
+    v = np.cumprod(np.concatenate([[first], ratios]))
+    if kind == AR:
+        ok = v[0] == 1.0 and np.all(v[1:] < 0.0)
+    elif kind == MA:
+        ok = v[0] == 1.0 and np.all(v[1:] > 0.0)
+    else:
+        ok = np.all(v > 0.0)
+    if not ok:  # pragma: no cover - would flag a recursion defect
+        raise NumericError(f"fractional-noise {kind} sequence violated its sign structure")
+    return v
 
-    def _extend_frac(self, n: int) -> None:
-        d = self.model.d
-        old = self._values
-        m = old.size  # next index to fill
-        out = np.empty(n + 1)
-        out[:m] = old
-        if m == 0:
-            if self.kind == ACVF:
-                out[0] = self.model.noise_variance * gamma_ratio(
-                    [1.0 - 2.0 * d], [1.0 - d, 1.0 - d]).value()
-            else:
-                out[0] = 1.0
-            m = 1
-        if m <= n:
-            j = np.arange(m - 1, n, dtype=float)
-            if self.kind == AR:
-                ratios = (j - d) / (j + 1.0)
-            elif self.kind == MA:
-                ratios = (j + d) / (j + 1.0)
-            else:
-                ratios = (j + d) / (j + 1.0 - d)
-            # seeding the product with the last value keeps extension
-            # bit-identical to a from-scratch evaluation
-            out[m:] = np.cumprod(np.concatenate([[out[m - 1]], ratios]))[1:]
-        self._values = out
 
-    # -- FARIMA: fractional core composed with a rational filter -----------
+def _psi_series(model: ProcessModel, kind: str, tol: float) -> tuple[np.ndarray, float]:
+    """Certified expansion of the model's rational filter theta/phi (phi/theta
+    for AR sequences): FARIMA's ar/ma, or a generic model's ma_filter.
+    ``tol`` is the autocovariance accuracy to certify."""
+    if model.kind == FARIMA:
+        theta_op = (1.0,) + model.ma
+        phi_op = (1.0,) + tuple(-p for p in model.ar)
+    else:
+        theta_op, phi_op = model.ma_filter
+    num, den = (phi_op, theta_op) if kind == AR else (theta_op, phi_op)
+    # the ACVF path squares the filter, so certify well below tol
+    return _certified_rational_series(num, den, min(1e-15, 0.01 * tol))
 
-    def _psi_series(self) -> tuple[np.ndarray, float]:
-        """Certified expansion of the model's rational filter theta/phi (phi/theta
-        for AR sequences): FARIMA's ar/ma, or a generic model's ma_filter."""
-        if self._psi is None:
-            if self.model.kind == FARIMA:
-                theta_op = (1.0,) + self.model.ma
-                phi_op = (1.0,) + tuple(-p for p in self.model.ar)
-            else:
-                theta_op, phi_op = self.model.ma_filter
-            # the ACVF path squares the filter, so certify well below tol
-            tol = min(1e-15, 0.01 * self.acvf_tol)
-            num, den = (phi_op, theta_op) if self.kind == AR else (theta_op, phi_op)
-            self._psi, self._psi_tail = _certified_rational_series(num, den, tol)
-        return self._psi, self._psi_tail
 
-    def _certify_filter_tail(self, psi: np.ndarray, psi_tail: float, core0: float,
-                             sigma0: float, what: str) -> None:
-        """Relative error bound for an autocovariance whose filter lost the L1
-        tail ``psi_tail``; ``core0`` is the variance of the filtered core."""
-        l1 = float(np.sum(np.abs(psi)))
-        abs_err = (2.0 * psi_tail * l1 + psi_tail ** 2) * core0
-        self.certified_tol = abs_err / sigma0
-        if self.certified_tol > self.acvf_tol:
+def _filter_tail_tol(psi: np.ndarray, psi_tail: float, core0: float, sigma0: float,
+                     tol: float, what: str) -> float:
+    """Relative error bound for an autocovariance whose filter lost the L1
+    tail ``psi_tail``; ``core0`` is the variance of the filtered core."""
+    l1 = float(np.sum(np.abs(psi)))
+    achieved = (2.0 * psi_tail * l1 + psi_tail ** 2) * core0 / sigma0
+    if achieved > tol:
+        raise CertificationError(
+            f"{what} autocovariance accuracy not certified below {tol:g}",
+            achieved_bound=achieved)
+    return achieved
+
+
+def _farima(model: ProcessModel, kind: str, n: int, tol: float) -> tuple[np.ndarray, float]:
+    """FARIMA sequence 0..n: the fractional core composed with the filter."""
+    psi, psi_tail = _psi_series(model, kind, tol)
+    if kind != ACVF:
+        return np.convolve(_frac(model.d, 1.0, kind, n), psi)[: n + 1], 0.0
+    # sigma_X(s) = sum_m gbar(m) sigma_F(s - m) where gbar is the lag
+    # autocorrelation of the rational filter psi
+    p = psi.size - 1
+    sig_f = _frac(model.d, model.noise_variance, ACVF, n + p)
+    gbar = np.convolve(psi, psi[::-1])  # lags -p..p, index m+p
+    lags = np.arange(-p, p + 1)
+    out = np.empty(n + 1)
+    for s in range(n + 1):
+        out[s] = np.dot(gbar, sig_f[np.abs(s - lags)])
+    return out, _filter_tail_tol(psi, psi_tail, sig_f[0], out[0], tol, "FARIMA")
+
+
+def _generic_series(model: ProcessModel, kind: str, n: int) -> np.ndarray:
+    """MA or AR coefficients 0..n of a generic model: the power series of
+    num/den, or its inversion."""
+    if kind == MA:
+        return _ma_series(model.ma_filter, n)
+    support = model.finite_ma_support
+    b = _ma_series(model.ma_filter, n if support is None else support)
+    return _rational_series((1.0,), b, n)
+
+
+def _generic_acvf(model: ProcessModel, n: int, tol: float) -> tuple[np.ndarray, float]:
+    """Autocovariances 0..n of a generic model and their certified tolerance."""
+    s2 = model.noise_variance
+    support = model.finite_ma_support
+    if support is not None:
+        return _lag_products(_ma_series(model.ma_filter, support), s2, n), 0.0
+    # infinite series: extend until the certified tail of
+    # sum_m b_m b_{m+s} drops below tol * sigma(0)
+    den = model.ma_filter[1]
+    m = max(4 * (n + 1), 1024)
+    while True:
+        b = _ma_series(model.ma_filter, m)
+        sigma0 = s2 * float(np.dot(b, b))
+        tail_sq = _tail_sq_bound(b)
+        if tail_sq is not None and s2 * tail_sq <= tol * sigma0:
+            out = _lag_products(b, s2, n)
+            return out, s2 * tail_sq / out[0]
+        if tail_sq is None and _stuck_rational_tail(den, b, m // 2):
+            # no longer prefix passes the block test: certify from the
+            # filter's root modulus instead
+            psi, psi_tail = _psi_series(model, ACVF, tol)
+            out = _lag_products(psi, s2, n)
+            return out, _filter_tail_tol(psi, psi_tail, s2, out[0], tol, "ARMA")
+        if m >= _MAX_MA_TERMS:
+            achieved = (s2 * tail_sq / sigma0) if tail_sq is not None else None
             raise CertificationError(
-                f"{what} autocovariance accuracy not certified below "
-                f"{self.acvf_tol:g}", achieved_bound=self.certified_tol)
+                "generic MA autocovariance accuracy not certified below "
+                f"{tol:g} within {m} terms", achieved_bound=achieved)
+        m *= 2
 
-    def _extend_farima(self, n: int) -> None:
-        psi, psi_tail = self._psi_series()
-        if self.kind in (AR, MA):
-            core = CoefSeq(ProcessModel.frac_noise(self.model.d), self.kind)
-            frac = core.prefix(n)
-            self._values = np.convolve(frac, psi)[: n + 1]
-            return
-        # autocovariance: sigma_X(s) = sum_m gbar(m) sigma_F(s - m) where
-        # gbar is the lag autocorrelation of the rational filter psi
-        p = psi.size - 1
-        if self._frac_acvf is None:
-            self._frac_acvf = CoefSeq(
-                ProcessModel.frac_noise(self.model.d, self.model.noise_variance), ACVF)
-        sig_f = self._frac_acvf.prefix(n + p)
-        gbar = np.convolve(psi, psi[::-1])  # lags -p..p, index m+p
-        lags = np.arange(-p, p + 1)
-        out = np.empty(n + 1)
-        for s in range(n + 1):
-            out[s] = np.dot(gbar, sig_f[np.abs(s - lags)])
-        self._certify_filter_tail(psi, psi_tail, sig_f[0], out[0], "FARIMA")
-        self._values = out
 
-    # -- generic MA models: the power series of num/den ----------------------
-
-    def _extend_generic(self, n: int) -> None:
-        if self.kind == MA:
-            self._values = _ma_series(self.model.ma_filter, n)
-            return
-        if self.kind == AR:
-            # power-series inversion of the MA polynomial
-            support = self.model.finite_ma_support
-            b = _ma_series(self.model.ma_filter, n if support is None else support)
-            self._values = _rational_series((1.0,), b, n)
-            return
-        self._extend_generic_acvf(n)
-
-    def _extend_generic_acvf(self, n: int) -> None:
-        s2 = self.model.noise_variance
-        support = self.model.finite_ma_support
-        if support is not None:
-            b = _ma_series(self.model.ma_filter, support)
-            self._values = _lag_products(b, s2, n)
-            self.certified_tol = 0.0
-            return
-        # infinite series: extend until the certified tail of
-        # sum_m b_m b_{m+s} drops below acvf_tol * sigma(0)
-        den = self.model.ma_filter[1]
-        m = max(4 * (n + 1), 1024)
-        while True:
-            b = _ma_series(self.model.ma_filter, m)
-            sigma0 = s2 * float(np.dot(b, b))
-            tail_sq = self._tail_sq_bound(b)
-            if tail_sq is not None and s2 * tail_sq <= self.acvf_tol * sigma0:
-                self._values = _lag_products(b, s2, n)
-                self.certified_tol = s2 * tail_sq / self._values[0]
-                return
-            if tail_sq is None and _stuck_rational_tail(den, b, m // 2):
-                # no longer prefix passes the block test: certify from the
-                # filter's root modulus instead
-                psi, psi_tail = self._psi_series()
-                out = _lag_products(psi, s2, n)
-                self._certify_filter_tail(psi, psi_tail, s2, out[0], "ARMA")
-                self._values = out
-                return
-            if m >= _MAX_MA_TERMS:
-                achieved = (s2 * tail_sq / sigma0) if tail_sq is not None else None
-                raise CertificationError(
-                    "generic MA autocovariance accuracy not certified below "
-                    f"{self.acvf_tol:g} within {m} terms", achieved_bound=achieved)
-            m *= 2
-
-    def _tail_sq_bound(self, b: np.ndarray) -> float | None:
-        """Certified bound on sum_{m > M} b_m^2 given the computed prefix."""
-        m = b.size - 1
-        half, three_q = m // 2, (3 * m) // 4
-        s1 = float(np.sum(b[half: three_q] ** 2))
-        s2 = float(np.sum(b[three_q:] ** 2))
-        if s2 == 0.0 and np.all(b[half:] == 0.0):
-            return 0.0
-        if s1 > 0.0 and s2 < 0.7 * s1:
-            q = s2 / s1  # blockwise geometric decay of the squared tail
-            return s2 * q / (1.0 - q)
-        return None
-
-    # -- invariants ---------------------------------------------------------
-
-    def _check_signs(self) -> None:
-        if self.model.kind != FRAC_NOISE or self._values.size == 0:
-            return
-        v = self._values
-        if self.kind == AR:
-            ok = v[0] == 1.0 and np.all(v[1:] < 0.0)
-        elif self.kind == MA:
-            ok = v[0] == 1.0 and np.all(v[1:] > 0.0)
-        else:
-            ok = np.all(v > 0.0)
-        if not ok:  # pragma: no cover - would flag a recursion defect
-            raise NumericError(
-                f"fractional-noise {self.kind} sequence violated its sign structure")
+def _sequence(model: ProcessModel, kind: str, n: int, tol: float) -> CoefSeq:
+    """Entries 0..n of the model's ``kind`` sequence; ``tol`` is the relative
+    autocovariance accuracy to certify."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if model.kind == FRAC_NOISE:
+        values, certified = _frac(model.d, model.noise_variance, kind, n), 0.0
+    elif model.kind == FARIMA:
+        values, certified = _farima(model, kind, n, tol)
+    elif kind == ACVF:
+        values, certified = _generic_acvf(model, n, tol)
+    else:
+        values, certified = _generic_series(model, kind, n), 0.0
+    return CoefSeq(model, kind, values, certified)
 
 
 # ---------------------------------------------------------------------------
@@ -521,59 +476,14 @@ class CoefSeq:
 
 def ar_coeffs(model: ProcessModel, n: int) -> CoefSeq:
     """Autoregressive coefficients a_0..a_n (a_0 = 1)."""
-    return CoefSeq(model, AR).extend_to(n)
+    return _sequence(model, AR, n, DEFAULT_ACVF_TOL)
 
 
 def ma_coeffs(model: ProcessModel, n: int) -> CoefSeq:
     """Moving-average coefficients b_0..b_n (b_0 = 1)."""
-    return CoefSeq(model, MA).extend_to(n)
+    return _sequence(model, MA, n, DEFAULT_ACVF_TOL)
 
 
 def acvf(model: ProcessModel, n: int, tol: float = DEFAULT_ACVF_TOL) -> CoefSeq:
     """Autocovariances sigma(0)..sigma(n) with certified relative accuracy."""
-    return CoefSeq(model, ACVF, acvf_tol=tol).extend_to(n)
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Power-law decay diagnostics for a coefficient sequence."""
-
-    kind: str
-    fitted_exponent: float
-    target_exponent: float | None
-    delta: float
-    constant: float | None       # smallest C with |v_j| <= C j^(target+delta)
-    zero_tail: bool
-    n_points: int
-
-
-def verify_decay(seq: CoefSeq, delta: float = 0.05) -> DecayReport:
-    """Fit log|v_j| against log j over the trailing half of a sequence.
-
-    The target exponent is -d-1, d-1 or 2d-1 for AR, MA and ACVF sequences.
-    Sequences with an exactly zero tail (finite moving averages) are flagged
-    instead of fitted.
-    """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if len(seq) < 50:
-        raise ValueError("need at least 50 computed values to fit a decay rate")
-    v = seq.values
-    n = v.size - 1
-    start = max(1, n // 2)
-    tail = v[start:]
-    d = seq.model.d
-    target = _TARGET_EXPONENT[seq.kind](d) if d is not None else None
-    if np.all(tail == 0.0):
-        return DecayReport(seq.kind, math.nan, target, delta, 0.0 if target is not None else None,
-                           True, tail.size)
-    j = np.arange(start, n + 1, dtype=float)
-    mask = tail != 0.0
-    x = np.log(j[mask])
-    y = np.log(np.abs(tail[mask]))
-    slope, _ = np.polyfit(x, y, 1)
-    constant = None
-    if target is not None:
-        jj = np.arange(1, n + 1, dtype=float)
-        constant = float(np.max(np.abs(v[1:]) / jj ** (target + delta)))
-    return DecayReport(seq.kind, float(slope), target, delta, constant, False, int(mask.sum()))
+    return _sequence(model, ACVF, n, tol)

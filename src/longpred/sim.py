@@ -62,7 +62,6 @@ class SimulationPlan:
     replications: int
     seed: int
     method: str = CIRCULANT_EMBEDDING
-    ma_order: int | None = None
     ma_cov_tol: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -166,14 +165,6 @@ def _ma_truncation_order(plan: SimulationPlan) -> int:
     model = plan.model
     sigma0 = acvf(model, 0)[0]
     tol_abs = plan.ma_cov_tol * sigma0 / model.noise_variance
-    if plan.ma_order is not None:
-        bound = _ma_tail_sq_bound(model, plan.ma_order)
-        if bound is None or bound > tol_abs:
-            raise CertificationError(
-                f"MA truncation at order {plan.ma_order} not certified below "
-                f"{plan.ma_cov_tol:g} * sigma(0)",
-                achieved_bound=None if bound is None else bound / (sigma0 / model.noise_variance))
-        return plan.ma_order
     order = max(64, 4 * plan.length)
     while order <= _MAX_MA_ORDER:
         bound = _ma_tail_sq_bound(model, order)

@@ -37,31 +37,11 @@ class SignedLogValue:
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
 
-    @classmethod
-    def from_value(cls, x: float) -> "SignedLogValue":
-        if x == 0.0:
-            return cls(0.0, 0)
-        return cls(math.log(abs(x)), 1 if x > 0 else -1)
-
     def value(self) -> float:
         """Materialize to a float; may overflow to inf for huge magnitudes."""
         if self.sign == 0:
             return 0.0
         return self.sign * math.exp(self.log_magnitude)
-
-    def __mul__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if self.sign == 0 or other.sign == 0:
-            return SignedLogValue(0.0, 0)
-        return SignedLogValue(self.log_magnitude + other.log_magnitude,
-                              self.sign * other.sign)
-
-    def __truediv__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by an exactly-zero SignedLogValue")
-        if self.sign == 0:
-            return SignedLogValue(0.0, 0)
-        return SignedLogValue(self.log_magnitude - other.log_magnitude,
-                              self.sign * other.sign)
 
 
 def _gamma_sign(x: float) -> int:

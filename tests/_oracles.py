@@ -4,17 +4,27 @@ Everything here deliberately avoids the production code paths it checks:
 quadrature instead of log-Gamma identities, dense linear algebra instead of
 Levinson, literal recursions instead of unrolled weights, and partial
 summation with integral-comparison remainders instead of finite quadratic
-forms.
+forms.  The last section holds routes that only tests call: the
+spectral-contrast MSE, the closed-form fractional-noise fit, the direct
+truncation excess, decay-rate diagnostics and a reader for the CSVs the
+commands write.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from longpred.errors import IllConditionedError, NotPositiveDefiniteError
-from longpred.process import ProcessModel, _ma_series, acvf, ar_coeffs, ma_coeffs
+from longpred import sim
+from longpred.errors import CertificationError, IllConditionedError, NotPositiveDefiniteError
+from longpred.fit import FittedAr, closed_form_log_inflation, yule_walker
+from longpred.mse import MseReport, _floor, _make_report, toeplitz_quadratic_form
+from longpred.predict import PROJECTION
+from longpred.process import (ACVF, AR, MA, CoefSeq, ProcessModel, _ma_series, acvf,
+                              ar_coeffs, ma_coeffs)
 
 
 def gamma_by_quadrature(x: float, nodes: int = 120) -> float:
@@ -193,8 +203,8 @@ def per_row_paths(plan) -> np.ndarray:
 
     Row r draws from a freshly constructed ``Philox(key=[seed, r])``
     generator; circulant embedding takes one single-row FFT per
-    replication, MA truncation one ``np.convolve`` at the plan's explicit
-    ``ma_order``.  The production sampler must match it bit for bit.
+    replication, MA truncation one ``np.convolve`` at the order the sampler
+    computes for the plan.  The production sampler must match it bit for bit.
     """
     n, reps = plan.length, plan.replications
     out = np.empty((reps, n))
@@ -217,7 +227,7 @@ def per_row_paths(plan) -> np.ndarray:
             z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             out[r] = np.fft.fft(z * amp).real[:n]
         return out
-    order = plan.ma_order
+    order = sim._ma_truncation_order(plan)
     b = np.asarray(ma_coeffs(plan.model, order).prefix(order))
     scale = math.sqrt(plan.model.noise_variance)
     for r in range(reps):
@@ -331,3 +341,180 @@ def reference_block_ratio_acvf(model, n: int, tol: float = 1e-10):
             return values, s2 * tail_sq / values[0]
         m *= 2
     raise AssertionError("block-ratio loop did not certify")
+
+
+# -- test-only routes: independent evaluations the suite compares production
+#    results against, and a reader of the CSVs the commands write
+
+
+def read_csv(path: str | Path) -> tuple[list[str], list[str], list[list[str]]]:
+    """Read back (comments, columns, string rows); inverse of write_csv."""
+    comments: list[str] = []
+    columns: list[str] = []
+    rows: list[list[str]] = []
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        if raw.startswith("#"):
+            comments.append(raw[1:].strip())
+        elif not columns:
+            columns = raw.split(",")
+        elif raw:
+            rows.append(raw.split(","))
+    return comments, columns, rows
+
+
+def infinite_past_coeffs(model: ProcessModel, h: int, n: int) -> np.ndarray:
+    """Innovation-domain coefficients (b_h, ..., b_{h+n}) of the h-step
+    infinite-past predictor.
+
+    The infinite-past predictor is not expressible over finitely many
+    observations, so only its moving-average representation is returned.
+    """
+    if h < 1:
+        raise ValueError("horizon must be >= 1")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    b = ma_coeffs(model, h + n).prefix(h + n)
+    return b[h:].copy()
+
+
+def closed_form_ar_fit(d: float, k: int, noise_variance: float = 1.0) -> FittedAr:
+    """Fractional-noise order-k fit in closed form.
+
+    Evaluates a_{j,k} = a_j * exp(inflation) through log-Gamma differences
+    and checks the sign property a_j - a_{j,k} > 0 for 1 <= j <= k, which
+    the error decomposition relies on.  The innovation variance uses the
+    closed-form partial correlations kappa_m = d / (m - d).
+    """
+    if not 0.0 < d < 0.5:
+        raise ValueError("memory parameter d must lie strictly inside (0, 1/2)")
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    a = ar_coeffs(ProcessModel.frac_noise(d), k).prefix(k)
+    infl = closed_form_log_inflation(d, k)
+    a_fit = np.concatenate([[1.0], a[1:] * np.exp(infl)])
+    diff = -a[1:] * np.expm1(infl)  # a_j - a_{j,k}
+    if not np.all(diff > 0.0):  # pragma: no cover - inflation is positive
+        raise AssertionError("closed-form fit violated a_j - a_{j,k} > 0")
+    m = np.arange(1, k + 1, dtype=float)
+    kappa = d / (m - d)
+    sigma0 = acvf(ProcessModel.frac_noise(d, noise_variance), 0)[0]
+    v = sigma0 * float(np.prod(1.0 - kappa ** 2))
+    return FittedAr(order=k, phi=-a_fit[1:], a_fit=a_fit,
+                    innovation_variance=v, reflections=kappa)
+
+
+def spectral_contrast_mse(model: ProcessModel, ar_fit: FittedAr,
+                          n_terms: int = 1 << 20, tail_tol: float = 1e-8) -> float:
+    """One-step error of an AR(k) fit evaluated through the spectral contrast.
+
+    Filtering the process by the fitted operator gives residuals with
+    moving-average coefficients t(j) = sum_{m<=min(j,k)} a_fit_m b_{j-m};
+    the prediction error is noise_variance * sum_j t(j)^2.  The series is
+    summed to ``n_terms`` and closed with a power-law tail estimate fitted on
+    the trailing window; evaluation fails unless the certified residual
+    uncertainty of that estimate is below ``tail_tol`` relative to the value.
+
+    This is an independent computational route from
+    :func:`mse_of_weights`; the two must agree within combined tolerances.
+    """
+    k = ar_fit.order
+    phi_op = ar_fit.a_fit
+    s2 = model.noise_variance
+    support = model.finite_ma_support
+    if support is not None:
+        b = ma_coeffs(model, support + k).prefix(support + k)
+        t = np.convolve(phi_op, b)
+        return s2 * float(np.dot(t, t))
+    if model.d is None:
+        raise CertificationError(
+            "tail estimation requires a known power-law decay (model.d)")
+    d = model.d
+    b = ma_coeffs(model, n_terms).prefix(n_terms)
+    t = np.convolve(phi_op, b)[: n_terms + 1]
+    partial = s2 * float(np.dot(t, t))
+    # trailing-window fit of t(j)^2 ~ j^(2d-2) (c + e/j)
+    lo = max(n_terms // 2, 8 * k, 1024)
+    if lo >= n_terms:
+        raise CertificationError("n_terms too small for tail estimation")
+    j = np.arange(lo, n_terms + 1, dtype=float)
+    y = t[lo:] ** 2 * j ** (2.0 - 2.0 * d)
+    design = np.column_stack([np.ones_like(j), 1.0 / j])
+    (c, e), *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = float(np.max(np.abs(y - design @ np.array([c, e]))))
+    edge = n_terms + 0.5
+    int_c = edge ** (2.0 * d - 1.0) / (1.0 - 2.0 * d)
+    int_e = edge ** (2.0 * d - 2.0) / (2.0 - 2.0 * d)
+    tail_est = s2 * (c * int_c + e * int_e)
+    value = partial + tail_est
+    bound = 2.0 * s2 * resid * int_c
+    if not bound <= tail_tol * abs(value):
+        raise CertificationError(
+            f"spectral tail uncertainty {bound:.3e} exceeds "
+            f"{tail_tol:g} * value", achieved_bound=bound / abs(value))
+    return float(value)
+
+
+def truncated_one_step_excess(model: ProcessModel, k: int) -> float:
+    """Truncation excess at h = 1 computed directly from the quadratic form.
+
+    Equals sum_{i,j=0..k} a_i a_j sigma(i-j) - noise_variance; kept separate
+    from the decomposition so the two routes can cross-check each other.
+    """
+    a = ar_coeffs(model, k).prefix(k)
+    g = acvf(model, k).prefix(k)
+    return toeplitz_quadratic_form(g, a) - model.noise_variance
+
+
+def fitted_ar_mse(model: ProcessModel, k: int) -> MseReport:
+    """One-step MSE of the Yule-Walker AR(k) fit, as a report."""
+    fit = yule_walker(acvf(model, k), k)
+    total = fit.innovation_variance
+    return _make_report(total, _floor(model, 1), PROJECTION, k, 1, 0.0)
+
+
+_TARGET_EXPONENT = {AR: lambda d: -d - 1.0, MA: lambda d: d - 1.0, ACVF: lambda d: 2.0 * d - 1.0}
+
+
+@dataclass(frozen=True)
+class DecayReport:
+    """Power-law decay diagnostics for a coefficient sequence."""
+
+    kind: str
+    fitted_exponent: float
+    target_exponent: float | None
+    delta: float
+    constant: float | None       # smallest C with |v_j| <= C j^(target+delta)
+    zero_tail: bool
+    n_points: int
+
+
+def verify_decay(seq: CoefSeq, delta: float = 0.05) -> DecayReport:
+    """Fit log|v_j| against log j over the trailing half of a sequence.
+
+    The target exponent is -d-1, d-1 or 2d-1 for AR, MA and ACVF sequences.
+    Sequences with an exactly zero tail (finite moving averages) are flagged
+    instead of fitted.
+    """
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    if len(seq) < 50:
+        raise ValueError("need at least 50 computed values to fit a decay rate")
+    v = seq.values
+    n = v.size - 1
+    start = max(1, n // 2)
+    tail = v[start:]
+    d = seq.model.d
+    target = _TARGET_EXPONENT[seq.kind](d) if d is not None else None
+    if np.all(tail == 0.0):
+        return DecayReport(seq.kind, math.nan, target, delta, 0.0 if target is not None else None,
+                           True, tail.size)
+    j = np.arange(start, n + 1, dtype=float)
+    mask = tail != 0.0
+    x = np.log(j[mask])
+    y = np.log(np.abs(tail[mask]))
+    slope, _ = np.polyfit(x, y, 1)
+    constant = None
+    if target is not None:
+        jj = np.arange(1, n + 1, dtype=float)
+        constant = float(np.max(np.abs(v[1:]) / jj ** (target + delta)))
+    return DecayReport(seq.kind, float(slope), target, delta, constant, False, int(mask.sum()))

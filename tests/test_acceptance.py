@@ -24,12 +24,13 @@ import pytest
 
 from longpred.asymptotics import improvement_ratio, rate_fit, truncation_constant
 from longpred.cli import main as cli_main
-from longpred.fit import closed_form_ar_fit, projection_weights, yule_walker
-from longpred.mse import (error_decomposition, infinite_past_mse, mse_of_weights,
-                          spectral_contrast_mse, truncated_one_step_excess)
+from longpred.fit import projection_weights, yule_walker
+from longpred.mse import error_decomposition, infinite_past_mse, mse_of_weights
 from longpred.predict import truncated_wk_weights
 from longpred.process import ProcessModel, acvf
 from longpred.sim import SimulationPlan, empirical_mse
+
+from _oracles import closed_form_ar_fit, spectral_contrast_mse, truncated_one_step_excess
 
 
 def criterion(name):

@@ -6,9 +6,11 @@ import pytest
 from longpred.asymptotics import (improvement_ratio, rate_fit,
                                   truncation_constant)
 from longpred.errors import PoleError
-from longpred.mse import error_decomposition, fitted_ar_mse, truncated_one_step_excess
+from longpred.mse import error_decomposition
 from longpred.process import ProcessModel
 from longpred.special import log_gamma
+
+from _oracles import fitted_ar_mse, truncated_one_step_excess
 
 
 def test_constant_term_by_term_oracle():

@@ -3,9 +3,10 @@ import pytest
 
 from longpred.cli import main
 from longpred.config import load_config, parse_config_file
-from longpred.csvio import read_csv
 from longpred.errors import ConfigError
 from longpred.process import ProcessModel, acvf, ar_coeffs
+
+from _oracles import read_csv
 
 
 def run(args):
@@ -286,6 +287,19 @@ def test_config_rejects_bad_values(tmp_path):
         assert main(["coeffs", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
     with pytest.raises(ConfigError):
         load_config(None, {"kind": "arma", "d": 0.3})
+    # non-finite model and config values
+    with pytest.raises(ConfigError):
+        load_config(None, {"noise_variance": float("inf")})
+    for text in ("kind = arma\nar = inf\n",
+                 "kind = farima\nd = 0.3\nar = nan\n",
+                 "kind = farima\nd = 0.3\nma = inf\n",
+                 "kind = generic_ma\nma_coeffs = 1,nan\n",
+                 "noise_variance = inf\n",
+                 "k_grid = 1e400\n",
+                 "h_grid = 1e400\n"):
+        cfgfile.write_text(text)
+        assert main(["fit", "--k", "5", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")]) == 1
 
 
 def test_bad_flag_exits_one(capsys):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from longpred.errors import IllConditionedError, NotPositiveDefiniteError
-from longpred.fit import (_VARIANCE_FLOOR_REL, closed_form_ar_fit, levinson_durbin,
-                          projection_weights, solve_toeplitz, yule_walker)
+from longpred.fit import (_VARIANCE_FLOOR_REL, levinson_durbin, projection_weights,
+                          solve_toeplitz, yule_walker)
 from longpred.process import ProcessModel, acvf
 
-from _oracles import (dense_toeplitz_solve, reference_levinson_durbin,
+from _oracles import (closed_form_ar_fit, dense_toeplitz_solve, reference_levinson_durbin,
                       reference_solve_toeplitz)
 
 D_VALUES = (0.1, 0.3, 0.45)
@@ -155,6 +155,15 @@ def test_variance_floor_diagnostic():
     levinson_durbin(g)  # fine without a floor
     with pytest.raises(IllConditionedError):
         levinson_durbin(g, variance_floor=1e-3)
+
+
+def test_too_short_acvf_rejected():
+    seq = acvf(ProcessModel.frac_noise(0.3), 5)
+    for g in (seq, seq.prefix(5)):
+        with pytest.raises(ValueError):
+            yule_walker(g, 6)
+        with pytest.raises(ValueError):
+            projection_weights(g, 5, 2)
 
 
 def test_toeplitz_system_solve():

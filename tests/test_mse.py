@@ -3,14 +3,13 @@ import pytest
 
 from longpred.errors import CertificationError, ModelError
 from longpred.fit import projection_weights, yule_walker
-from longpred.mse import (error_decomposition, fitted_ar_mse, infinite_past_mse,
-                          mse_of_weights, spectral_contrast_mse,
-                          toeplitz_quadratic_form, truncated_one_step_excess)
+from longpred.mse import (error_decomposition, infinite_past_mse, mse_of_weights,
+                          toeplitz_quadratic_form)
 from longpred.predict import truncated_wk_weights
 from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 
-from _oracles import (brute_truncation_excess, dense_quadratic_form,
-                      tail_cross_sum)
+from _oracles import (brute_truncation_excess, dense_quadratic_form, fitted_ar_mse,
+                      spectral_contrast_mse, tail_cross_sum, truncated_one_step_excess)
 
 
 def test_quadratic_form_against_dense():

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from longpred.predict import (PredictorWeights, forecast, infinite_past_coeffs,
-                              truncated_wk_weights)
+from longpred.predict import PredictorWeights, forecast, truncated_wk_weights
 from longpred.process import ProcessModel, ar_coeffs, ma_coeffs
 
-from _oracles import recursive_truncated_forecast
+from _oracles import infinite_past_coeffs, recursive_truncated_forecast
 
 
 def test_one_step_weights_are_negated_ar_coefficients():

@@ -6,14 +6,14 @@ from hypothesis import given, strategies as st
 
 from longpred import process
 from longpred.cli import main
-from longpred.csvio import read_csv
 from longpred.errors import ModelError
-from longpred.process import (AR, MA, CoefSeq, ProcessModel, _ma_series, acvf, ar_coeffs,
-                              ma_coeffs, verify_decay)
+from longpred.process import (AR, DEFAULT_ACVF_TOL, MA, ProcessModel, _ma_series, acvf,
+                              ar_coeffs, ma_coeffs)
 from longpred.special import gamma_ratio
 
-from _oracles import (arma_acvf_brute, brute_orthogonality_sum, reference_block_ratio_acvf,
-                      reference_ma_inversion, reference_rational_series)
+from _oracles import (arma_acvf_brute, brute_orthogonality_sum, read_csv,
+                      reference_block_ratio_acvf, reference_ma_inversion,
+                      reference_rational_series, verify_decay)
 
 D_VALUES = (0.05, 0.25, 0.45)
 
@@ -27,8 +27,9 @@ def test_memory_parameter_rejected_outside_range(d):
 
 
 def test_noise_variance_must_be_positive():
-    with pytest.raises(ModelError):
-        ProcessModel.frac_noise(0.3, noise_variance=0.0)
+    for noise_variance in (0.0, math.inf, math.nan):
+        with pytest.raises(ModelError):
+            ProcessModel.frac_noise(0.3, noise_variance=noise_variance)
 
 
 def test_farima_unit_root_rejected():
@@ -69,6 +70,8 @@ def test_generic_models_are_comparable_values():
     ((1.0,), (2.0, 0.5)),   # leading den coefficient != 1
     ((1.0, 2.0), (1.0,)),   # num has a root inside the unit disk
     ((1.0,), (1.0, -1.0)),  # den has a unit root
+    ((1.0, math.nan), (1.0,)),  # non-finite num
+    ((1.0,), (1.0, -math.inf)),  # non-finite den
 ])
 def test_generic_ma_filter_checked_on_construction(ma_filter):
     with pytest.raises(ModelError):
@@ -192,23 +195,27 @@ def test_ar_acvf_orthogonality(d, j):
     assert abs(s) < 1e-6
 
 
-# -- lazy extension ----------------------------------------------------------
-
-def test_coefseq_extension_is_consistent():
-    model = ProcessModel.frac_noise(0.3)
-    seq = CoefSeq(model, "ar")
-    first = seq.prefix(10).copy()
-    seq.extend_to(500)
-    assert np.array_equal(seq.prefix(10), first)
-    fresh = ar_coeffs(model, 500).prefix(500)
-    assert np.array_equal(seq.prefix(500), fresh)
-
+# -- computed sequences ------------------------------------------------------
 
 def test_prefix_views_are_read_only():
     seq = ar_coeffs(ProcessModel.frac_noise(0.3), 5)
     view = seq.prefix(5)
     with pytest.raises(ValueError):
         view[0] = 2.0
+
+
+def test_entries_past_the_computed_end_raise():
+    arma = ProcessModel.arma(ar=(0.5,), ma=(0.3,))
+    for make, model in [(ar_coeffs, ProcessModel.frac_noise(0.3)),
+                        (ma_coeffs, ProcessModel.farima(0.3, ar=(0.4,))),
+                        (ar_coeffs, arma), (acvf, arma)]:
+        seq = make(model, 10)
+        assert len(seq) == 11 and seq.prefix(10).size == 11
+        for bad in (11, 500, -1):
+            with pytest.raises(IndexError):
+                seq.prefix(bad)
+            with pytest.raises(IndexError):
+                seq[bad]
 
 
 # -- generic moving averages -------------------------------------------------
@@ -289,7 +296,7 @@ def test_arma_stream_bitwise_matches_reference_series(ar, ma, n):
 @pytest.mark.parametrize("kind", [AR, MA])
 def test_farima_filter_expansion_matches_reference_series(kind):
     model = ProcessModel.farima(0.3, ar=(0.4,), ma=(-0.3,))
-    psi, _ = CoefSeq(model, kind)._psi_series()
+    psi, _ = process._psi_series(model, kind, DEFAULT_ACVF_TOL)
     phi_op, theta_op = (1.0, -0.4), (1.0, -0.3)
     num, den = (phi_op, theta_op) if kind == AR else (theta_op, phi_op)
     assert _same_bits(psi, reference_rational_series(num, den, psi.size - 1))

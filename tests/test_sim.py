@@ -65,7 +65,8 @@ def test_circulant_block_edges_match_per_row_oracle(n, block_rows, monkeypatch):
                                    ProcessModel.arma(ar=(0.5,), ma=(0.3,))))
 def test_ma_truncation_matches_per_row_oracle(model):
     plan = SimulationPlan(model, length=13, replications=40, seed=77,
-                          method=MA_TRUNCATION, ma_order=64)
+                          method=MA_TRUNCATION)
+    assert sim._ma_truncation_order(plan) == 64
     assert np.array_equal(simulate(plan), per_row_paths(plan))
 
 
