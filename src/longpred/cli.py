@@ -163,6 +163,12 @@ def cmd_figure2(cfg: RunConfig) -> list[Path]:
     return written
 
 
+def _sequences(cfg: RunConfig, model: ProcessModel, h_max: int):
+    """sigma(j), a_j and b_j that every predictor and error up to h_max reads."""
+    return (acvf(model, cfg.k + h_max, tol=cfg.acvf_tol),
+            ar_coeffs(model, cfg.k + h_max - 1), ma_coeffs(model, h_max - 1))
+
+
 def cmd_figure3(cfg: RunConfig) -> list[Path]:
     # reference cell d = 0.4, k = 80 unless overridden
     if not cfg.was_provided("d") and cfg.kind == "frac_noise":
@@ -172,13 +178,12 @@ def cmd_figure3(cfg: RunConfig) -> list[Path]:
     model = cfg.model()
     out = cfg.out_dir()
     k = cfg.k
-    seq = acvf(model, k + cfg.h_max, tol=cfg.acvf_tol)
-    rows = []
-    reports = []
+    g, a, b = _sequences(cfg, model, cfg.h_max)
+    rows, reports = [], []
     for h in range(1, cfg.h_max + 1):
-        mm = mse.infinite_past_mse(model, h)
-        tp = mse.mse_of_weights(model, truncated_wk_weights(model, k, h))
-        ll = mse.mse_of_weights(model, projection_weights(seq, k, h))
+        mm = mse.infinite_past_mse(b, h)
+        tp = mse.mse_of_weights(g, b, truncated_wk_weights(a, k, h))
+        ll = mse.mse_of_weights(g, b, projection_weights(g, k, h))
         rows.append((h, mm.total, tp.total, ll.total))
         reports.extend([mm, tp, ll])
     written = [write_csv(out / "figure3.csv", "longpred/figure3 v1",
@@ -211,8 +216,7 @@ def cmd_rates(cfg: RunConfig) -> list[Path]:
     out = cfg.out_dir()
     d_grid = cfg.d_grid or ((cfg.d,) if cfg.was_provided("d") else _RATES_D_GRID)
     k_grid = cfg.k_grid or _RATES_K_GRID
-    rows = []
-    summary = []
+    rows, summary = [], []
     for d in d_grid:
         model = ProcessModel.frac_noise(d, cfg.noise_variance)
         cells = {}
@@ -232,7 +236,7 @@ def cmd_rates(cfg: RunConfig) -> list[Path]:
             ratio = kmax * cells[kmax][idx] / (cfg.noise_variance * const)
             summary.append((float(d), method, fitres.slope, fitres.intercept,
                             fitres.r_squared, kmax, ratio))
-    written = [
+    return [
         write_csv(out / "rates.csv", "longpred/mse-report v1",
                   ["one-step excesses on the k grid"],
                   ["method", "d", "k", "h", "total", "floor", "excess", "certified_tol"],
@@ -243,7 +247,6 @@ def cmd_rates(cfg: RunConfig) -> list[Path]:
                    "k_excess_over_constant"],
                   summary),
     ]
-    return written
 
 
 def cmd_montecarlo(cfg: RunConfig) -> list[Path]:
@@ -251,20 +254,20 @@ def cmd_montecarlo(cfg: RunConfig) -> list[Path]:
     out = cfg.out_dir()
     h_grid = cfg.h_grid or (cfg.h,)
     k = cfg.k
-    seq = acvf(model, k + max(h_grid), tol=cfg.acvf_tol)
+    g, a, b = _sequences(cfg, model, max(h_grid))
     rows = []
     first_paths = None
     for h in h_grid:
         plan = SimulationPlan(model, length=k + h, replications=cfg.reps,
                               seed=cfg.seed, method=cfg.sim_method,
                               ma_cov_tol=cfg.ma_cov_tol)
-        pair = (truncated_wk_weights(model, k, h), projection_weights(seq, k, h))
+        pair = (truncated_wk_weights(a, k, h), projection_weights(g, k, h))
         if cfg.dump_paths and first_paths is None:
             first_paths, estimates = _simulate_and_score(plan, pair)
         else:
             estimates = empirical_mse(plan, pair)
         for weights, est in zip(pair, estimates):
-            analytic = mse.mse_of_weights(model, weights)
+            analytic = mse.mse_of_weights(g, b, weights)
             z = (est.mean - analytic.total) / est.std_error
             rows.append((weights.method, cfg.d if model.d is not None else "",
                          k, int(h), est.mean, est.std_error, analytic.total, z))

@@ -22,7 +22,7 @@ Documented keys:
     reps            Monte-Carlo replications
     out             output directory
     svg             true | false, also emit SVG charts
-    acvf_tol        certified relative autocovariance accuracy
+    acvf_tol        certified relative autocovariance accuracy of fits and MSEs
     sim_method      circulant_embedding | ma_truncation
     ma_cov_tol      certified covariance error of the MA sampler
     dump_paths      true | false, dump simulated paths from montecarlo
@@ -143,17 +143,16 @@ class RunConfig:
             raise ConfigError("d must lie strictly inside (0, 1/2)")
         if not 0.0 < self.noise_variance < math.inf:
             raise ConfigError("noise_variance must be positive and finite")
-        for name in ("n",):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
+        if self.n < 0:
+            raise ConfigError("n must be nonnegative")
         for name in ("k", "h", "h_max"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.reps < 30:
             raise ConfigError("reps must be >= 30 for meaningful standard errors")
         for name in ("acvf_tol", "ma_cov_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         if self.sim_method not in (CIRCULANT_EMBEDDING, MA_TRUNCATION):
             raise ConfigError(f"unknown sim_method {self.sim_method!r}")
         if not 0 <= self.seed < 2 ** 64:

@@ -16,8 +16,6 @@ __all__ = ["fmt", "write_csv"]
 def fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)

@@ -9,7 +9,10 @@ solved by the Levinson-Durbin recursion in O(k^2).  One kernel runs it:
 ``levinson_durbin`` takes the predictor and ``solve_toeplitz`` additionally
 carries a general right-hand side along, which yields the h-step projection
 weights.  A dense solver is deliberately *not* used here so that the test
-suite can keep one as an independent oracle.
+suite can keep one as an independent oracle.  ``yule_walker`` and
+``projection_weights`` take a computed :class:`~longpred.process.CoefSeq`,
+whose model's noise variance sets the precision floor of the variance
+iterates; plain arrays go to the two kernels with an explicit floor.
 
 Two coefficient conventions coexist and are both stored on the result:
 ``phi`` are predictor weights (prediction = sum phi_j X_{n+1-j}) while
@@ -133,23 +136,16 @@ def solve_toeplitz(first_row, rhs, variance_floor: float = 0.0) -> np.ndarray:
     return _levinson(t, variance_floor, b)[3]
 
 
-def _acvf_values(acvf, n: int) -> tuple[np.ndarray, float]:
-    """Accept a CoefSeq or plain array; return (sigma(0..n), variance floor)."""
-    if isinstance(acvf, CoefSeq):
-        g, floor = acvf.values, _VARIANCE_FLOOR_REL * acvf.model.noise_variance
-    else:
-        g, floor = np.asarray(acvf, dtype=float), 0.0
-    if g.size < n + 1:
-        raise ValueError(f"need sigma(0..{n}), got {g.size} values")
-    return g[: n + 1], floor
+def _acvf_values(acvf: CoefSeq, n: int) -> tuple[np.ndarray, float]:
+    """sigma(0..n) of a computed sequence and its Levinson variance floor."""
+    if len(acvf) < n + 1:
+        raise ValueError(f"need sigma(0..{n}), got {len(acvf)} values")
+    return acvf.prefix(n), _VARIANCE_FLOOR_REL * acvf.model.noise_variance
 
 
-def yule_walker(acvf, k: int) -> FittedAr:
-    """Best linear one-step predictor of order k from autocovariances.
-
-    ``acvf`` may be a :class:`~longpred.process.CoefSeq` or any array
-    providing sigma(0..k).
-    """
+def yule_walker(acvf: CoefSeq, k: int) -> FittedAr:
+    """Best linear one-step predictor of order k from the autocovariances
+    sigma(0..k) (or more) of a model."""
     if k < 1:
         raise ValueError("order k must be >= 1")
     g, floor = _acvf_values(acvf, k)
@@ -174,12 +170,13 @@ def closed_form_log_inflation(d: float, k: int) -> np.ndarray:
     return base + diffs
 
 
-def projection_weights(acvf, k: int, h: int = 1) -> PredictorWeights:
+def projection_weights(acvf: CoefSeq, k: int, h: int = 1) -> PredictorWeights:
     """Orthogonal projection of X_{k+h} onto span(X_1..X_k).
 
     Solves T w = (sigma(h), ..., sigma(h+k-1)) with T the order-k
-    autocovariance Toeplitz matrix; for h = 1 the weights coincide with the
-    Yule-Walker predictor.
+    autocovariance Toeplitz matrix, read from ``acvf`` (at least
+    sigma(0..k+h-1)); for h = 1 the weights coincide with the Yule-Walker
+    predictor.
     """
     if k < 1 or h < 1:
         raise ValueError("k and h must be >= 1")

@@ -11,6 +11,8 @@ oracles with certified remainders.  Each report splits the total into the
 method floor (the h-step error given the infinite past, noise_variance *
 sum_{l<h} b_l^2) and the excess attributable to truncation or to the finite
 observation span.
+Reports read sigma(j) and b_j from :class:`~longpred.process.CoefSeq` values
+the caller computed once, at the accuracy that built its predictors.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import ModelError
 from .fit import closed_form_log_inflation
 from .predict import PredictorWeights
-from .process import FRAC_NOISE, ProcessModel, acvf, ar_coeffs, ma_coeffs
+from .process import FRAC_NOISE, CoefSeq, ProcessModel, acvf, ar_coeffs
 
 __all__ = [
     "MseReport",
@@ -83,30 +85,30 @@ def toeplitz_quadratic_form(gamma: np.ndarray, w: np.ndarray) -> float:
     return float(c[0] * gamma[0] + 2.0 * np.dot(c[1:k], gamma[1:k]))
 
 
-def _floor(model: ProcessModel, h: int) -> float:
-    b = ma_coeffs(model, h - 1).prefix(h - 1)
-    return model.noise_variance * float(np.dot(b, b))
+def _floor(ma: CoefSeq, h: int) -> float:
+    b = ma.prefix(h - 1)
+    return ma.model.noise_variance * float(np.dot(b, b))
 
 
-def mse_of_weights(model: ProcessModel, weights: PredictorWeights) -> MseReport:
-    """Exact MSE of an arbitrary finite predictor under the model."""
+def mse_of_weights(acvf: CoefSeq, ma: CoefSeq, weights: PredictorWeights) -> MseReport:
+    """Exact MSE of a finite predictor from sigma(0..k+h-1) and b_0..b_{h-1}
+    of one model; the report carries ``acvf.certified_tol``."""
     k, h = weights.k, weights.h
-    seq = acvf(model, k + h - 1)
-    g = seq.prefix(k + h - 1)
+    g = acvf.prefix(k + h - 1)
     w = weights.weights
     total = g[0] - 2.0 * float(np.dot(w, g[h: h + k])) \
         + toeplitz_quadratic_form(g, w)
-    return _make_report(total, _floor(model, h), weights.method, k, h,
-                        seq.certified_tol)
+    return _make_report(total, _floor(ma, h), weights.method, k, h,
+                        acvf.certified_tol)
 
 
-def infinite_past_mse(model: ProcessModel, h: int) -> MseReport:
-    """h-step error of the optimal predictor given the infinite past."""
+def infinite_past_mse(ma: CoefSeq, h: int) -> MseReport:
+    """h-step error of the optimal predictor given the infinite past, from
+    b_0..b_{h-1} in ``ma``."""
     if h < 1:
         raise ValueError("horizon must be >= 1")
-    floor = _floor(model, h)
-    return MseReport(total=floor, floor=floor, excess=0.0,
-                     method=INFINITE_PAST, k=None, h=h)
+    floor = _floor(ma, h)
+    return _make_report(floor, floor, INFINITE_PAST, None, h, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +157,10 @@ def error_decomposition(model: ProcessModel, k: int) -> ErrorDecomposition:
         raise ModelError("error decomposition is defined for fractional noise only")
     if k < 1:
         raise ValueError("order k must be >= 1")
-    d = model.d
     a = ar_coeffs(model, k).prefix(k)
     g = acvf(model, k).prefix(k)
     # delta_j = a_{j,k} - a_j = a_j expm1(log inflation), no cancellation
-    delta = np.concatenate([[0.0], a[1:] * np.expm1(closed_form_log_inflation(d, k))])
+    delta = np.concatenate([[0.0], a[1:] * np.expm1(closed_form_log_inflation(model.d, k))])
     # S(j) = noise_variance [j=0] - sum_{l=0..k} a_l sigma(|l-j|)
     g_sym = np.concatenate([g[:0:-1], g])          # lags -k..k
     s = -np.convolve(a, g_sym)[k: 2 * k + 1]       # -(Toeplitz(sigma) a)_j

@@ -9,6 +9,8 @@ so ``w_1`` multiplies the most recent observation.  Two constructions are
 supported: the truncated Wiener-Kolmogorov predictor (infinite-past optimal
 weights cut off at lag k, extended to horizon h by unrolling its one-step
 recursion) and the exact finite-past projection, built in :mod:`longpred.fit`.
+Both take coefficient sequences the caller computed once (a_j here, sigma(j)
+there) and read the prefix they need; nothing here builds a sequence.
 The infinite-past predictor has no finite weight vector; its h-step error,
 the floor of every error report, is computed in :mod:`longpred.mse` from
 b_0..b_{h-1}.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import ProcessModel, ar_coeffs
+from .process import CoefSeq
 
 __all__ = [
     "TRUNCATED_WK",
@@ -54,9 +56,10 @@ class PredictorWeights:
         object.__setattr__(self, "weights", w)
 
 
-def truncated_wk_weights(model: ProcessModel, k: int, h: int = 1) -> PredictorWeights:
+def truncated_wk_weights(ar: CoefSeq, k: int, h: int = 1) -> PredictorWeights:
     """Truncated Wiener-Kolmogorov weights of order k at horizon h.
 
+    ``ar`` holds the autoregressive coefficients a_0..a_{h-1+k} (or more).
     For h = 1 the weights are -a_1..-a_k.  For larger horizons the
     recursive definition
 
@@ -67,7 +70,7 @@ def truncated_wk_weights(model: ProcessModel, k: int, h: int = 1) -> PredictorWe
     """
     if k < 1 or h < 1:
         raise ValueError("k and h must be >= 1")
-    a = ar_coeffs(model, h - 1 + k).prefix(h - 1 + k)
+    a = ar.prefix(h - 1 + k)
     stack = np.empty((h + 1, k))
     stack[1] = -a[1: k + 1]
     for g in range(2, h + 1):

@@ -459,6 +459,8 @@ def _sequence(model: ProcessModel, kind: str, n: int, tol: float) -> CoefSeq:
     autocovariance accuracy to certify."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
     if model.kind == FRAC_NOISE:
         values, certified = _frac(model.d, model.noise_variance, kind, n), 0.0
     elif model.kind == FARIMA:

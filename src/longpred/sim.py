@@ -71,6 +71,8 @@ class SimulationPlan:
             raise ValueError(f"unknown simulation method {self.method!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
+        if not 0.0 < self.ma_cov_tol < math.inf:
+            raise ValueError(f"ma_cov_tol must be finite and > 0, got {self.ma_cov_tol!r}")
 
 
 @dataclass(frozen=True)

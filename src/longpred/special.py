@@ -59,11 +59,7 @@ def log_gamma(x: float) -> SignedLogValue:
     """
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"Gamma has a pole at {x}")
-    try:
-        lg = math.lgamma(x)
-    except ValueError as exc:  # pragma: no cover - guarded above
-        raise PoleError(f"Gamma has a pole at {x}") from exc
-    return SignedLogValue(lg, _gamma_sign(x))
+    return SignedLogValue(math.lgamma(x), _gamma_sign(x))
 
 
 # B_{2n} / ((2n)(2n-1)) for n = 1..8: the Stirling-series correction
@@ -114,8 +110,7 @@ def gamma_ratio(num: Iterable[float], den: Iterable[float]) -> SignedLogValue:
     """
     big_num = sorted(x for x in num if x >= _PAIR_MIN)
     big_den = sorted(x for x in den if x >= _PAIR_MIN)
-    log_mag = 0.0
-    sign = 1
+    log_mag, sign = 0.0, 1
     while big_num and big_den:
         log_mag += log_gamma_diff(big_num.pop(), big_den.pop())
     for x in num:

@@ -469,7 +469,7 @@ def fitted_ar_mse(model: ProcessModel, k: int) -> MseReport:
     """One-step MSE of the Yule-Walker AR(k) fit, as a report."""
     fit = yule_walker(acvf(model, k), k)
     total = fit.innovation_variance
-    return _make_report(total, _floor(model, 1), PROJECTION, k, 1, 0.0)
+    return _make_report(total, _floor(ma_coeffs(model, 0), 1), PROJECTION, k, 1, 0.0)
 
 
 _TARGET_EXPONENT = {AR: lambda d: -d - 1.0, MA: lambda d: d - 1.0, ACVF: lambda d: 2.0 * d - 1.0}

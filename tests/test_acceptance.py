@@ -27,7 +27,7 @@ from longpred.cli import main as cli_main
 from longpred.fit import projection_weights, yule_walker
 from longpred.mse import error_decomposition, infinite_past_mse, mse_of_weights
 from longpred.predict import truncated_wk_weights
-from longpred.process import ProcessModel, acvf
+from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 from longpred.sim import SimulationPlan, empirical_mse
 
 from _oracles import closed_form_ar_fit, spectral_contrast_mse, truncated_one_step_excess
@@ -130,15 +130,16 @@ def test_criterion_07_figure3_ordering():
     d, k = 0.4, 80
     model = ProcessModel.frac_noise(d)
     seq = acvf(model, k + 40)
+    a, b = ar_coeffs(model, k + 39), ma_coeffs(model, 39)
     sigma0 = seq.prefix(0)[0]
     for h in range(1, 41):
-        mm = infinite_past_mse(model, h).total
-        tp = mse_of_weights(model, truncated_wk_weights(model, k, h)).total
-        ll = mse_of_weights(model, projection_weights(seq, k, h)).total
+        mm = infinite_past_mse(b, h).total
+        tp = mse_of_weights(seq, b, truncated_wk_weights(a, k, h)).total
+        ll = mse_of_weights(seq, b, projection_weights(seq, k, h)).total
         assert mm <= ll + 1e-13, f"h={h}: mmse {mm} > llspe {ll}"
         assert ll <= tp + 1e-13, f"h={h}: llspe {ll} > tpmse {tp}"
         assert max(mm, ll, tp) < sigma0, f"h={h}: curve reached sigma(0)"
-    assert infinite_past_mse(model, 1).total == model.noise_variance
+    assert infinite_past_mse(b, 1).total == model.noise_variance
 
 
 @criterion("criterion 08 infinite-past gap decays like h^(2d-1)")
@@ -147,11 +148,12 @@ def test_criterion_08_infinite_past_rate():
     model = ProcessModel.frac_noise(d)
     sigma0 = acvf(model, 0)[0]
     hs = [1 << e for e in range(6, 14)]
-    pairs = [(h, sigma0 - infinite_past_mse(model, h).total) for h in hs]
+    b = ma_coeffs(model, hs[-1] - 1)
+    pairs = [(h, sigma0 - infinite_past_mse(b, h).total) for h in hs]
     slope = rate_fit(pairs).slope
     assert abs(slope - (2 * d - 1)) <= 0.05, f"slope {slope:.4f}"
     h = 1 << 13
-    gap = sigma0 - infinite_past_mse(model, h).total
+    gap = sigma0 - infinite_past_mse(b, h).total
     predicted = h ** (2 * d - 1) * model.noise_variance / (
         (1 - 2 * d) * math.gamma(d) ** 2)
     ratio = gap / predicted
@@ -165,7 +167,8 @@ def test_criterion_09_h_step_shape():
     rows = []
     for h in range(1, 33):
         for k in (64, 128, 256, 512, 1024):
-            rep = mse_of_weights(model, truncated_wk_weights(model, k, h))
+            rep = mse_of_weights(acvf(model, k + h - 1), ma_coeffs(model, h - 1),
+                                 truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h))
             rows.append((h, k, rep.excess))
     arr = np.array(rows)
     design = np.column_stack([np.ones(len(arr)), np.log(arr[:, 0]),
@@ -185,9 +188,9 @@ def test_criterion_10_monte_carlo():
         seq = acvf(model, k + h)
         plan = SimulationPlan(model, length=k + h, replications=reps,
                               seed=8_000 + h)
-        for weights in (truncated_wk_weights(model, k, h),
+        for weights in (truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h),
                         projection_weights(seq, k, h)):
-            analytic = mse_of_weights(model, weights).total
+            analytic = mse_of_weights(seq, ma_coeffs(model, h - 1), weights).total
             est = empirical_mse(plan, weights)
             dev = abs(analytic - est.mean)
             assert dev <= 3.0 * est.std_error, (

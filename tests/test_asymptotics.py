@@ -114,12 +114,13 @@ def test_fitted_ar_excess_shares_rate():
 
 def test_infinite_past_gap_rate_in_h():
     from longpred.mse import infinite_past_mse
-    from longpred.process import acvf
+    from longpred.process import acvf, ma_coeffs
 
     d = 0.3
     model = ProcessModel.frac_noise(d)
     sigma0 = acvf(model, 0)[0]
-    pairs = [(h, sigma0 - infinite_past_mse(model, h).total)
+    b = ma_coeffs(model, 8191)
+    pairs = [(h, sigma0 - infinite_past_mse(b, h).total)
              for h in (64, 128, 256, 512, 1024, 2048, 4096, 8192)]
     fit = rate_fit(pairs)
     assert fit.slope == pytest.approx(2 * d - 1, abs=0.05)

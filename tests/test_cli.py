@@ -188,11 +188,12 @@ def test_white_noise_z_scores_over_many_seeds(tmp_path):
     # analytic error is exact: roughly standard normal across seeds
     from longpred.mse import mse_of_weights
     from longpred.predict import truncated_wk_weights
+    from longpred.process import acvf, ar_coeffs, ma_coeffs
     from longpred.sim import SimulationPlan, empirical_mse
 
     model = ProcessModel.white_noise()
-    w = truncated_wk_weights(model, 5, 1)
-    analytic = mse_of_weights(model, w).total
+    w = truncated_wk_weights(ar_coeffs(model, 5), 5, 1)
+    analytic = mse_of_weights(acvf(model, 5), ma_coeffs(model, 0), w).total
     zs = []
     for seed in range(50):
         est = empirical_mse(SimulationPlan(model, length=6, replications=400,
@@ -288,8 +289,9 @@ def test_config_rejects_bad_values(tmp_path):
     with pytest.raises(ConfigError):
         load_config(None, {"kind": "arma", "d": 0.3})
     # non-finite model and config values
-    with pytest.raises(ConfigError):
-        load_config(None, {"noise_variance": float("inf")})
+    for key in ("noise_variance", "acvf_tol", "ma_cov_tol"):
+        with pytest.raises(ConfigError):
+            load_config(None, {key: float("inf")})
     for text in ("kind = arma\nar = inf\n",
                  "kind = farima\nd = 0.3\nar = nan\n",
                  "kind = farima\nd = 0.3\nma = inf\n",
@@ -300,6 +302,47 @@ def test_config_rejects_bad_values(tmp_path):
         cfgfile.write_text(text)
         assert main(["fit", "--k", "5", "--config", str(cfgfile),
                      "--out", str(tmp_path / "o")]) == 1
+    # tolerances must be finite and positive; an infinite ma_cov_tol would
+    # switch the MA sampler's certification off
+    for text in ("acvf_tol = 0\n", "acvf_tol = -1\n", "acvf_tol = nan\n",
+                 "acvf_tol = inf\n", "ma_cov_tol = 0\n", "ma_cov_tol = nan\n",
+                 "ma_cov_tol = inf\n"):
+        cfgfile.write_text("sim_method = ma_truncation\n" + text)
+        assert main(["montecarlo", "--k", "20", "--reps", "200", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")]) == 1
+
+
+def test_commands_compute_each_sequence_once(tmp_path, monkeypatch):
+    from longpred import process
+    kinds = []
+    sequence = process._sequence
+
+    def counted(model, kind, n, tol):
+        kinds.append(kind)
+        return sequence(model, kind, n, tol)
+
+    monkeypatch.setattr(process, "_sequence", counted)
+    assert run(["figure3", "--k", "20", "--out", tmp_path / "f3"]) == 0
+    assert sorted(kinds) == ["acvf", "ar", "ma"]
+    kinds.clear()
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("h_grid = 1,3,7\nreps = 60\nk = 10\n")
+    assert run(["montecarlo", "--config", cfgfile, "--out", tmp_path / "mc"]) == 0
+    # the sampler derives its own autocovariances from each plan
+    assert kinds.count("ar") == 1 and kinds.count("ma") == 1
+
+
+def test_figure3_scores_at_the_configured_acvf_tol(tmp_path):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("kind = arma\nar = 0.99\nacvf_tol = 1e-6\nh_max = 2\n")
+    out = tmp_path / "o"
+    assert run(["figure3", "--k", "20", "--config", cfgfile, "--out", out]) == 0
+    tol = acvf(ProcessModel.arma(ar=(0.99,)), 22, tol=1e-6).certified_tol
+    assert 1e-9 < tol < 1e-6  # the default 1e-10 would certify ~1e-18 here
+    _, cols, rows = read_csv(out / "figure3_mse.csv")
+    col = cols.index("certified_tol")
+    for row in rows:
+        assert float(row[col]) == (0.0 if row[0] == "infinite_past" else tol)
 
 
 def test_bad_flag_exits_one(capsys):

@@ -23,7 +23,8 @@ def test_quadratic_form_against_dense():
 
 def test_white_noise_truncated_error_is_floor():
     model = ProcessModel.white_noise(1.7)
-    rep = mse_of_weights(model, truncated_wk_weights(model, 10, 1))
+    rep = mse_of_weights(acvf(model, 10), ma_coeffs(model, 0),
+                         truncated_wk_weights(ar_coeffs(model, 10), 10, 1))
     assert rep.total == pytest.approx(1.7)
     assert rep.floor == pytest.approx(1.7)
     assert rep.excess == 0.0
@@ -32,7 +33,8 @@ def test_white_noise_truncated_error_is_floor():
 def test_order_one_projection_by_hand():
     # total = sigma(0) (1 - rho(1)^2) with rho(1) = 2/3 at d = 0.4
     model = ProcessModel.frac_noise(0.4)
-    rep = mse_of_weights(model, projection_weights(acvf(model, 1), 1, 1))
+    seq = acvf(model, 1)
+    rep = mse_of_weights(seq, ma_coeffs(model, 0), projection_weights(seq, 1, 1))
     sigma0 = acvf(model, 0)[0]
     assert rep.total == pytest.approx(sigma0 * 5.0 / 9.0, rel=1e-13)
     assert rep.floor == pytest.approx(1.0)
@@ -50,17 +52,19 @@ def test_truncation_excess_against_brute_force_tail_sum():
 def test_truncated_report_matches_direct_excess():
     model = ProcessModel.frac_noise(0.3)
     k = 50
-    rep = mse_of_weights(model, truncated_wk_weights(model, k, 1))
+    rep = mse_of_weights(acvf(model, k), ma_coeffs(model, 0),
+                         truncated_wk_weights(ar_coeffs(model, k), k, 1))
     assert rep.excess == pytest.approx(truncated_one_step_excess(model, k),
                                        rel=1e-10)
 
 
 def test_infinite_past_small_horizons():
     model = ProcessModel.frac_noise(0.4, noise_variance=2.0)
-    assert infinite_past_mse(model, 1).total == pytest.approx(2.0)
+    b = ma_coeffs(model, 1)
+    assert infinite_past_mse(b, 1).total == pytest.approx(2.0)
     # h = 2: noise_variance * (1 + b_1^2) with b_1 = d
-    assert infinite_past_mse(model, 2).total == pytest.approx(2.0 * 1.16, rel=1e-14)
-    assert infinite_past_mse(model, 2).excess == 0.0
+    assert infinite_past_mse(b, 2).total == pytest.approx(2.0 * 1.16, rel=1e-14)
+    assert infinite_past_mse(b, 2).excess == 0.0
 
 
 def test_infinite_past_gap_asymptotics():
@@ -71,7 +75,7 @@ def test_infinite_past_gap_asymptotics():
     model = ProcessModel.frac_noise(d)
     sigma0 = acvf(model, 0)[0]
     h = 1 << 13
-    gap = sigma0 - infinite_past_mse(model, h).total
+    gap = sigma0 - infinite_past_mse(ma_coeffs(model, h - 1), h).total
     predicted = h ** (2 * d - 1) / ((1 - 2 * d) * math.gamma(d) ** 2)
     assert gap / predicted == pytest.approx(1.0, abs=0.01)
 
@@ -84,7 +88,7 @@ def test_infinite_past_gap_brute_partial_sums():
     b = ma_coeffs(model, n).prefix(n)
     partial = float(np.dot(b[h:], b[h:]))
     sigma0 = acvf(model, 0)[0]
-    gap = sigma0 - infinite_past_mse(model, h).total
+    gap = sigma0 - infinite_past_mse(ma_coeffs(model, h - 1), h).total
     # remaining tail past n is below j^(2d-2) integral
     import math
     tail_bound = n ** (2 * d - 1.0) / ((1 - 2 * d) * math.gamma(d) ** 2)
@@ -97,7 +101,8 @@ def test_arma_infinite_past_gap_decays_exponentially():
     model = ProcessModel.arma(ar=(0.6,), ma=(0.2,))
     sigma0 = acvf(model, 0)[0]
     hs = np.arange(2, 22, 2)
-    gaps = np.array([sigma0 - infinite_past_mse(model, int(h)).total for h in hs])
+    b = ma_coeffs(model, int(hs[-1]) - 1)
+    gaps = np.array([sigma0 - infinite_past_mse(b, int(h)).total for h in hs])
     assert np.all(gaps > 0.0)
     slope = np.polyfit(hs, np.log(gaps), 1)[0]
     assert slope == pytest.approx(2.0 * np.log(0.6), rel=0.05)
@@ -113,9 +118,11 @@ def test_mse_ordering_infinite_projection_truncated():
     model = ProcessModel.frac_noise(0.35)
     for k, h in [(10, 1), (25, 3), (50, 8)]:
         seq = acvf(model, k + h)
-        mm = infinite_past_mse(model, h).total
-        ll = mse_of_weights(model, projection_weights(seq, k, h)).total
-        tp = mse_of_weights(model, truncated_wk_weights(model, k, h)).total
+        b = ma_coeffs(model, h - 1)
+        mm = infinite_past_mse(b, h).total
+        ll = mse_of_weights(seq, b, projection_weights(seq, k, h)).total
+        tp = mse_of_weights(seq, b,
+                            truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)).total
         assert mm <= ll + 1e-14
         assert ll <= tp + 1e-14
         sigma0 = seq.prefix(0)[0]
@@ -125,10 +132,11 @@ def test_mse_ordering_infinite_projection_truncated():
 def test_projection_monotone_in_k_and_h():
     model = ProcessModel.frac_noise(0.3)
     seq = acvf(model, 200)
-    totals_k = [mse_of_weights(model, projection_weights(seq, k, 1)).total
+    b = ma_coeffs(model, 15)
+    totals_k = [mse_of_weights(seq, b, projection_weights(seq, k, 1)).total
                 for k in (1, 2, 4, 8, 16, 32)]
     assert np.all(np.diff(totals_k) <= 1e-14)
-    totals_h = [mse_of_weights(model, projection_weights(seq, 16, h)).total
+    totals_h = [mse_of_weights(seq, b, projection_weights(seq, 16, h)).total
                 for h in (1, 2, 4, 8, 16)]
     assert np.all(np.diff(totals_h) >= -1e-14)
     assert totals_h[-1] < seq.prefix(0)[0]
@@ -136,7 +144,8 @@ def test_projection_monotone_in_k_and_h():
 
 def test_one_step_truncated_floor_is_noise_variance():
     model = ProcessModel.frac_noise(0.25, noise_variance=1.3)
-    rep = mse_of_weights(model, truncated_wk_weights(model, 30, 1))
+    rep = mse_of_weights(acvf(model, 30), ma_coeffs(model, 0),
+                         truncated_wk_weights(ar_coeffs(model, 30), 30, 1))
     assert rep.floor == pytest.approx(1.3)
     assert rep.total >= 1.3
 
@@ -227,7 +236,8 @@ def test_h_step_excess_exponents():
     rows = []
     for h in (1, 2, 4, 8, 16, 32):
         for k in (64, 128, 256, 512, 1024):
-            rep = mse_of_weights(model, truncated_wk_weights(model, k, h))
+            rep = mse_of_weights(acvf(model, k + h - 1), ma_coeffs(model, h - 1),
+                                 truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h))
             rows.append((h, k, rep.excess))
     arr = np.array(rows)
     design = np.column_stack([np.ones(len(arr)), np.log(arr[:, 0]), np.log(arr[:, 1])])
@@ -241,7 +251,8 @@ def test_h_step_excess_exponents():
 
 def test_reports_are_consistent():
     model = ProcessModel.frac_noise(0.3)
-    rep = mse_of_weights(model, truncated_wk_weights(model, 20, 4))
+    rep = mse_of_weights(acvf(model, 23), ma_coeffs(model, 3),
+                         truncated_wk_weights(ar_coeffs(model, 23), 20, 4))
     assert rep.total == pytest.approx(rep.floor + rep.excess, rel=1e-12)
     assert rep.excess >= 0.0
     assert rep.k == 20 and rep.h == 4
@@ -250,5 +261,6 @@ def test_reports_are_consistent():
 
 def test_report_certified_tol_propagates_for_farima():
     model = ProcessModel.farima(0.3, ar=(0.5,))
-    rep = mse_of_weights(model, truncated_wk_weights(model, 10, 1))
+    rep = mse_of_weights(acvf(model, 10), ma_coeffs(model, 0),
+                         truncated_wk_weights(ar_coeffs(model, 10), 10, 1))
     assert 0.0 < rep.certified_tol < 1e-10

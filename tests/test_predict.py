@@ -10,10 +10,10 @@ from _oracles import infinite_past_coeffs, recursive_truncated_forecast
 
 def test_one_step_weights_are_negated_ar_coefficients():
     model = ProcessModel.frac_noise(0.4)
-    w = truncated_wk_weights(model, 2, 1)
+    w = truncated_wk_weights(ar_coeffs(model, 2), 2, 1)
     assert np.allclose(w.weights, [0.4, 0.12], atol=1e-15)
     a = ar_coeffs(model, 5).prefix(5)
-    w5 = truncated_wk_weights(model, 5, 1)
+    w5 = truncated_wk_weights(ar_coeffs(model, 5), 5, 1)
     assert np.array_equal(w5.weights, -a[1:6])
 
 
@@ -21,7 +21,7 @@ def test_two_step_weights_by_hand():
     # w(2) = -a_1 w(1) - (a_2, a_3)
     model = ProcessModel.frac_noise(0.4)
     a = ar_coeffs(model, 3).prefix(3)
-    w = truncated_wk_weights(model, 2, 2)
+    w = truncated_wk_weights(ar_coeffs(model, 3), 2, 2)
     expected = -a[1] * np.array([-a[1], -a[2]]) - np.array([a[2], a[3]])
     assert np.allclose(w.weights, expected, atol=1e-15)
     # pattern a_1 a_j - a_{j+1} on the truncated range
@@ -32,7 +32,7 @@ def test_two_step_weights_by_hand():
 def test_white_noise_has_nothing_to_predict():
     model = ProcessModel.white_noise()
     for h in (1, 2, 7):
-        w = truncated_wk_weights(model, 6, h)
+        w = truncated_wk_weights(ar_coeffs(model, 6 + h - 1), 6, h)
         assert np.array_equal(w.weights, np.zeros(6))
 
 
@@ -61,7 +61,7 @@ def test_unrolled_weights_match_literal_recursion(h):
     rng = np.random.default_rng(12345)
     obs = rng.standard_normal(k)
     a = ar_coeffs(model, h + k).prefix(h + k)
-    w = truncated_wk_weights(model, k, h)
+    w = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
     unrolled = forecast(w, obs)
     literal = recursive_truncated_forecast(a, k, h, obs)
     assert unrolled == pytest.approx(literal, rel=1e-12, abs=1e-12)
@@ -74,7 +74,7 @@ def test_unrolled_weights_match_recursion_property(k, h, d):
     rng = np.random.default_rng(k * 1000 + h)
     obs = rng.standard_normal(k)
     a = ar_coeffs(model, h + k).prefix(h + k)
-    w = truncated_wk_weights(model, k, h)
+    w = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
     assert forecast(w, obs) == pytest.approx(
         recursive_truncated_forecast(a, k, h, obs), rel=1e-11, abs=1e-11)
 
@@ -86,7 +86,7 @@ def test_unrolled_weights_closed_form(h):
     k = 40
     a = ar_coeffs(model, h + k).prefix(h + k)
     b = ma_coeffs(model, h - 1).prefix(h - 1)
-    w = truncated_wk_weights(model, k, h)
+    w = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
     j = np.arange(1, k + 1)
     expected = -np.array([np.dot(b, a[jj + h - 1: jj - 1 if jj >= 1 else None: -1])
                           for jj in j])

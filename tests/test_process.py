@@ -399,13 +399,27 @@ def test_farima_acvf_against_truncated_ma_convolution():
 
 
 def test_farima_acvf_convolution_identity():
-    # sigma(s) must equal the lag-s inner product of the MA representation
-    # reconstructed from the fractional core and the rational filter
+    # (1 - phi B) X = F for FARIMA(1, d, 0), so filtering sigma_X by the AR
+    # operator on both sides must give the fractional core's sigma_F:
+    # (1 + phi^2) sigma_X(s) - phi (sigma_X(|s-1|) + sigma_X(s+1)) = sigma_F(s)
     d, phi = 0.3, 0.6
-    model = ProcessModel.farima(d, ar=(phi,))
-    g = acvf(model, 4).prefix(4)
-    assert np.all(g > 0)
-    assert g.base is not None or True  # read-only view, values positive
+    x = acvf(ProcessModel.farima(d, ar=(phi,)), 41).prefix(41)
+    f = acvf(ProcessModel.frac_noise(d), 40).prefix(40)
+    s = np.arange(41)
+    lhs = (1.0 + phi * phi) * x[s] - phi * (x[np.abs(s - 1)] + x[s + 1])
+    # measured 1.5e-15 relative, against a certified_tol of 4.8e-16
+    assert np.max(np.abs(lhs - f)) <= 1e-14 * f[0]
+
+
+@pytest.mark.parametrize("tol", (0.0, -1.0, math.inf, math.nan))
+def test_invalid_tolerance_fails_at_once(tol):
+    # checked before any series is expanded: a zero or negative tolerance can
+    # never be met, and against nan every `bound > tol` test is false, so any
+    # bound would pass as certified
+    for model in (ProcessModel.farima(0.3, ar=(0.5,)), ProcessModel.arma(ar=(0.5,)),
+                  ProcessModel.frac_noise(0.3)):
+        with pytest.raises(ValueError, match="tolerance"):
+            acvf(model, 10, tol=tol)
 
 
 # -- decay verification ------------------------------------------------------

@@ -7,7 +7,7 @@ from longpred.errors import CertificationError
 from longpred.fit import projection_weights
 from longpred.mse import mse_of_weights
 from longpred.predict import PredictorWeights, truncated_wk_weights
-from longpred.process import ProcessModel, acvf
+from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 from longpred.sim import (CIRCULANT_EMBEDDING, MA_TRUNCATION, SimulationPlan,
                           empirical_mse, simulate)
 
@@ -26,6 +26,9 @@ def test_plan_validation():
         SimulationPlan(model, length=5, replications=0, seed=1)
     with pytest.raises(ValueError):
         SimulationPlan(model, length=5, replications=10, seed=1, method="magic")
+    for tol in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            SimulationPlan(model, length=5, replications=10, seed=1, ma_cov_tol=tol)
 
 
 def test_fixed_seed_is_bit_identical():
@@ -134,7 +137,7 @@ def test_ma_truncation_matches_circulant_on_arma_cell():
                                       seed=77, method=MA_TRUNCATION), w)
     combined = np.hypot(ce.std_error, ma.std_error)
     assert abs(ce.mean - ma.mean) <= 3.0 * combined
-    analytic = mse_of_weights(model, w).total
+    analytic = mse_of_weights(seq, ma_coeffs(model, h - 1), w).total
     assert abs(ce.mean - analytic) <= 3.0 * ce.std_error
     assert abs(ma.mean - analytic) <= 3.0 * ma.std_error
 
@@ -154,7 +157,7 @@ def test_ma_truncation_long_memory_loose_tolerance():
     d = 0.1
     model = ProcessModel.frac_noise(d)
     k, h, reps = 10, 1, 3000
-    w = truncated_wk_weights(model, k, h)
+    w = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
     ce = empirical_mse(SimulationPlan(model, length=k + h, replications=reps,
                                       seed=19), w)
     ma = empirical_mse(SimulationPlan(model, length=k + h, replications=reps,
@@ -170,7 +173,7 @@ def test_farima_analytic_mse_validated_by_ma_sampler():
     k, h, reps = 15, 2, 3000
     seq = acvf(model, k + h)
     w = projection_weights(seq, k, h)
-    analytic = mse_of_weights(model, w).total
+    analytic = mse_of_weights(seq, ma_coeffs(model, h - 1), w).total
     est = empirical_mse(SimulationPlan(model, length=k + h, replications=reps,
                                        seed=61, method=MA_TRUNCATION,
                                        ma_cov_tol=1e-4), w)
@@ -189,10 +192,10 @@ def test_empirical_mse_white_noise_zero_predictor():
 def test_empirical_matches_analytic_truncated(h):
     model = ProcessModel.frac_noise(0.3)
     k, reps = 50, 2000
-    w = truncated_wk_weights(model, k, h)
+    w = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
     est = empirical_mse(SimulationPlan(model, length=k + h, replications=reps,
                                        seed=100 + h), w)
-    analytic = mse_of_weights(model, w).total
+    analytic = mse_of_weights(acvf(model, k + h - 1), ma_coeffs(model, h - 1), w).total
     assert abs(est.mean - analytic) <= 3.0 * est.std_error
 
 
@@ -201,18 +204,19 @@ def test_empirical_projection_not_worse_than_truncated():
     k, h, reps = 50, 1, 2000
     seq = acvf(model, k + h)
     wp = projection_weights(seq, k, h)
-    wt = truncated_wk_weights(model, k, h)
+    wt = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
     plan = SimulationPlan(model, length=k + h, replications=reps, seed=55)
     ep = empirical_mse(plan, wp)
     et = empirical_mse(plan, wt)
-    assert abs(ep.mean - mse_of_weights(model, wp).total) <= 3.0 * ep.std_error
+    assert abs(ep.mean - mse_of_weights(seq, ma_coeffs(model, h - 1), wp).total) \
+        <= 3.0 * ep.std_error
     assert ep.mean <= et.mean + 3.0 * np.hypot(ep.std_error, et.std_error)
 
 
 def test_empirical_mse_batch_equals_separate_calls():
     model = ProcessModel.frac_noise(0.3)
     k, h = 20, 3
-    w1 = truncated_wk_weights(model, k, h)
+    w1 = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
     w2 = projection_weights(acvf(model, k + h), k, h)
     plan = SimulationPlan(model, length=k + h, replications=300, seed=9)
     assert empirical_mse(plan, (w1, w2)) == (empirical_mse(plan, w1),
@@ -221,7 +225,7 @@ def test_empirical_mse_batch_equals_separate_calls():
 
 def test_empirical_mse_length_guard():
     model = ProcessModel.frac_noise(0.3)
-    w = truncated_wk_weights(model, 10, 2)
+    w = truncated_wk_weights(ar_coeffs(model, 11), 10, 2)
     with pytest.raises(ValueError):
         empirical_mse(SimulationPlan(model, length=11, replications=4, seed=1), w)
 
