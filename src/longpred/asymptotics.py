@@ -63,11 +63,11 @@ class RateFit:
 def rate_fit(values: Iterable[Sequence[float]]) -> RateFit:
     """Fit log(value) against log(k) over a grid of (k, value) pairs.
 
-    Requires at least 5 grid points with strictly positive values.
+    Requires at least 5 distinct k and strictly positive values.
     """
     grid = tuple((float(k), float(v)) for k, v in values)
-    if len(grid) < 5:
-        raise ValueError("need at least 5 grid points for a rate fit")
+    if len({k for k, _ in grid}) < 5:
+        raise ValueError("need at least 5 distinct k for a rate fit")
     arr = np.asarray(grid)
     if np.any(arr <= 0.0):
         raise ValueError("rate fit requires strictly positive k and values")

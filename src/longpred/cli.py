@@ -31,7 +31,7 @@ from .errors import ConfigError, ModelError, NumericError, PoleError
 from .fit import projection_weights, yule_walker
 from .predict import TRUNCATED_WK, truncated_wk_weights
 from .process import ProcessModel, acvf, ar_coeffs, ma_coeffs
-from .sim import SimulationPlan, _simulate_and_score, empirical_mse
+from .sim import SimulationPlan, empirical_mse, simulate
 from .svgplot import line_chart
 
 __all__ = ["main", "build_parser"]
@@ -216,6 +216,8 @@ def cmd_rates(cfg: RunConfig) -> list[Path]:
     out = cfg.out_dir()
     d_grid = cfg.d_grid or ((cfg.d,) if cfg.was_provided("d") else _RATES_D_GRID)
     k_grid = cfg.k_grid or _RATES_K_GRID
+    if len(set(k_grid)) < 5:
+        raise ConfigError("rates needs at least 5 distinct k in k_grid for its rate fits")
     rows, summary = [], []
     for d in d_grid:
         model = ProcessModel.frac_noise(d, cfg.noise_variance)
@@ -258,19 +260,19 @@ def cmd_montecarlo(cfg: RunConfig) -> list[Path]:
     rows = []
     first_paths = None
     for h in h_grid:
-        plan = SimulationPlan(model, length=k + h, replications=cfg.reps,
-                              seed=cfg.seed, method=cfg.sim_method,
-                              ma_cov_tol=cfg.ma_cov_tol)
         pair = (truncated_wk_weights(a, k, h), projection_weights(g, k, h))
+        paths = simulate(SimulationPlan(model, length=k + h, replications=cfg.reps,
+                                        seed=cfg.seed, method=cfg.sim_method,
+                                        ma_cov_tol=cfg.ma_cov_tol))
         if cfg.dump_paths and first_paths is None:
-            first_paths, estimates = _simulate_and_score(plan, pair)
-        else:
-            estimates = empirical_mse(plan, pair)
-        for weights, est in zip(pair, estimates):
+            first_paths = paths
+        for weights in pair:
+            est = empirical_mse(paths, weights)
             analytic = mse.mse_of_weights(g, b, weights)
             z = (est.mean - analytic.total) / est.std_error
             rows.append((weights.method, cfg.d if model.d is not None else "",
                          k, int(h), est.mean, est.std_error, analytic.total, z))
+        del paths  # free this horizon's paths before the next simulation
     written = [write_csv(out / "montecarlo.csv", "longpred/montecarlo v1",
                          [f"model: {model.describe()}",
                           f"seed: {cfg.seed}", f"replications: {cfg.reps}",

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import IllConditionedError, NotPositiveDefiniteError
 from .predict import PROJECTION, PredictorWeights
-from .process import CoefSeq
+from .process import ACVF, CoefSeq, _check_kind
 from .special import log_gamma_diff
 
 __all__ = [
@@ -138,6 +138,7 @@ def solve_toeplitz(first_row, rhs, variance_floor: float = 0.0) -> np.ndarray:
 
 def _acvf_values(acvf: CoefSeq, n: int) -> tuple[np.ndarray, float]:
     """sigma(0..n) of a computed sequence and its Levinson variance floor."""
+    _check_kind(acvf, ACVF)
     if len(acvf) < n + 1:
         raise ValueError(f"need sigma(0..{n}), got {len(acvf)} values")
     return acvf.prefix(n), _VARIANCE_FLOOR_REL * acvf.model.noise_variance

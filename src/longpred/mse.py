@@ -24,7 +24,8 @@ import numpy as np
 from .errors import ModelError
 from .fit import closed_form_log_inflation
 from .predict import PredictorWeights
-from .process import FRAC_NOISE, CoefSeq, ProcessModel, acvf, ar_coeffs
+from .process import (ACVF, FRAC_NOISE, MA, CoefSeq, ProcessModel, _check_kind, acvf,
+                      ar_coeffs)
 
 __all__ = [
     "MseReport",
@@ -86,6 +87,7 @@ def toeplitz_quadratic_form(gamma: np.ndarray, w: np.ndarray) -> float:
 
 
 def _floor(ma: CoefSeq, h: int) -> float:
+    _check_kind(ma, MA)
     b = ma.prefix(h - 1)
     return ma.model.noise_variance * float(np.dot(b, b))
 
@@ -93,6 +95,9 @@ def _floor(ma: CoefSeq, h: int) -> float:
 def mse_of_weights(acvf: CoefSeq, ma: CoefSeq, weights: PredictorWeights) -> MseReport:
     """Exact MSE of a finite predictor from sigma(0..k+h-1) and b_0..b_{h-1}
     of one model; the report carries ``acvf.certified_tol``."""
+    _check_kind(acvf, ACVF)
+    if ma.model != acvf.model:
+        raise ValueError("the acvf and ma sequences belong to different models")
     k, h = weights.k, weights.h
     g = acvf.prefix(k + h - 1)
     w = weights.weights

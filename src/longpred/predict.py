@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import CoefSeq
+from .process import AR, CoefSeq, _check_kind
 
 __all__ = [
     "TRUNCATED_WK",
@@ -70,6 +70,7 @@ def truncated_wk_weights(ar: CoefSeq, k: int, h: int = 1) -> PredictorWeights:
     """
     if k < 1 or h < 1:
         raise ValueError("k and h must be >= 1")
+    _check_kind(ar, AR)
     a = ar.prefix(h - 1 + k)
     stack = np.empty((h + 1, k))
     stack[1] = -a[1: k + 1]

@@ -346,6 +346,11 @@ class CoefSeq:
         return self.values[: n + 1]
 
 
+def _check_kind(seq: CoefSeq, kind: str) -> None:
+    if seq.kind != kind:
+        raise ValueError(f"expected an {kind!r} sequence, got {seq.kind!r}")
+
+
 def _frac(d: float, noise_variance: float, kind: str, n: int) -> np.ndarray:
     """Entries 0..n of a fractional-noise sequence by its exact one-term
     ratio recursion."""

@@ -2,7 +2,9 @@
 
 Sample paths provide the end-to-end check of every analytic error formula:
 simulate, forecast with the constructed weights, and compare empirical
-squared errors against the quadratic-form values.
+squared errors against the quadratic-form values.  :func:`simulate` draws
+the paths; :func:`empirical_mse` scores one weight vector on the first k + h
+columns of each row, so one array of paths can serve several predictors.
 
 Two samplers are available.  Circulant embedding is the default and exact:
 the length-n covariance is embedded into a 2(n-1)-circulant whose FFT gives
@@ -20,7 +22,7 @@ blocks of rows with one FFT per block, so temporaries stay bounded.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,38 +218,20 @@ def simulate(plan: SimulationPlan) -> np.ndarray:
     return out
 
 
-def empirical_mse(plan: SimulationPlan,
-                  weights: PredictorWeights | Sequence[PredictorWeights],
-                  ) -> McEstimate | tuple[McEstimate, ...]:
-    """Monte-Carlo squared prediction error of a weight vector.
+def empirical_mse(paths: np.ndarray, weights: PredictorWeights) -> McEstimate:
+    """Monte-Carlo squared prediction error of a weight vector on the rows of
+    ``paths``, an array :func:`simulate` returned.
 
-    Each replication forecasts X_{k+h} from (X_1..X_k); the estimate is the
-    sample mean of squared errors with its standard error.  Given a sequence
-    of weight vectors, all are scored on the paths of one simulation and a
-    tuple of estimates is returned in the same order.
+    Each row forecasts X_{k+h} from (X_1..X_k); columns after k + h are not
+    read, so one simulation at the longest k + h serves every horizon.  The
+    estimate is the sample mean of squared errors with its standard error.
     """
-    single = isinstance(weights, PredictorWeights)
-    _, estimates = _simulate_and_score(plan, (weights,) if single else tuple(weights))
-    return estimates[0] if single else estimates
-
-
-def _simulate_and_score(plan: SimulationPlan, batch: tuple[PredictorWeights, ...],
-                        ) -> tuple[np.ndarray, tuple[McEstimate, ...]]:
-    """The paths of one ``simulate(plan)`` call and each weight vector's
-    estimate on them, so a caller that also needs the paths simulates once."""
-    need = max(w.k + w.h for w in batch)
-    if plan.length < need:
-        raise ValueError(f"plan length {plan.length} too short for k + h = {need}")
-    if plan.replications < 30:
-        raise ValueError("empirical MSE estimation needs at least 30 replications")
-    paths = simulate(plan)
-    r = plan.replications
-    estimates = []
-    for w in batch:
-        k, h = w.k, w.h
-        preds = paths[:, k - 1::-1][:, :k] @ w.weights
-        errs = (paths[:, k + h - 1] - preds) ** 2
-        estimates.append(McEstimate(mean=float(np.mean(errs)),
-                                    std_error=float(np.std(errs, ddof=1) / math.sqrt(r)),
-                                    replications=r))
-    return paths, tuple(estimates)
+    r, n = paths.shape
+    k, h = weights.k, weights.h
+    if n < k + h:
+        raise ValueError(f"path length {n} too short for k + h = {k + h}")
+    preds = paths[:, :k][:, ::-1] @ weights.weights
+    errs = (paths[:, k + h - 1] - preds) ** 2
+    return McEstimate(mean=float(np.mean(errs)),
+                      std_error=float(np.std(errs, ddof=1) / math.sqrt(r)),
+                      replications=r)

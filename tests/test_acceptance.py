@@ -28,7 +28,7 @@ from longpred.fit import projection_weights, yule_walker
 from longpred.mse import error_decomposition, infinite_past_mse, mse_of_weights
 from longpred.predict import truncated_wk_weights
 from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
-from longpred.sim import SimulationPlan, empirical_mse
+from longpred.sim import SimulationPlan, empirical_mse, simulate
 
 from _oracles import closed_form_ar_fit, spectral_contrast_mse, truncated_one_step_excess
 
@@ -191,7 +191,7 @@ def test_criterion_10_monte_carlo():
         for weights in (truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h),
                         projection_weights(seq, k, h)):
             analytic = mse_of_weights(seq, ma_coeffs(model, h - 1), weights).total
-            est = empirical_mse(plan, weights)
+            est = empirical_mse(simulate(plan), weights)
             dev = abs(analytic - est.mean)
             assert dev <= 3.0 * est.std_error, (
                 f"h={h} {weights.method}: |{analytic:.5f} - {est.mean:.5f}| "

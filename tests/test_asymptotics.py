@@ -93,6 +93,11 @@ def test_rate_fit_validation():
         rate_fit([(1, 1.0), (2, 0.5)])
     with pytest.raises(ValueError):
         rate_fit([(k, -1.0) for k in (1, 2, 3, 4, 5)])
+    # five points need five distinct k: repeats give no slope to fit
+    with pytest.raises(ValueError):
+        rate_fit([(64, 1.0 / 64)] * 5)
+    with pytest.raises(ValueError):
+        rate_fit([(1, 1.0), (2, 0.5), (3, 0.3), (4, 0.25), (4, 0.25)])
 
 
 def test_truncation_excess_rate():

@@ -127,15 +127,15 @@ def test_montecarlo_z_scores(tmp_path):
 
 
 def test_montecarlo_simulates_each_plan_once(tmp_path, monkeypatch):
-    from longpred import sim
+    from longpred import cli
     calls = []
-    simulate = sim.simulate
+    simulate = cli.simulate
 
     def counted(plan):
         calls.append(plan)
         return simulate(plan)
 
-    monkeypatch.setattr(sim, "simulate", counted)
+    monkeypatch.setattr(cli, "simulate", counted)
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text("h_grid = 1,2\nreps = 60\nk = 10\n")
     assert run(["montecarlo", "--config", cfgfile, "--out", tmp_path / "o"]) == 0
@@ -143,15 +143,15 @@ def test_montecarlo_simulates_each_plan_once(tmp_path, monkeypatch):
 
 
 def test_montecarlo_dump_paths_reuses_first_simulation(tmp_path, monkeypatch):
-    from longpred import sim
+    from longpred import cli
     calls = []
-    simulate = sim.simulate
+    simulate = cli.simulate
 
     def counted(plan):
         calls.append(plan)
         return simulate(plan)
 
-    monkeypatch.setattr(sim, "simulate", counted)
+    monkeypatch.setattr(cli, "simulate", counted)
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text("h_grid = 1,2\nreps = 60\nk = 10\ndump_paths = true\n")
     out = tmp_path / "o"
@@ -189,15 +189,15 @@ def test_white_noise_z_scores_over_many_seeds(tmp_path):
     from longpred.mse import mse_of_weights
     from longpred.predict import truncated_wk_weights
     from longpred.process import acvf, ar_coeffs, ma_coeffs
-    from longpred.sim import SimulationPlan, empirical_mse
+    from longpred.sim import SimulationPlan, empirical_mse, simulate
 
     model = ProcessModel.white_noise()
     w = truncated_wk_weights(ar_coeffs(model, 5), 5, 1)
     analytic = mse_of_weights(acvf(model, 5), ma_coeffs(model, 0), w).total
     zs = []
     for seed in range(50):
-        est = empirical_mse(SimulationPlan(model, length=6, replications=400,
-                                           seed=seed), w)
+        est = empirical_mse(simulate(SimulationPlan(model, length=6, replications=400,
+                                                    seed=seed)), w)
         zs.append((est.mean - analytic) / est.std_error)
     zs = np.asarray(zs)
     assert abs(np.mean(zs)) < 0.6
@@ -310,6 +310,11 @@ def test_config_rejects_bad_values(tmp_path):
         cfgfile.write_text("sim_method = ma_truncation\n" + text)
         assert main(["montecarlo", "--k", "20", "--reps", "200", "--config", str(cfgfile),
                      "--out", str(tmp_path / "o")]) == 1
+    # a rate fit needs at least 5 distinct orders
+    for text in ("k_grid = 64,128\n", "k_grid = 64,64,64,64,64\n",
+                 "k_grid = 64,128,256,512,512\n"):
+        cfgfile.write_text(text)
+        assert main(["rates", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
 
 
 def test_commands_compute_each_sequence_once(tmp_path, monkeypatch):

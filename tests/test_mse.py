@@ -264,3 +264,30 @@ def test_report_certified_tol_propagates_for_farima():
     rep = mse_of_weights(acvf(model, 10), ma_coeffs(model, 0),
                          truncated_wk_weights(ar_coeffs(model, 10), 10, 1))
     assert 0.0 < rep.certified_tol < 1e-10
+
+
+_FRAC = ProcessModel.frac_noise(0.3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda w: truncated_wk_weights(acvf(_FRAC, 30), 20, 5),
+     "expected an 'ar' sequence, got 'acvf'"),
+    (lambda w: yule_walker(ar_coeffs(_FRAC, 10), 5), "expected an 'acvf' sequence, got 'ar'"),
+    (lambda w: projection_weights(ma_coeffs(_FRAC, 30), 20, 5),
+     "expected an 'acvf' sequence, got 'ma'"),
+    (lambda w: infinite_past_mse(acvf(_FRAC, 5), 3), "expected an 'ma' sequence, got 'acvf'"),
+    (lambda w: mse_of_weights(ma_coeffs(_FRAC, 30), acvf(_FRAC, 30), w),
+     "expected an 'acvf' sequence, got 'ma'"),
+    (lambda w: mse_of_weights(acvf(_FRAC, 30), acvf(_FRAC, 30), w),
+     "expected an 'ma' sequence, got 'acvf'"),
+    (lambda w: mse_of_weights(acvf(_FRAC, 30), ma_coeffs(ProcessModel.frac_noise(0.2), 4), w),
+     "different models"),
+], ids=["wk_weights", "yule_walker", "projection", "infinite_past", "mse_acvf", "mse_ma",
+        "mse_models"])
+def test_sequence_consumers_reject_the_wrong_sequence(call, message):
+    w = truncated_wk_weights(ar_coeffs(_FRAC, 24), 20, 5)
+    with pytest.raises(ValueError, match=message):
+        call(w)
+    # models compare by value: an equal model built separately is accepted
+    same = ProcessModel.frac_noise(0.3)
+    assert mse_of_weights(acvf(_FRAC, 30), ma_coeffs(same, 4), w).excess > 0

@@ -131,10 +131,10 @@ def test_ma_truncation_matches_circulant_on_arma_cell():
     k, h, reps = 12, 1, 4000
     seq = acvf(model, k + h)
     w = projection_weights(seq, k, h)
-    ce = empirical_mse(SimulationPlan(model, length=k + h, replications=reps,
-                                      seed=31, method=CIRCULANT_EMBEDDING), w)
-    ma = empirical_mse(SimulationPlan(model, length=k + h, replications=reps,
-                                      seed=77, method=MA_TRUNCATION), w)
+    ce = empirical_mse(simulate(SimulationPlan(model, length=k + h, replications=reps,
+                                               seed=31, method=CIRCULANT_EMBEDDING)), w)
+    ma = empirical_mse(simulate(SimulationPlan(model, length=k + h, replications=reps,
+                                               seed=77, method=MA_TRUNCATION)), w)
     combined = np.hypot(ce.std_error, ma.std_error)
     assert abs(ce.mean - ma.mean) <= 3.0 * combined
     analytic = mse_of_weights(seq, ma_coeffs(model, h - 1), w).total
@@ -158,11 +158,11 @@ def test_ma_truncation_long_memory_loose_tolerance():
     model = ProcessModel.frac_noise(d)
     k, h, reps = 10, 1, 3000
     w = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
-    ce = empirical_mse(SimulationPlan(model, length=k + h, replications=reps,
-                                      seed=19), w)
-    ma = empirical_mse(SimulationPlan(model, length=k + h, replications=reps,
-                                      seed=23, method=MA_TRUNCATION,
-                                      ma_cov_tol=1e-4), w)
+    ce = empirical_mse(simulate(SimulationPlan(model, length=k + h, replications=reps,
+                                               seed=19)), w)
+    ma = empirical_mse(simulate(SimulationPlan(model, length=k + h, replications=reps,
+                                               seed=23, method=MA_TRUNCATION,
+                                               ma_cov_tol=1e-4)), w)
     assert abs(ce.mean - ma.mean) <= 3.0 * np.hypot(ce.std_error, ma.std_error)
 
 
@@ -174,17 +174,17 @@ def test_farima_analytic_mse_validated_by_ma_sampler():
     seq = acvf(model, k + h)
     w = projection_weights(seq, k, h)
     analytic = mse_of_weights(seq, ma_coeffs(model, h - 1), w).total
-    est = empirical_mse(SimulationPlan(model, length=k + h, replications=reps,
-                                       seed=61, method=MA_TRUNCATION,
-                                       ma_cov_tol=1e-4), w)
+    est = empirical_mse(simulate(SimulationPlan(model, length=k + h, replications=reps,
+                                                seed=61, method=MA_TRUNCATION,
+                                                ma_cov_tol=1e-4)), w)
     assert abs(est.mean - analytic) <= 3.0 * est.std_error
 
 
 def test_empirical_mse_white_noise_zero_predictor():
     model = ProcessModel.white_noise(2.0)
     w = PredictorWeights(np.zeros(5), k=5, h=1, method="truncated_wk")
-    est = empirical_mse(SimulationPlan(model, length=6, replications=20_000,
-                                       seed=13), w)
+    est = empirical_mse(simulate(SimulationPlan(model, length=6, replications=20_000,
+                                                seed=13)), w)
     assert abs(est.mean - 2.0) <= 3.0 * est.std_error
 
 
@@ -193,8 +193,8 @@ def test_empirical_matches_analytic_truncated(h):
     model = ProcessModel.frac_noise(0.3)
     k, reps = 50, 2000
     w = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
-    est = empirical_mse(SimulationPlan(model, length=k + h, replications=reps,
-                                       seed=100 + h), w)
+    est = empirical_mse(simulate(SimulationPlan(model, length=k + h, replications=reps,
+                                                seed=100 + h)), w)
     analytic = mse_of_weights(acvf(model, k + h - 1), ma_coeffs(model, h - 1), w).total
     assert abs(est.mean - analytic) <= 3.0 * est.std_error
 
@@ -206,28 +206,31 @@ def test_empirical_projection_not_worse_than_truncated():
     wp = projection_weights(seq, k, h)
     wt = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
     plan = SimulationPlan(model, length=k + h, replications=reps, seed=55)
-    ep = empirical_mse(plan, wp)
-    et = empirical_mse(plan, wt)
+    ep = empirical_mse(simulate(plan), wp)
+    et = empirical_mse(simulate(plan), wt)
     assert abs(ep.mean - mse_of_weights(seq, ma_coeffs(model, h - 1), wp).total) \
         <= 3.0 * ep.std_error
     assert ep.mean <= et.mean + 3.0 * np.hypot(ep.std_error, et.std_error)
 
 
-def test_empirical_mse_batch_equals_separate_calls():
+def test_empirical_mse_reads_only_the_first_k_plus_h_columns():
+    # one simulation at the longest k + h can serve every shorter horizon
     model = ProcessModel.frac_noise(0.3)
     k, h = 20, 3
     w1 = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
     w2 = projection_weights(acvf(model, k + h), k, h)
-    plan = SimulationPlan(model, length=k + h, replications=300, seed=9)
-    assert empirical_mse(plan, (w1, w2)) == (empirical_mse(plan, w1),
-                                             empirical_mse(plan, w2))
+    x = simulate(SimulationPlan(model, length=220, replications=300, seed=9))
+    for w in (w1, w2):
+        expected = empirical_mse(x[:, :k + h].copy(), w)
+        for n in (23, 24, 40, 220):
+            assert empirical_mse(x[:, :n].copy(), w) == expected
 
 
 def test_empirical_mse_length_guard():
     model = ProcessModel.frac_noise(0.3)
     w = truncated_wk_weights(ar_coeffs(model, 11), 10, 2)
     with pytest.raises(ValueError):
-        empirical_mse(SimulationPlan(model, length=11, replications=4, seed=1), w)
+        empirical_mse(simulate(SimulationPlan(model, length=11, replications=4, seed=1)), w)
 
 
 def test_single_point_paths():
