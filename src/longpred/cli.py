@@ -216,8 +216,8 @@ def cmd_rates(cfg: RunConfig) -> list[Path]:
     out = cfg.out_dir()
     d_grid = cfg.d_grid or ((cfg.d,) if cfg.was_provided("d") else _RATES_D_GRID)
     k_grid = cfg.k_grid or _RATES_K_GRID
-    if len(set(k_grid)) < 5:
-        raise ConfigError("rates needs at least 5 distinct k in k_grid for its rate fits")
+    if len(k_grid) < 5:
+        raise ConfigError("rates needs at least 5 k in k_grid for its rate fits")
     rows, summary = [], []
     for d in d_grid:
         model = ProcessModel.frac_noise(d, cfg.noise_variance)

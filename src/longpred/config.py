@@ -5,8 +5,7 @@ a comment.  Command-line flags mirror config keys and take precedence.
 Documented keys:
 
     kind            frac_noise | farima | generic_ma | arma | white_noise
-    d               memory parameter in (0, 1/2) (frac_noise / farima;
-                    only a label on generic_ma)
+    d               memory parameter in (0, 1/2) (frac_noise / farima)
     noise_variance  innovation variance, > 0
     ar              comma-separated phi_1..phi_p   (farima / arma)
     ma              comma-separated theta_1..theta_q (farima / arma)
@@ -18,6 +17,7 @@ Documented keys:
     d_grid          comma-separated memory parameters for grid commands
     k_grid          comma-separated orders for grid commands
     h_grid          comma-separated horizons for the montecarlo command
+                    (the values of each grid must be distinct)
     seed            64-bit RNG seed
     reps            Monte-Carlo replications
     out             output directory
@@ -95,7 +95,7 @@ _PARSERS = {
 
 # model keys and the kinds that read them; setting one for another kind is an error
 _KIND_KEYS = {
-    "d": ("frac_noise", "farima", "generic_ma"),
+    "d": ("frac_noise", "farima"),
     "ar": ("farima", "arma"),
     "ma": ("farima", "arma"),
     "ma_coeffs": ("generic_ma",),
@@ -157,15 +157,13 @@ class RunConfig:
             raise ConfigError(f"unknown sim_method {self.sim_method!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in 64 bits")
-        for dv in self.d_grid:
-            if not 0.0 < dv < 0.5:
-                raise ConfigError("d_grid values must lie strictly inside (0, 1/2)")
-        for kv in self.k_grid:
-            if kv < 1:
-                raise ConfigError("k_grid values must be >= 1")
-        for hv in self.h_grid:
-            if hv < 1:
-                raise ConfigError("h_grid values must be >= 1")
+        for name, hi, want in (("d_grid", 0.5, "lie strictly inside (0, 1/2)"),
+                               ("k_grid", math.inf, "be >= 1"), ("h_grid", math.inf, "be >= 1")):
+            grid = getattr(self, name)
+            if not all(0 < v < hi for v in grid):
+                raise ConfigError(f"{name} values must {want}")
+            if len(set(grid)) < len(grid):
+                raise ConfigError(f"{name} values must be distinct")
 
     def was_provided(self, key: str) -> bool:
         return key in self.provided
@@ -180,9 +178,7 @@ class RunConfig:
             if self.kind == "generic_ma":
                 if not self.ma_coeffs:
                     raise ConfigError("generic_ma requires ma_coeffs")
-                return ProcessModel.generic_ma(
-                    self.ma_coeffs, noise_variance=self.noise_variance,
-                    d=self.d if self.was_provided("d") else None)
+                return ProcessModel.generic_ma(self.ma_coeffs, self.noise_variance)
             if self.kind == "arma":
                 return ProcessModel.arma(self.ar, self.ma, self.noise_variance)
             return ProcessModel.white_noise(self.noise_variance)

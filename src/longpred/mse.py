@@ -168,7 +168,7 @@ def error_decomposition(model: ProcessModel, k: int) -> ErrorDecomposition:
     delta = np.concatenate([[0.0], a[1:] * np.expm1(closed_form_log_inflation(model.d, k))])
     # S(j) = noise_variance [j=0] - sum_{l=0..k} a_l sigma(|l-j|)
     g_sym = np.concatenate([g[:0:-1], g])          # lags -k..k
-    s = -np.convolve(a, g_sym)[k: 2 * k + 1]       # -(Toeplitz(sigma) a)_j
+    s = -np.convolve(a, g_sym, mode="valid")       # -(Toeplitz(sigma) a)_j
     s[0] += model.noise_variance
     term_quad = -toeplitz_quadratic_form(g, delta[1:])
     term_cross = 2.0 * float(np.dot(delta[1:], s[1:]))

@@ -15,12 +15,15 @@ Three model kinds are supported:
   (``(1-B)^d X = e``), whose sequences follow exact one-term ratio
   recursions,
 * FARIMA(p, d, q): the fractional core filtered through a stable and
-  invertible rational ARMA filter,
-* generic moving averages ``X = (num(B)/den(B)) e`` given by the
-  coefficients of a rational filter (``ProcessModel.ma_filter``): a finite
-  list ``b_0..b_q`` has ``den = (1,)``, white noise is ``((1,), (1,))`` and
-  the ARMA comparison models are ``((1,) + theta, (1,) - phi)``; d = 0 is
-  outside the fractional range, so these short-memory models are not FARIMA.
+  invertible rational filter ``num(B)/den(B)``,
+* generic moving averages ``X = (num(B)/den(B)) e``, the same filter
+  applied to white noise: a finite list ``b_0..b_q`` has ``den = (1,)``,
+  white noise is ``((1,), (1,))``; d = 0 is outside the fractional range, so
+  these short-memory models are not FARIMA.
+
+Both filtered kinds keep the filter in one field, ``ProcessModel.ma_filter
+= (num, den)``; ARMA polynomials phi and theta give
+``((1,) + theta, (1,) - phi)``.
 
 ``ar_coeffs``, ``ma_coeffs`` and ``acvf`` compute a sequence once, to the
 length asked for, and return it as an immutable :class:`CoefSeq`.  For the
@@ -62,8 +65,9 @@ _MAX_MA_TERMS = 1 << 21
 _SERIES_MAX_TERMS = 1 << 22
 
 
-def _as_tuple(x: Sequence[float] | None) -> tuple[float, ...]:
-    return tuple(float(v) for v in x) if x is not None else ()
+def _arma_filter(ar: Sequence[float], ma: Sequence[float]) -> tuple[tuple[float, ...], ...]:
+    """(num, den) = (1 + theta_1 z + ..., 1 - phi_1 z - ...) of ARMA polynomials."""
+    return (1.0, *(float(t) for t in ma)), (1.0, *(-float(p) for p in ar))
 
 
 def _check_roots_outside_unit_disk(coeffs_ascending: Sequence[float], what: str) -> None:
@@ -88,20 +92,18 @@ def _check_roots_outside_unit_disk(coeffs_ascending: Sequence[float], what: str)
 class ProcessModel:
     """Immutable, hashable description of a stationary process.
 
-    ``ar`` holds the coefficients phi of ``1 - phi_1 z - ... - phi_p z^p``
-    and ``ma`` the coefficients theta of ``1 + theta_1 z + ... + theta_q z^q``
-    (both FARIMA only).  ``ma_filter = (num, den)`` gives a generic model's
-    moving-average coefficients as the power series of num(z)/den(z), both
-    with constant term 1; ``den = (1,)`` makes it a finite list.  On a
-    generic model ``d`` only labels the model.  Equal constructions compare
-    and hash equal.
+    ``d`` is the memory parameter of the fractional core (frac_noise and
+    FARIMA only).  Every other kind filters its input through the rational
+    filter ``ma_filter = (num, den)``, both with constant term 1: FARIMA the
+    fractional core, a generic model the white noise.  num is the MA
+    operator ``1 + theta_1 z + ... + theta_q z^q`` and den the AR operator
+    ``1 - phi_1 z - ... - phi_p z^p``; ``den = (1,)`` makes a generic model
+    a finite list.  Equal constructions compare and hash equal.
     """
 
     kind: str
     noise_variance: float = 1.0
     d: float | None = None
-    ar: tuple[float, ...] = ()
-    ma: tuple[float, ...] = ()
     ma_filter: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self) -> None:
@@ -109,21 +111,14 @@ class ProcessModel:
             raise ModelError(f"unknown model kind {self.kind!r}")
         if not 0.0 < self.noise_variance < math.inf:
             raise ModelError("noise_variance must be positive and finite")
-        if not all(math.isfinite(v) for v in (*self.ar, *self.ma)):
-            raise ModelError("ar/ma coefficients must be finite")
-        if self.kind in (FRAC_NOISE, FARIMA):
-            if self.d is None or not 0.0 < self.d < 0.5:
-                raise ModelError("memory parameter d must lie strictly inside (0, 1/2)")
-        elif self.d is not None and not 0.0 < self.d < 0.5:
-            raise ModelError("declared d must lie strictly inside (0, 1/2)")
-        if self.kind == FARIMA:
-            _check_roots_outside_unit_disk((1.0,) + tuple(-p for p in self.ar), "AR")
-            _check_roots_outside_unit_disk((1.0,) + self.ma, "MA")
-        if self.kind != FARIMA and (self.ar or self.ma):
-            raise ModelError("ar/ma polynomials are only valid for FARIMA models")
-        if (self.kind == GENERIC_MA) != (self.ma_filter is not None):
-            raise ModelError("generic MA models, and only they, take an ma_filter")
         if self.kind == GENERIC_MA:
+            if self.d is not None:
+                raise ModelError("generic MA models have no memory parameter d")
+        elif self.d is None or not 0.0 < self.d < 0.5:
+            raise ModelError("memory parameter d must lie strictly inside (0, 1/2)")
+        if (self.kind == FRAC_NOISE) != (self.ma_filter is None):
+            raise ModelError("every model kind but frac_noise takes an ma_filter")
+        if self.ma_filter is not None:
             num, den = (np.asarray(c, dtype=float) for c in self.ma_filter)
             if any(c.ndim != 1 or c.size == 0 or c[0] != 1.0 or not np.all(np.isfinite(c))
                    for c in (num, den)):
@@ -144,19 +139,13 @@ class ProcessModel:
     def farima(cls, d: float, ar: Sequence[float] = (), ma: Sequence[float] = (),
                noise_variance: float = 1.0) -> "ProcessModel":
         """FARIMA(p, d, q): (1 - sum phi_i B^i)(1-B)^d X = (1 + sum theta_j B^j) e."""
-        return cls(kind=FARIMA, d=d, ar=_as_tuple(ar), ma=_as_tuple(ma),
-                   noise_variance=noise_variance)
+        return cls(kind=FARIMA, d=d, noise_variance=noise_variance,
+                   ma_filter=_arma_filter(ar, ma))
 
     @classmethod
-    def generic_ma(cls, coeffs: Sequence[float], noise_variance: float = 1.0,
-                   d: float | None = None) -> "ProcessModel":
-        """Invertible finite MA b_0..b_q (b_0 = 1), zero beyond its support.
-
-        ``d`` only labels the model (``describe()``): a finite moving
-        average has short memory whatever its value.
-        """
-        return cls(kind=GENERIC_MA, d=d, noise_variance=noise_variance,
-                   ma_filter=(coeffs, (1.0,)))
+    def generic_ma(cls, coeffs: Sequence[float], noise_variance: float = 1.0) -> "ProcessModel":
+        """Invertible finite MA b_0..b_q (b_0 = 1), zero beyond its support."""
+        return cls(kind=GENERIC_MA, noise_variance=noise_variance, ma_filter=(coeffs, (1.0,)))
 
     @classmethod
     def white_noise(cls, noise_variance: float = 1.0) -> "ProcessModel":
@@ -166,10 +155,10 @@ class ProcessModel:
     def arma(cls, ar: Sequence[float] = (), ma: Sequence[float] = (),
              noise_variance: float = 1.0) -> "ProcessModel":
         """Short-memory ARMA comparison model, the generic MA with filter theta/phi."""
+        num, den = _arma_filter(ar, ma)
         # + 0.0: a zero theta expands to +0, as the series division writes it
-        num = (1.0,) + tuple(t + 0.0 for t in _as_tuple(ma))
-        den = (1.0,) + tuple(-p for p in _as_tuple(ar))
-        return cls(kind=GENERIC_MA, noise_variance=noise_variance, ma_filter=(num, den))
+        return cls(kind=GENERIC_MA, noise_variance=noise_variance,
+                   ma_filter=(tuple(t + 0.0 for t in num), den))
 
     # -- helpers -----------------------------------------------------------
 
@@ -185,10 +174,11 @@ class ProcessModel:
         if self.d is not None:
             parts.append(f"d={self.d:.17g}")
         parts.append(f"noise_variance={self.noise_variance:.17g}")
-        if self.ar:
-            parts.append("ar=" + ",".join(f"{v:.17g}" for v in self.ar))
-        if self.ma:
-            parts.append("ma=" + ",".join(f"{v:.17g}" for v in self.ma))
+        if self.kind == FARIMA:
+            num, den = self.ma_filter
+            for name, coeffs in (("ar", [-p for p in den[1:]]), ("ma", num[1:])):
+                if coeffs:
+                    parts.append(f"{name}=" + ",".join(f"{v:.17g}" for v in coeffs))
         return " ".join(parts)
 
 
@@ -375,15 +365,9 @@ def _frac(d: float, noise_variance: float, kind: str, n: int) -> np.ndarray:
 
 
 def _psi_series(model: ProcessModel, kind: str, tol: float) -> tuple[np.ndarray, float]:
-    """Certified expansion of the model's rational filter theta/phi (phi/theta
-    for AR sequences): FARIMA's ar/ma, or a generic model's ma_filter.
-    ``tol`` is the autocovariance accuracy to certify."""
-    if model.kind == FARIMA:
-        theta_op = (1.0,) + model.ma
-        phi_op = (1.0,) + tuple(-p for p in model.ar)
-    else:
-        theta_op, phi_op = model.ma_filter
-    num, den = (phi_op, theta_op) if kind == AR else (theta_op, phi_op)
+    """Certified expansion of the model's rational filter num/den (den/num
+    for AR sequences).  ``tol`` is the autocovariance accuracy to certify."""
+    num, den = model.ma_filter[::-1] if kind == AR else model.ma_filter
     # the ACVF path squares the filter, so certify well below tol
     return _certified_rational_series(num, den, min(1e-15, 0.01 * tol))
 

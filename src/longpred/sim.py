@@ -111,8 +111,6 @@ def _streams(seed: int, reps: int) -> Iterator[np.random.Generator]:
 
 def _circulant_spectrum(model: ProcessModel, n: int) -> np.ndarray:
     g = np.asarray(acvf(model, n - 1).prefix(n - 1))
-    if n == 1:
-        return g[:1].copy()
     c = np.concatenate([g, g[n - 2: 0: -1]])
     lam = np.fft.fft(c).real
     floor = -_EIGENVALUE_TOL_REL * g[0]
@@ -193,12 +191,7 @@ def simulate(plan: SimulationPlan) -> np.ndarray:
     rows = _streams(plan.seed, reps)
     if plan.method == CIRCULANT_EMBEDDING:
         lam = _circulant_spectrum(plan.model, n)
-        if n == 1:
-            scale = math.sqrt(lam[0])
-            for r, rng in enumerate(rows):
-                out[r, 0] = scale * rng.standard_normal()
-            return out
-        m = 2 * n - 2
+        m = max(2 * n - 2, 1)  # n = 1 embeds into the 1-circulant (sigma(0))
         amp = np.sqrt(lam / m)
         block = max(1, _BLOCK_BYTES // (16 * m))
         z = np.empty((min(block, reps), m), dtype=complex)

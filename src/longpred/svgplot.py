@@ -1,6 +1,6 @@
 """Minimal self-contained SVG line charts.
 
-Just enough plotting to render the figure CSVs: axes, optional log scales,
+Just enough plotting to render the figure CSVs: axes, an optional log x scale,
 grid lines, a legend.  Output is a deterministic string of SVG markup with
 no external references.
 """
@@ -47,18 +47,18 @@ def _tick_label(v: float) -> str:
 
 def line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]], *,
                title: str = "", xlabel: str = "", ylabel: str = "",
-               logx: bool = False, logy: bool = False) -> str:
+               logx: bool = False) -> str:
     """Render labelled (x, y) series as an SVG line chart string."""
     pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)]
     if not pts:
         raise ValueError("nothing to plot")
     xs_all = [p[0] for p in pts]
     ys_all = [p[1] for p in pts]
-    if logx and min(xs_all) <= 0 or logy and min(ys_all) <= 0:
+    if logx and min(xs_all) <= 0:
         raise ValueError("log scale requires strictly positive data")
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
-    if not logy and y_hi > y_lo:
+    if y_hi > y_lo:
         pad = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
     elif y_hi == y_lo:
@@ -79,8 +79,8 @@ def line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]], *
                    f'stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{px:.2f}" y="{py0 + 18}" text-anchor="middle">'
                    f'{_tick_label(tv)}</text>')
-    for tv in _ticks(y_lo, y_hi, logy):
-        (py,) = _transform([tv], y_lo, y_hi, py0, py1, logy)
+    for tv in _ticks(y_lo, y_hi, False):
+        (py,) = _transform([tv], y_lo, y_hi, py0, py1, False)
         out.append(f'<line x1="{px0}" y1="{py:.2f}" x2="{px1}" y2="{py:.2f}" '
                    f'stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{px0 - 6}" y="{py + 4:.2f}" text-anchor="end">'
@@ -97,7 +97,7 @@ def line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]], *
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         pxs = _transform(xs, x_lo, x_hi, px0, px1, logx)
-        pys = _transform(ys, y_lo, y_hi, py0, py1, logy)
+        pys = _transform(ys, y_lo, y_hi, py0, py1, False)
         path = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(pxs, pys))
         out.append(f'<polyline points="{path}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')

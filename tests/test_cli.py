@@ -281,7 +281,8 @@ def test_config_rejects_bad_values(tmp_path):
                  "kind = generic_ma\nma_coeffs = 1,0.5\nma = 0.3\n",
                  "kind = farima\nd = 0.3\nma_coeffs = 1,0.5\n",
                  "kind = arma\nar = 0.5\nd = 0.3\n",
-                 "kind = white_noise\nd = 0.3\n"):
+                 "kind = white_noise\nd = 0.3\n",
+                 "kind = generic_ma\nma_coeffs = 1,0.5\nd = 0.3\n"):
         cfgfile.write_text(text)
         with pytest.raises(ConfigError):
             load_config(cfgfile)
@@ -310,6 +311,32 @@ def test_config_rejects_bad_values(tmp_path):
         cfgfile.write_text("sim_method = ma_truncation\n" + text)
         assert main(["montecarlo", "--k", "20", "--reps", "200", "--config", str(cfgfile),
                      "--out", str(tmp_path / "o")]) == 1
+    # values the file parser or RunConfig rejects
+    for text in ("svg = maybe\n", "kind = arma\nar = 0.5,x\n", "kind = dice\n",
+                 "d = 0.5\n", "n = -1\n", "k = 0\n", "h = 0\n", "h_max = 0\n",
+                 "seed = -1\n", "d_grid = 0.2,0.5\n", "k_grid = 4,0\n", "h_grid = 0\n",
+                 "d_grid = 0.2,0.3,0.2\n", "kind = generic_ma\n", "k 50\n"):
+        cfgfile.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(cfgfile).model()
+        assert main(["coeffs", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
+    # a repeated grid value would fit a rate or simulate a horizon twice
+    for command, text in (("rates", "d_grid = 0.3\nk_grid = 64,128,256,512,1024,1024\n"),
+                          ("montecarlo", "h_grid = 1,1\n"),
+                          ("figure2", "d_grid = 0.3,0.3\n")):
+        cfgfile.write_text(text)
+        assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
+    with pytest.raises(ConfigError):
+        load_config(tmp_path / "missing.cfg")
+    assert main(["coeffs", "--config", str(tmp_path / "missing.cfg")]) == 1
+    with pytest.raises(ConfigError):
+        load_config(None, {"bogus": 1})
+    # an output directory under a regular file cannot be made (permission
+    # bits would not stop root)
+    (tmp_path / "file").write_text("")
+    with pytest.raises(ConfigError):
+        load_config(None, {"out": str(tmp_path / "file" / "o")}).out_dir()
+    assert main(["figure1", "--out", str(tmp_path / "file" / "o")]) == 1
     # a rate fit needs at least 5 distinct orders
     for text in ("k_grid = 64,128\n", "k_grid = 64,64,64,64,64\n",
                  "k_grid = 64,128,256,512,512\n"):

@@ -58,11 +58,41 @@ def test_generic_models_are_comparable_values():
         assert a == b and hash(a) == hash(b)
     different = [
         ProcessModel.arma(ar=(0.5,), ma=(0.3,)), ProcessModel.arma(ar=(0.5,)),
-        finite, ProcessModel.generic_ma((1.0, 0.5), d=0.3),
+        finite, ProcessModel.farima(0.3, ma=(0.5,)),
         ProcessModel.generic_ma((1.0, 0.5), noise_variance=2.0),
         ProcessModel.white_noise(), ProcessModel.white_noise(2.0),
     ]
     assert len(set(different)) == len(different)
+
+
+def test_farima_models_are_comparable_values():
+    model = ProcessModel.farima(0.3, ar=(0.5,), ma=(0.3,))
+    same = ProcessModel.farima(0.3, ar=[0.5], ma=np.array([0.3]))
+    assert model == same and hash(model) == hash(same)
+    arma = ProcessModel.arma(ar=(0.5,), ma=(0.3,))
+    assert model.ma_filter == arma.ma_filter and model != arma
+    different = [model, arma, ProcessModel.farima(0.2, ar=(0.5,), ma=(0.3,)),
+                 ProcessModel.farima(0.3, ar=(0.5,)), ProcessModel.farima(0.3, ma=(0.3,))]
+    assert len(set(different)) == len(different)
+
+
+def test_farima_describe_keeps_signed_zeros():
+    head = "kind=farima d=0.29999999999999999 noise_variance=1"
+    assert (ProcessModel.farima(0.3, ar=(-0.0,), ma=(0.3, -0.0)).describe()
+            == head + " ar=-0 ma=0.29999999999999999,-0")
+    assert ProcessModel.farima(0.3, ar=(0.5, 0.0)).describe() == head + " ar=0.5,0"
+    assert ProcessModel.farima(0.3).describe() == head
+
+
+@pytest.mark.parametrize("fields", [
+    {"kind": "generic_ma", "d": 0.3, "ma_filter": ((1.0,), (1.0,))},  # d on a generic model
+    {"kind": "farima", "d": 0.3},                                     # FARIMA with no filter
+    {"kind": "frac_noise", "d": 0.3, "ma_filter": ((1.0,), (1.0,))},  # filter on frac_noise
+    {"kind": "farima", "ma_filter": ((1.0,), (1.0,))},                # FARIMA with no d
+])
+def test_model_fields_checked_on_construction(fields):
+    with pytest.raises(ModelError):
+        ProcessModel(**fields)
 
 
 @pytest.mark.parametrize("ma_filter", [
