@@ -11,10 +11,12 @@ cross-validation.
 from .asymptotics import RateFit, improvement_ratio, rate_fit, truncation_constant
 from .errors import (CertificationError, ConfigError, IllConditionedError,
                      ModelError, NotPositiveDefiniteError, NumericError, PoleError)
-from .fit import FittedAr, levinson_durbin, projection_weights, solve_toeplitz, yule_walker
+from .fit import (FittedAr, levinson_durbin, projection_weights, projection_weights_at,
+                  solve_toeplitz, yule_walker)
 from .mse import (ErrorDecomposition, MseReport, error_decomposition, infinite_past_mse,
                   mse_of_weights)
-from .predict import PROJECTION, TRUNCATED_WK, PredictorWeights, forecast, truncated_wk_weights
+from .predict import (PROJECTION, TRUNCATED_WK, PredictorWeights, forecast, truncated_wk_weights,
+                      truncated_wk_weights_at)
 from .process import CoefSeq, ProcessModel, acvf, ar_coeffs, ma_coeffs
 from .sim import McEstimate, SimulationPlan, empirical_mse, simulate
 from .special import SignedLogValue, gamma_ratio, log_gamma
@@ -31,6 +33,7 @@ __all__ = [
     "error_decomposition", "forecast", "gamma_ratio", "improvement_ratio",
     "infinite_past_mse", "levinson_durbin",
     "log_gamma", "ma_coeffs", "mse_of_weights", "projection_weights",
+    "projection_weights_at",
     "rate_fit", "simulate", "solve_toeplitz",
-    "truncated_wk_weights", "truncation_constant", "yule_walker",
+    "truncated_wk_weights", "truncated_wk_weights_at", "truncation_constant", "yule_walker",
 ]

@@ -11,7 +11,8 @@ Subcommands::
     montecarlo  analytic vs simulated errors with z-scores
 
 Every command is deterministic given its configuration and seed: re-running
-writes byte-identical files.  Exit codes: 0 success, 1 invalid
+with the same numpy/OpenBLAS build and BLAS thread count writes
+byte-identical files.  Exit codes: 0 success, 1 invalid
 configuration, 2 numeric certification failure (its stderr line ends with
 ``; achieved_bound <value>`` when a bound was reached).
 """
@@ -28,8 +29,8 @@ from . import asymptotics, mse
 from .config import RunConfig, load_config, with_values
 from .csvio import write_csv
 from .errors import ConfigError, ModelError, NumericError, PoleError
-from .fit import projection_weights, yule_walker
-from .predict import TRUNCATED_WK, truncated_wk_weights
+from .fit import projection_weights_at, yule_walker
+from .predict import TRUNCATED_WK, truncated_wk_weights_at
 from .process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 from .sim import SimulationPlan, empirical_mse, simulate
 from .svgplot import line_chart
@@ -179,11 +180,13 @@ def cmd_figure3(cfg: RunConfig) -> list[Path]:
     out = cfg.out_dir()
     k = cfg.k
     g, a, b = _sequences(cfg, model, cfg.h_max)
+    hs = range(1, cfg.h_max + 1)
     rows, reports = [], []
-    for h in range(1, cfg.h_max + 1):
+    for h, wk, proj in zip(hs, truncated_wk_weights_at(a, k, hs),
+                           projection_weights_at(g, k, hs)):
         mm = mse.infinite_past_mse(b, h)
-        tp = mse.mse_of_weights(g, b, truncated_wk_weights(a, k, h))
-        ll = mse.mse_of_weights(g, b, projection_weights(g, k, h))
+        tp = mse.mse_of_weights(g, b, wk)
+        ll = mse.mse_of_weights(g, b, proj)
         rows.append((h, mm.total, tp.total, ll.total))
         reports.extend([mm, tp, ll])
     written = [write_csv(out / "figure3.csv", "longpred/figure3 v1",
@@ -259,8 +262,8 @@ def cmd_montecarlo(cfg: RunConfig) -> list[Path]:
     g, a, b = _sequences(cfg, model, max(h_grid))
     rows = []
     first_paths = None
-    for h in h_grid:
-        pair = (truncated_wk_weights(a, k, h), projection_weights(g, k, h))
+    for h, pair in zip(h_grid, zip(truncated_wk_weights_at(a, k, h_grid),
+                                   projection_weights_at(g, k, h_grid))):
         paths = simulate(SimulationPlan(model, length=k + h, replications=cfg.reps,
                                         seed=cfg.seed, method=cfg.sim_method,
                                         ma_cov_tol=cfg.ma_cov_tol))

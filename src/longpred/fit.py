@@ -7,12 +7,16 @@ The order-k Yule-Walker equations
 define the best linear one-step predictor over k observations.  They are
 solved by the Levinson-Durbin recursion in O(k^2).  One kernel runs it:
 ``levinson_durbin`` takes the predictor and ``solve_toeplitz`` additionally
-carries a general right-hand side along, which yields the h-step projection
-weights.  A dense solver is deliberately *not* used here so that the test
-suite can keep one as an independent oracle.  ``yule_walker`` and
-``projection_weights`` take a computed :class:`~longpred.process.CoefSeq`,
-whose model's noise variance sets the precision floor of the variance
-iterates; plain arrays go to the two kernels with an explicit floor.
+carries one or many general right-hand sides along, which yields the h-step
+projection weights.  Every horizon shares the matrix, so
+``projection_weights_at(acvf, k, (1, 2, 5))`` computes the reflections once
+for all h >= 2, and each horizon's weights carry the same bits as a solve
+for that horizon alone.  A dense solver is deliberately *not* used here so
+that the test suite can keep one as an independent oracle.
+``yule_walker``, ``projection_weights`` and ``projection_weights_at`` take a
+computed :class:`~longpred.process.CoefSeq`, whose model's noise variance
+sets the precision floor of the variance iterates; plain arrays go to the
+two kernels with an explicit floor.
 
 Two coefficient conventions coexist and are both stored on the result:
 ``phi`` are predictor weights (prediction = sum phi_j X_{n+1-j}) while
@@ -44,6 +48,7 @@ __all__ = [
     "yule_walker",
     "closed_form_log_inflation",
     "projection_weights",
+    "projection_weights_at",
 ]
 
 # Levinson variance iterates below this fraction of the innovation variance
@@ -82,25 +87,28 @@ def _levinson(t: np.ndarray, variance_floor: float, rhs: np.ndarray | None = Non
     """Levinson-Durbin recursion on sigma(0..) = t, one reflection per lag.
 
     Returns ``(phi, v, kappa, x)``: the order t.size - 1 predictor, its
-    prediction variance, the reflections and, given ``rhs`` as long as ``t``,
-    the solution of T x = rhs (T the Toeplitz matrix of t), else None.
+    prediction variance, the reflections and, given ``rhs`` of shape
+    (H, t.size), the H solutions of T x = rhs[c] (T the Toeplitz matrix of
+    t) as the rows of ``x``, else None.  Each row takes its own dot product
+    at every order, so it carries exactly the bits of a one-row solve.
     """
     k = t.size if rhs is not None else t.size - 1
     v = float(t[0])
     _check_variance(v, 0, variance_floor)
+    t_rev = t[::-1].copy()
     phi = np.zeros(k)
     kappa = np.zeros(k)
-    x = np.zeros(k) if rhs is not None else None
+    x = np.zeros((rhs.shape[0], k)) if rhs is not None else None
     for m in range(k):
         prev_rev = phi[m - 1::-1]  # order-m predictor, reversed (unused at m = 0)
+        lags = t_rev[t.size - 1 - m: t.size - 1]  # sigma(m), ..., sigma(1)
         if x is not None:
-            mu = (rhs[m] - (np.dot(x[:m], t[m:0:-1]) if m else 0.0)) / v
+            mu = (rhs[:, m] - np.array([np.dot(row[:m], lags) for row in x])) / v
             if m:
-                x[:m] -= mu * prev_rev
-            x[m] = mu
+                x[:, :m] -= mu[:, None] * prev_rev
+            x[:, m] = mu
         if m + 1 < t.size:
-            num = t[m + 1] - (np.dot(phi[:m], t[m:0:-1]) if m else 0.0)
-            km = num / v
+            km = (t[m + 1] - np.dot(phi[:m], lags)) / v
             kappa[m] = km
             if m:
                 phi[:m] -= km * prev_rev
@@ -126,14 +134,17 @@ def levinson_durbin(acvf_prefix, variance_floor: float = 0.0):
 def solve_toeplitz(first_row, rhs, variance_floor: float = 0.0) -> np.ndarray:
     """Solve T x = rhs for symmetric PD Toeplitz T, first row sigma(0..k-1).
 
-    The Levinson recursion carries the solution of the general right-hand
-    side along with the predictors of successive orders, in O(k^2).
+    ``rhs`` is one right-hand side of length k or an (H, k) array of H of
+    them; the solutions come back in the same shape.  The Levinson recursion
+    carries every solution along with the predictors of successive orders,
+    in O(H k^2) with the reflections computed once.
     """
     t = np.asarray(first_row, dtype=float)
     b = np.asarray(rhs, dtype=float)
-    if t.shape != b.shape or t.ndim != 1 or t.size == 0:
-        raise ValueError("first_row and rhs must be equal-length 1-d arrays")
-    return _levinson(t, variance_floor, b)[3]
+    if t.ndim != 1 or t.size == 0 or b.ndim not in (1, 2) or b.shape[-1] != t.size:
+        raise ValueError("first_row must be a nonempty 1-d array and rhs an "
+                         "array of one or more rows of its length")
+    return _levinson(t, variance_floor, b.reshape(-1, t.size))[3].reshape(b.shape)
 
 
 def _acvf_values(acvf: CoefSeq, n: int) -> tuple[np.ndarray, float]:
@@ -171,19 +182,31 @@ def closed_form_log_inflation(d: float, k: int) -> np.ndarray:
     return base + diffs
 
 
-def projection_weights(acvf: CoefSeq, k: int, h: int = 1) -> PredictorWeights:
-    """Orthogonal projection of X_{k+h} onto span(X_1..X_k).
+def projection_weights_at(acvf: CoefSeq, k: int, horizons) -> tuple[PredictorWeights, ...]:
+    """Orthogonal projections of X_{k+h} onto span(X_1..X_k), one per h in
+    ``horizons``, in that order.
 
-    Solves T w = (sigma(h), ..., sigma(h+k-1)) with T the order-k
+    Each solves T w = (sigma(h), ..., sigma(h+k-1)) with T the order-k
     autocovariance Toeplitz matrix, read from ``acvf`` (at least
-    sigma(0..k+h-1)); for h = 1 the weights coincide with the Yule-Walker
-    predictor.
+    sigma(0..k+max(h)-1)).  For h = 1 the weights are the Yule-Walker
+    predictor; every other horizon is a row of one ``solve_toeplitz`` call,
+    which runs the reflection recursion once for all of them.
     """
-    if k < 1 or h < 1:
-        raise ValueError("k and h must be >= 1")
-    g, floor = _acvf_values(acvf, k + h - 1)
-    if h == 1:
-        w, _, _ = levinson_durbin(g[: k + 1], variance_floor=floor)
-    else:
-        w = solve_toeplitz(g[:k], g[h: h + k], variance_floor=floor)
-    return PredictorWeights(w, k=k, h=h, method=PROJECTION)
+    hs = tuple(horizons)
+    if k < 1 or not hs or min(hs) < 1:
+        raise ValueError("k and every h must be >= 1")
+    g, floor = _acvf_values(acvf, k + max(hs) - 1)
+    rows = {}
+    if 1 in hs:
+        rows[1], _, _ = levinson_durbin(g[: k + 1], variance_floor=floor)
+    longer = sorted(set(hs) - {1})
+    if longer:
+        rhs = np.array([g[h: h + k] for h in longer])
+        rows.update(zip(longer, solve_toeplitz(g[:k], rhs, variance_floor=floor)))
+    return tuple(PredictorWeights(rows[h], k=k, h=h, method=PROJECTION) for h in hs)
+
+
+def projection_weights(acvf: CoefSeq, k: int, h: int = 1) -> PredictorWeights:
+    """Orthogonal projection of X_{k+h} onto span(X_1..X_k); the one-horizon
+    case of :func:`projection_weights_at`."""
+    return projection_weights_at(acvf, k, (h,))[0]

@@ -4,16 +4,18 @@ Everything here deliberately avoids the production code paths it checks:
 quadrature instead of log-Gamma identities, dense linear algebra instead of
 Levinson, literal recursions instead of unrolled weights, and partial
 summation with integral-comparison remainders instead of finite quadratic
-forms.  The last section holds routes that only tests call: the
+forms.  A later section holds routes that only tests call: the
 spectral-contrast MSE, the closed-form fractional-noise fit, the direct
 truncation excess, decay-rate diagnostics and a reader for the CSVs the
-commands write.
+commands write.  The last section computes references to 60 digits with
+the standard library's ``decimal``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +297,19 @@ def reference_solve_toeplitz(first_row, rhs, variance_floor: float = 0.0) -> np.
     return x
 
 
+def reference_truncated_wk_weights(a: np.ndarray, k: int, h: int) -> np.ndarray:
+    """The h-step unrolling loop for one horizon on its own, from
+    a_0..a_{h-1+k}: a stack rebuilt up to h alone."""
+    stack = np.empty((h + 1, k))
+    stack[1] = -a[1: k + 1]
+    for g in range(2, h + 1):
+        w = -a[g: g + k].copy()
+        for j in range(1, g):
+            w -= a[j] * stack[g - j]
+        stack[g] = w
+    return stack[h].copy()
+
+
 def reference_ma_inversion(b: np.ndarray, q: int, n: int) -> np.ndarray:
     """a_0..a_n of 1/b(z) by the generic-model loop, -dot at every lag."""
     a = np.empty(n + 1)
@@ -518,3 +533,34 @@ def verify_decay(seq: CoefSeq, delta: float = 0.05) -> DecayReport:
         jj = np.arange(1, n + 1, dtype=float)
         constant = float(np.max(np.abs(v[1:]) / jj ** (target + delta)))
     return DecayReport(seq.kind, float(slope), target, delta, constant, False, int(mask.sum()))
+
+
+# -- 60-digit references
+
+
+def decimal_projection(d: float, k: int, h: int) -> Decimal:
+    """h-step projection MSE over k observations of fractional noise,
+    divided by sigma(0), to 60 significant digits.
+
+    The autocorrelations rho(j) = prod_{i=1..j} (i - 1 + d) / (i - d) are
+    exact rational products in d (taken at the exact binary value of the
+    float), so the ratio needs no Gamma function.  A Levinson recursion at
+    ``prec = 60`` solves R x = (rho(h), ..., rho(h+k-1)), and the MSE ratio
+    is 1 - sum_j x_j rho(h-1+j).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dd = Decimal(d)
+        rho = [Decimal(1)]
+        for i in range(1, k + h):
+            rho.append(rho[-1] * (i - 1 + dd) / (i - dd))
+        rhs = rho[h: h + k]
+        v, phi, x = rho[0], [], []
+        for m in range(k):
+            mu = (rhs[m] - sum(x[i] * rho[m - i] for i in range(m))) / v
+            x = [x[i] - mu * phi[m - 1 - i] for i in range(m)] + [mu]
+            if m + 1 < k:
+                km = (rho[m + 1] - sum(phi[i] * rho[m - i] for i in range(m))) / v
+                phi = [phi[i] - km * phi[m - 1 - i] for i in range(m)] + [km]
+                v *= 1 - km * km
+        return 1 - sum(xi * ri for xi, ri in zip(x, rhs))

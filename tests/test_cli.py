@@ -364,6 +364,37 @@ def test_commands_compute_each_sequence_once(tmp_path, monkeypatch):
     assert kinds.count("ar") == 1 and kinds.count("ma") == 1
 
 
+def test_commands_solve_every_horizon_in_one_pass(tmp_path, monkeypatch):
+    from collections import Counter
+
+    from longpred import cli, fit, predict
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [(fit, "solve_toeplitz"), (fit, "levinson_durbin"),
+                         (predict, "truncated_wk_weights_at"),
+                         (cli, "truncated_wk_weights_at")]:
+        count(module, name)
+    once = {"solve_toeplitz": 1, "levinson_durbin": 1, "truncated_wk_weights_at": 1}
+    cfgfile = tmp_path / "f3.cfg"
+    cfgfile.write_text("h_max = 40\n")
+    assert run(["figure3", "--k", "20", "--config", cfgfile, "--out", tmp_path / "f3"]) == 0
+    assert calls == once
+    calls.clear()
+    cfgfile = tmp_path / "mc.cfg"
+    cfgfile.write_text("h_grid = 1,3,7\nreps = 60\nk = 10\n")
+    assert run(["montecarlo", "--config", cfgfile, "--out", tmp_path / "mc"]) == 0
+    assert calls == once
+
+
 def test_figure3_scores_at_the_configured_acvf_tol(tmp_path):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text("kind = arma\nar = 0.99\nacvf_tol = 1e-6\nh_max = 2\n")

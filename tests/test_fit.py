@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from longpred.errors import IllConditionedError, NotPositiveDefiniteError
 from longpred.fit import (_VARIANCE_FLOOR_REL, levinson_durbin, projection_weights,
-                          solve_toeplitz, yule_walker)
-from longpred.process import ProcessModel, acvf
+                          projection_weights_at, solve_toeplitz, yule_walker)
+from longpred.process import ACVF, CoefSeq, ProcessModel, acvf
 
 from _oracles import (closed_form_ar_fit, dense_toeplitz_solve, reference_levinson_durbin,
                       reference_solve_toeplitz)
@@ -209,11 +209,17 @@ KERNEL_MODELS = {
 }
 KERNEL_K = (1, 2, 3, 50, 1024)
 KERNEL_H = (1, 2, 7)
+# horizon tuples of the batched paths: every h up to 7, unsorted, and no h = 1
+KERNEL_HORIZONS = (tuple(range(1, 8)), (7, 2), (5,))
 
 
 @functools.lru_cache(maxsize=None)
+def _kernel_seq(name: str) -> CoefSeq:
+    return acvf(KERNEL_MODELS[name], max(KERNEL_K) + max(KERNEL_H))
+
+
 def _kernel_acvf(name: str) -> np.ndarray:
-    return np.array(acvf(KERNEL_MODELS[name], max(KERNEL_K) + max(KERNEL_H)).values)
+    return np.array(_kernel_seq(name).values)
 
 
 def _outcome(fn, *args):
@@ -259,3 +265,69 @@ def test_levinson_kernel_fails_like_reference_loops(g, floor):
     rhs = np.linspace(1.0, 0.5, g.size)
     assert _outcome(solve_toeplitz, g, rhs, floor) == \
         _outcome(reference_solve_toeplitz, g, rhs, floor)
+    # several right-hand sides fail once, like each of them alone
+    assert _outcome(solve_toeplitz, g, np.stack([rhs, rhs[::-1], -rhs]), floor) == \
+        _outcome(reference_solve_toeplitz, g, rhs, floor)
+
+
+@pytest.mark.parametrize("k", KERNEL_K)
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_batched_kernel_bitwise_matches_reference_loops(name, k):
+    g = _kernel_acvf(name)
+    floor = _VARIANCE_FLOOR_REL * KERNEL_MODELS[name].noise_variance
+    solves = {h: _outcome(reference_solve_toeplitz, g[:k], g[h: h + k], floor)
+              for h in range(1, 8)}
+    # the single-horizon routes: Yule-Walker at h = 1, a solve otherwise
+    singles = {**solves, 1: _outcome(lambda: reference_levinson_durbin(g[: k + 1], floor)[0])}
+    for hs in KERNEL_HORIZONS:
+        # every row of one 2-d solve carries the bits of its own 1-d solve
+        got = _outcome(solve_toeplitz, g[:k], np.array([g[h: h + k] for h in hs]), floor)
+        for row, h in enumerate(hs):
+            _assert_bitwise((got[0][row],) if isinstance(got[0], np.ndarray) else got,
+                            solves[h])
+        # a horizon tuple gives each h the weights of its single-horizon route,
+        # or fails like the first of them that fails
+        got = _outcome(lambda: tuple(w.weights for w in
+                                     projection_weights_at(_kernel_seq(name), k, hs)))
+        failed = [singles[h] for h in sorted(hs) if isinstance(singles[h][0], type)]
+        if failed:
+            assert got == failed[0]
+            continue
+        for w, h in zip(got, hs):
+            _assert_bitwise((w,), singles[h])
+    for h in (1, 5):
+        _assert_bitwise(_outcome(lambda: projection_weights(_kernel_seq(name), k, h).weights),
+                        singles[h])
+
+
+def test_horizons_without_one_skip_the_order_k_variance_check():
+    # only the order-k predictor sees the order-1 variance 1 - 0.9999^2 ~ 2e-4,
+    # below the floor 1e-3; the h >= 2 solves stop at order k - 1 = 0
+    g = np.array([1.0, 0.9999, 0.9998, 0.9997, 0.9996, 0.9995])
+    seq = CoefSeq(ProcessModel.white_noise(), ACVF, g)
+    with pytest.raises(IllConditionedError, match="at order 1"):
+        projection_weights_at(seq, 1, (5, 1))
+    w2, w5 = projection_weights_at(seq, 1, (2, 5))
+    assert w2.weights[0] == 0.9998 and w5.weights[0] == 0.9995
+
+
+def test_horizon_tuple_validation():
+    seq = acvf(ProcessModel.frac_noise(0.3), 12)
+    for k, hs in [(0, (1,)), (4, ()), (4, (2, 0)), (4, (1, -3))]:
+        with pytest.raises(ValueError):
+            projection_weights_at(seq, k, hs)
+    with pytest.raises(ValueError):
+        projection_weights_at(seq, 4, (1, 10))  # needs sigma(0..13)
+    with pytest.raises(ValueError):
+        solve_toeplitz(seq.prefix(3), np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        solve_toeplitz(seq.prefix(3), np.zeros((2, 2, 4)))
+
+
+def test_two_dimensional_rhs_keeps_its_shape():
+    g = acvf(ProcessModel.frac_noise(0.3), 6).prefix(3)
+    rhs = np.array([[0.3, -0.1, 0.7, 1.0], [1.0, 0.0, 0.0, 0.0]])
+    x = solve_toeplitz(g, rhs)
+    assert x.shape == (2, 4)
+    assert np.array_equal(solve_toeplitz(g, rhs[:1]), x[:1])
+    assert np.max(np.abs(x[1] - dense_toeplitz_solve(g, rhs[1]))) < 1e-12

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from longpred.errors import CertificationError, ModelError
-from longpred.fit import projection_weights, yule_walker
+from longpred.fit import projection_weights, projection_weights_at, yule_walker
 from longpred.mse import (error_decomposition, infinite_past_mse, mse_of_weights,
                           toeplitz_quadratic_form)
 from longpred.predict import truncated_wk_weights
 from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 
-from _oracles import (brute_truncation_excess, dense_quadratic_form, fitted_ar_mse,
-                      spectral_contrast_mse, tail_cross_sum, truncated_one_step_excess)
+from _oracles import (brute_truncation_excess, decimal_projection, dense_quadratic_form,
+                      fitted_ar_mse, spectral_contrast_mse, tail_cross_sum,
+                      truncated_one_step_excess)
 
 
 def test_quadratic_form_against_dense():
@@ -291,3 +292,16 @@ def test_sequence_consumers_reject_the_wrong_sequence(call, message):
     # models compare by value: an equal model built separately is accepted
     same = ProcessModel.frac_noise(0.3)
     assert mse_of_weights(acvf(_FRAC, 30), ma_coeffs(same, 4), w).excess > 0
+
+
+@pytest.mark.parametrize("d", (0.1, 0.3, 0.45, 0.49))
+@pytest.mark.parametrize("k", (16, 64, 128))
+def test_projection_mse_matches_60_digit_reference(d, k):
+    # stated bound: k * eps on the MSE in units of sigma(0), the scale of
+    # every term of the quadratic form; the MSE itself can be ~6% of sigma(0)
+    # (d = 0.49), so its own relative error may be ~16x larger
+    model = ProcessModel.frac_noise(d)
+    g, b = acvf(model, k + 5), ma_coeffs(model, 4)
+    for w in projection_weights_at(g, k, (1, 2, 5)):
+        ratio = mse_of_weights(g, b, w).total / g[0]
+        assert abs(ratio - float(decimal_projection(d, k, w.h))) <= k * np.finfo(float).eps

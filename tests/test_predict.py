@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from longpred.predict import PredictorWeights, forecast, truncated_wk_weights
+from longpred.predict import (PredictorWeights, forecast, truncated_wk_weights,
+                              truncated_wk_weights_at)
 from longpred.process import ProcessModel, ar_coeffs, ma_coeffs
 
-from _oracles import infinite_past_coeffs, recursive_truncated_forecast
+from _oracles import (infinite_past_coeffs, recursive_truncated_forecast,
+                      reference_truncated_wk_weights)
 
 
 def test_one_step_weights_are_negated_ar_coefficients():
@@ -112,3 +114,53 @@ def test_weight_vector_validation():
         PredictorWeights(np.zeros(3), k=3, h=0, method="truncated_wk")
     with pytest.raises(ValueError):
         PredictorWeights(np.zeros(3), k=3, h=1, method="nonsense")
+
+
+STACK_MODELS = {
+    "frac_noise_0.3": ProcessModel.frac_noise(0.3),
+    "frac_noise_0.49": ProcessModel.frac_noise(0.49),
+    "farima_1_d_1": ProcessModel.farima(0.3, ar=(0.4,), ma=(-0.3,)),
+    "arma_0.9": ProcessModel.arma(ar=(0.9,)),
+    "finite_ma": ProcessModel.generic_ma([1.0, 0.2, -0.1, 0.05]),
+}
+
+
+@pytest.mark.parametrize("k", (1, 3, 50, 1024))
+@pytest.mark.parametrize("name", sorted(STACK_MODELS))
+def test_one_stack_bitwise_matches_per_horizon_loop(name, k):
+    ar = ar_coeffs(STACK_MODELS[name], k + 6)
+    a = ar.prefix(k + 6)
+    for hs in (tuple(range(1, 8)), (7, 2), (5,)):
+        got = truncated_wk_weights_at(ar, k, hs)
+        assert [w.h for w in got] == list(hs)
+        for w, h in zip(got, hs):
+            want = reference_truncated_wk_weights(a, k, h)
+            for weights in (w.weights, truncated_wk_weights(ar, k, h).weights):
+                assert np.array_equal(weights, want)
+                assert np.array_equal(np.signbit(weights), np.signbit(want))
+
+
+def test_stack_reads_the_longest_horizon_prefix():
+    ar = ar_coeffs(ProcessModel.frac_noise(0.3), 12)
+    truncated_wk_weights_at(ar, 6, (7, 2))  # a_0..a_12
+    with pytest.raises(IndexError):
+        truncated_wk_weights_at(ar, 6, (2, 8))
+    for k, hs in [(0, (1,)), (6, ()), (6, (0, 2))]:
+        with pytest.raises(ValueError):
+            truncated_wk_weights_at(ar, k, hs)
+
+
+def test_weights_are_a_read_only_contiguous_copy():
+    source = np.arange(8.0)
+    w = PredictorWeights(source[::2], k=4, h=1, method="projection")
+    assert w.weights.flags.c_contiguous and not w.weights.flags.writeable
+    assert w.weights.dtype == np.float64
+    assert np.array_equal(w.weights, [0.0, 2.0, 4.0, 6.0])
+    source[:] = -1.0
+    assert np.array_equal(w.weights, [0.0, 2.0, 4.0, 6.0])
+    with pytest.raises(ValueError):
+        w.weights[0] = 1.0
+    # rows of one batch share no memory
+    ar = ar_coeffs(ProcessModel.frac_noise(0.3), 12)
+    w1, w2 = truncated_wk_weights_at(ar, 6, (1, 2))
+    assert not np.shares_memory(w1.weights, w2.weights)
