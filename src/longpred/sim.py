@@ -14,14 +14,21 @@ cross-check; it carries a certified covariance error.
 Randomness is counter-based: each replication draws from its own Philox
 stream keyed by (seed, replication index), so row r depends only on
 (seed, r) and results are reproducible regardless of execution order and
-safe to parallelize.  One bit generator per :func:`simulate` call is
-re-keyed for each row, and circulant-embedding paths are transformed in
-blocks of rows with one FFT per block, so temporaries stay bounded.
+of how the rows are split.  Circulant embedding cuts the rows into
+contiguous ranges on block boundaries and fills them on min(CPUs, blocks)
+threads; numpy releases the GIL while it draws normals and runs FFTs.  Each
+range re-keys one bit generator for each of its rows and transforms its
+rows in blocks with one in-place FFT per block.  The threads share one
+temporary-memory budget and write into buffers the calling thread
+allocated, so temporaries stay bounded and the output does not depend on
+the number of threads.  MA truncation stays on the calling thread: its
+rows are short, so time under the GIL dominates and threads slowed it down.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -46,7 +53,10 @@ MA_TRUNCATION = "ma_truncation"
 
 _EIGENVALUE_TOL_REL = 1e-10
 _MAX_MA_ORDER = 1 << 21
-_BLOCK_BYTES = 1 << 20  # complex temporaries per FFT block
+# complex temporaries of all circulant-embedding blocks in flight, split
+# evenly across the threads; the normals each block is assembled from take
+# as much again
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -94,8 +104,8 @@ class McEstimate:
             raise ValueError("reported estimates need at least 30 replications")
 
 
-def _streams(seed: int, reps: int) -> Iterator[np.random.Generator]:
-    """For r = 0..reps-1, one Philox generator re-keyed to the start of
+def _streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """For r = start..stop-1, one Philox generator re-keyed to the start of
     stream (seed, r): bit-identical to a fresh ``Philox(key=[seed, r])``."""
     key = np.array([seed, 0], dtype=np.uint64)
     zero = np.zeros(4, dtype=np.uint64)
@@ -103,10 +113,41 @@ def _streams(seed: int, reps: int) -> Iterator[np.random.Generator]:
     rng = np.random.Generator(bitgen)
     state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
              "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for r in range(reps):
+    for r in range(start, stop):
         key[1] = r
         bitgen.state = state
         yield rng
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on; the circulant sampler uses as many
+    threads, but never more than it has row blocks."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _circulant_rows(out: np.ndarray, amp: np.ndarray, seed: int, start: int,
+                    normals: np.ndarray, z: np.ndarray) -> None:
+    """Fill ``out`` with rows start, start + 1, ... of the circulant
+    sampler, ``len(z)`` rows at a time, in the caller's buffers.
+
+    Each row draws 2m normals, the real parts then the imaginary parts, from
+    stream (seed, r); the block is scaled by ``amp`` and transformed in place.
+    """
+    reps, n = out.shape
+    m = z.shape[1]
+    streams = _streams(seed, start, start + reps)
+    for lo in range(0, reps, len(z)):
+        zb = z[:min(len(z), reps - lo)]
+        for row, rng in zip(normals, streams):
+            rng.standard_normal(out=row)
+        zb.real = normals[:len(zb), :m]
+        zb.imag = normals[:len(zb), m:]
+        zb *= amp
+        np.fft.fft(zb, axis=1, out=zb)
+        out[lo:lo + len(zb)] = zb.real[:, :n]
 
 
 def _circulant_spectrum(model: ProcessModel, n: int) -> np.ndarray:
@@ -188,24 +229,41 @@ def simulate(plan: SimulationPlan) -> np.ndarray:
     """
     n, reps = plan.length, plan.replications
     out = np.empty((reps, n))
-    rows = _streams(plan.seed, reps)
     if plan.method == CIRCULANT_EMBEDDING:
         lam = _circulant_spectrum(plan.model, n)
         m = max(2 * n - 2, 1)  # n = 1 embeds into the 1-circulant (sigma(0))
         amp = np.sqrt(lam / m)
-        block = max(1, _BLOCK_BYTES // (16 * m))
-        z = np.empty((min(block, reps), m), dtype=complex)
-        for start in range(0, reps, block):
-            count = min(block, reps - start)
-            for i, rng in zip(range(count), rows):
-                z.real[i] = rng.standard_normal(m)
-                z.imag[i] = rng.standard_normal(m)
-            out[start:start + count] = np.fft.fft(z[:count] * amp, axis=1).real[:, :n]
+        # one thread per CPU, at most one per block of the whole budget; the
+        # threads then split the budget, and each takes a run of whole blocks
+        row_bytes = 16 * m
+        workers = min(_worker_count(), -(-reps // max(1, _BLOCK_BYTES // row_bytes)))
+        block = max(1, _BLOCK_BYTES // workers // row_bytes)
+        blocks = -(-reps // block)
+        cuts = [min(reps, block * (i * blocks // workers)) for i in range(workers + 1)]
+        # imported here: concurrent.futures pulls in logging, about 5 ms and
+        # 0.6 MB that commands which never simulate should not pay
+        from concurrent.futures import ThreadPoolExecutor
+
+        futures = []
+        with ThreadPoolExecutor(workers) as pool:
+            for start, stop in zip(cuts, cuts[1:]):
+                # buffers come from the calling thread: allocations made in
+                # the workers would land in per-thread malloc arenas and
+                # raise peak RSS
+                rows = min(block, stop - start)
+                normals = np.empty((rows, 2 * m))
+                z = np.empty((rows, m), dtype=complex)
+                futures.append(pool.submit(_circulant_rows, out[start:stop], amp,
+                                           plan.seed, start, normals, z))
+        for future in futures:
+            future.result()
         return out
+    # MA truncation stays serial: its rows are short, so the work under the
+    # GIL dominates and threads made model_zoo's MA-truncation ops slower
     order = _ma_truncation_order(plan)
     b = np.asarray(ma_coeffs(plan.model, order).prefix(order))
     scale = math.sqrt(plan.model.noise_variance)
-    for r, rng in enumerate(rows):
+    for r, rng in enumerate(_streams(plan.seed, 0, reps)):
         eps = scale * rng.standard_normal(n + order)
         out[r] = np.convolve(eps, b, mode="valid")
     return out

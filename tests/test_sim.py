@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,13 +57,45 @@ def test_circulant_matches_per_row_oracle(n):
     assert np.array_equal(simulate(plan), per_row_paths(plan))
 
 
+@pytest.mark.parametrize("n", (1, 2, 51, 221))
+@pytest.mark.parametrize("reps", (700, 10))
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_circulant_bytes_do_not_depend_on_worker_count(workers, reps, n, monkeypatch):
+    # with 3 workers, 700 replications run 3 row ranges of 49-row blocks at
+    # n = 221 and 2 ranges at n = 51; the other cells fit in one block, so
+    # they run one range whatever the worker count
+    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    plan = SimulationPlan(ProcessModel.frac_noise(0.3), length=n,
+                          replications=reps, seed=2 ** 63 + 5)
+    assert np.array_equal(simulate(plan), per_row_paths(plan))
+
+
 @pytest.mark.parametrize("n", (2, 51))
 @pytest.mark.parametrize("block_rows", (1, 3))
 def test_circulant_block_edges_match_per_row_oracle(n, block_rows, monkeypatch):
+    # one worker keeps the whole budget, so blocks hold block_rows rows
+    monkeypatch.setattr(sim, "_worker_count", lambda: 1)
     monkeypatch.setattr(sim, "_BLOCK_BYTES", block_rows * 16 * (2 * n - 2))
     plan = SimulationPlan(ProcessModel.frac_noise(0.2), length=n,
                           replications=10, seed=4)
     assert np.array_equal(simulate(plan), per_row_paths(plan))
+
+
+@pytest.mark.parametrize("workers", (1, 3))
+def test_circulant_temporaries_stay_within_the_block_budget(workers, monkeypatch):
+    # the threads split one budget: the blocks' complex values and the
+    # normals they are assembled from take 2 * _BLOCK_BYTES in all
+    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    plan = SimulationPlan(ProcessModel.frac_noise(0.3), length=221,
+                          replications=700, seed=3)
+    simulate(plan)  # warm caches outside the traced region
+    tracemalloc.start()
+    try:
+        out = simulate(plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 2.5 * sim._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("model", (ProcessModel.white_noise(1.5),
