@@ -19,7 +19,6 @@ from .predict import (PROJECTION, TRUNCATED_WK, PredictorWeights, forecast, trun
                       truncated_wk_weights_at)
 from .process import CoefSeq, ProcessModel, acvf, ar_coeffs, ma_coeffs
 from .sim import McEstimate, SimulationPlan, empirical_mse, simulate
-from .special import SignedLogValue, gamma_ratio, log_gamma
 
 __version__ = "0.1.0"
 
@@ -28,11 +27,11 @@ __all__ = [
     "ErrorDecomposition", "FittedAr", "IllConditionedError", "McEstimate",
     "ModelError", "MseReport", "NotPositiveDefiniteError", "NumericError",
     "PoleError", "PredictorWeights", "ProcessModel", "PROJECTION", "RateFit",
-    "SignedLogValue", "SimulationPlan", "TRUNCATED_WK",
+    "SimulationPlan", "TRUNCATED_WK",
     "acvf", "ar_coeffs", "empirical_mse",
-    "error_decomposition", "forecast", "gamma_ratio", "improvement_ratio",
+    "error_decomposition", "forecast", "improvement_ratio",
     "infinite_past_mse", "levinson_durbin",
-    "log_gamma", "ma_coeffs", "mse_of_weights", "projection_weights",
+    "ma_coeffs", "mse_of_weights", "projection_weights",
     "projection_weights_at",
     "rate_fit", "simulate", "solve_toeplitz",
     "truncated_wk_weights", "truncated_wk_weights_at", "truncation_constant", "yule_walker",

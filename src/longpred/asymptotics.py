@@ -8,6 +8,7 @@ verify the O(1/k) claims empirically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -16,7 +17,6 @@ import numpy as np
 from .errors import PoleError
 from .mse import error_decomposition
 from .process import ProcessModel
-from .special import gamma_ratio
 
 __all__ = ["RateFit", "truncation_constant", "improvement_ratio", "rate_fit"]
 
@@ -33,9 +33,11 @@ def truncation_constant(d: float) -> float:
     """
     if not 0.0 < d < 0.5:
         raise PoleError("truncation constant is defined for 0 < d < 1/2")
-    r = gamma_ratio([1.0 - 2.0 * d, 2.0 * d],
-                    [-d, -d, d, 1.0 + d])
-    return 2.0 * r.value()
+    # ln|Gamma(-d)| is subtracted twice (the square is positive), not doubled:
+    # this summation order keeps the last bits of every output
+    lg = math.lgamma
+    return 2.0 * math.exp(lg(1.0 - 2.0 * d) + lg(2.0 * d) - lg(-d) - lg(-d)
+                          - lg(d) - lg(1.0 + d))
 
 
 def improvement_ratio(d: float, k: int) -> float:
@@ -63,14 +65,14 @@ class RateFit:
 def rate_fit(values: Iterable[Sequence[float]]) -> RateFit:
     """Fit log(value) against log(k) over a grid of (k, value) pairs.
 
-    Requires at least 5 distinct k and strictly positive values.
+    Requires at least 5 distinct k and finite, strictly positive k and values.
     """
     grid = tuple((float(k), float(v)) for k, v in values)
     if len({k for k, _ in grid}) < 5:
         raise ValueError("need at least 5 distinct k for a rate fit")
     arr = np.asarray(grid)
-    if np.any(arr <= 0.0):
-        raise ValueError("rate fit requires strictly positive k and values")
+    if not np.all(np.isfinite(arr) & (arr > 0.0)):
+        raise ValueError("rate fit requires finite, strictly positive k and values")
     x = np.log(arr[:, 0])
     y = np.log(arr[:, 1])
     slope, intercept = np.polyfit(x, y, 1)

@@ -2,7 +2,11 @@
 
 
 class PoleError(ValueError):
-    """Gamma function evaluated at a non-positive integer."""
+    """A Gamma closed form asked for outside its domain.
+
+    Raised by ``truncation_constant`` for d outside (0, 1/2), where its
+    Gamma factors reach a pole or the constant is undefined.
+    """
 
 
 class ModelError(ValueError):

@@ -10,9 +10,10 @@ solved by the Levinson-Durbin recursion in O(k^2).  One kernel runs it:
 carries one or many general right-hand sides along, which yields the h-step
 projection weights.  Every horizon shares the matrix, so
 ``projection_weights_at(acvf, k, (1, 2, 5))`` computes the reflections once
-for all h >= 2, and each horizon's weights carry the same bits as a solve
-for that horizon alone.  A dense solver is deliberately *not* used here so
-that the test suite can keep one as an independent oracle.
+for every h (the h = 1 weights are the order-k predictor), and each
+horizon's weights carry the same bits as a solve for that horizon alone.
+A dense solver is deliberately *not* used here so that the test suite can
+keep one as an independent oracle.
 ``yule_walker``, ``projection_weights`` and ``projection_weights_at`` take a
 computed :class:`~longpred.process.CoefSeq`, whose model's noise variance
 sets the precision floor of the variance iterates; plain arrays go to the
@@ -87,12 +88,15 @@ def _levinson(t: np.ndarray, variance_floor: float, rhs: np.ndarray | None = Non
     """Levinson-Durbin recursion on sigma(0..) = t, one reflection per lag.
 
     Returns ``(phi, v, kappa, x)``: the order t.size - 1 predictor, its
-    prediction variance, the reflections and, given ``rhs`` of shape
-    (H, t.size), the H solutions of T x = rhs[c] (T the Toeplitz matrix of
-    t) as the rows of ``x``, else None.  Each row takes its own dot product
-    at every order, so it carries exactly the bits of a one-row solve.
+    prediction variance, the reflections and, given ``rhs`` of shape (H, n),
+    the H solutions of T x = rhs[c] (T the order-n Toeplitz matrix of t) as
+    the rows of ``x``, else None.  The loop runs over n orders, so with
+    n = t.size - 1 the predictor reaches order n (variance check included)
+    and with n = t.size it stops at order n - 1.  Each row takes its own dot
+    product at every order, so it carries exactly the bits of a one-row
+    solve.
     """
-    k = t.size if rhs is not None else t.size - 1
+    k = rhs.shape[1] if rhs is not None else t.size - 1
     v = float(t[0])
     _check_variance(v, 0, variance_floor)
     t_rev = t[::-1].copy()
@@ -102,7 +106,7 @@ def _levinson(t: np.ndarray, variance_floor: float, rhs: np.ndarray | None = Non
     for m in range(k):
         prev_rev = phi[m - 1::-1]  # order-m predictor, reversed (unused at m = 0)
         lags = t_rev[t.size - 1 - m: t.size - 1]  # sigma(m), ..., sigma(1)
-        if x is not None:
+        if x is not None and len(x):  # with no rows, only the predictor runs
             mu = (rhs[:, m] - np.array([np.dot(row[:m], lags) for row in x])) / v
             if m:
                 x[:, :m] -= mu[:, None] * prev_rev
@@ -188,21 +192,21 @@ def projection_weights_at(acvf: CoefSeq, k: int, horizons) -> tuple[PredictorWei
 
     Each solves T w = (sigma(h), ..., sigma(h+k-1)) with T the order-k
     autocovariance Toeplitz matrix, read from ``acvf`` (at least
-    sigma(0..k+max(h)-1)).  For h = 1 the weights are the Yule-Walker
-    predictor; every other horizon is a row of one ``solve_toeplitz`` call,
-    which runs the reflection recursion once for all of them.
+    sigma(0..k+max(h)-1)).  One Levinson pass serves every horizon: the
+    h >= 2 weights are its right-hand-side solutions, and when h = 1 is
+    asked for the predictor runs on to order k, variance check included,
+    and is the h = 1 row (the Yule-Walker predictor).
     """
     hs = tuple(horizons)
     if k < 1 or not hs or min(hs) < 1:
         raise ValueError("k and every h must be >= 1")
     g, floor = _acvf_values(acvf, k + max(hs) - 1)
-    rows = {}
-    if 1 in hs:
-        rows[1], _, _ = levinson_durbin(g[: k + 1], variance_floor=floor)
     longer = sorted(set(hs) - {1})
-    if longer:
-        rhs = np.array([g[h: h + k] for h in longer])
-        rows.update(zip(longer, solve_toeplitz(g[:k], rhs, variance_floor=floor)))
+    rhs = np.array([g[h: h + k] for h in longer]).reshape(-1, k)
+    phi, _, _, x = _levinson(g[: k + (1 in hs)], floor, rhs)
+    rows = dict(zip(longer, x))
+    if 1 in hs:
+        rows[1] = phi
     return tuple(PredictorWeights(rows[h], k=k, h=h, method=PROJECTION) for h in hs)
 
 

@@ -46,7 +46,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CertificationError, ModelError, NumericError
-from .special import gamma_ratio
 
 __all__ = [
     "ProcessModel",
@@ -350,7 +349,10 @@ def _frac(d: float, noise_variance: float, kind: str, n: int) -> np.ndarray:
     elif kind == MA:
         first, ratios = 1.0, (j + d) / (j + 1.0)
     else:
-        first = noise_variance * gamma_ratio([1.0 - 2.0 * d], [1.0 - d, 1.0 - d]).value()
+        # sigma(0) = Gamma(1-2d) / Gamma(1-d)^2; subtracting lg(1-d) twice, not
+        # 2 * lg(1-d), keeps the last bits of every output
+        lg = math.lgamma
+        first = noise_variance * math.exp(lg(1.0 - 2.0 * d) - lg(1.0 - d) - lg(1.0 - d))
         ratios = (j + d) / (j + 1.0 - d)
     v = np.cumprod(np.concatenate([[first], ratios]))
     if kind == AR:

@@ -8,7 +8,6 @@ from longpred.asymptotics import (improvement_ratio, rate_fit,
 from longpred.errors import PoleError
 from longpred.mse import error_decomposition
 from longpred.process import ProcessModel
-from longpred.special import log_gamma
 
 from _oracles import fitted_ar_mse, truncated_one_step_excess
 
@@ -16,10 +15,25 @@ from _oracles import fitted_ar_mse, truncated_one_step_excess
 def test_constant_term_by_term_oracle():
     # independent per-factor log-Gamma evaluation
     d = 0.25
-    lg = lambda x: log_gamma(x).log_magnitude
+    lg = math.lgamma
     log_val = lg(1 - 2 * d) + lg(2 * d) - 2 * lg(-d) - lg(d) - lg(1 + d)
     assert truncation_constant(d) == pytest.approx(2.0 * math.exp(log_val),
                                                    rel=1e-12)
+
+
+# C(d) to the bit: a change in how its log-Gamma terms are summed moves
+# golden output bytes
+CONSTANT_BITS = {
+    0.01: "0x1.a3918562f6932p-14", 0.05: "0x1.4a66e4b830a2ep-9",
+    0.25: "0x1.45f306dc9c882p-4", 0.3: "0x1.0d2daf207931dp-3",
+    0.4: "0x1.91447df0b9577p-2", 0.45: "0x1.cf0aabb94a384p-1",
+    0.49: "0x1.3da3814c72618p+2", 0.4999: "0x1.fa812c2dc4e3cp+8",
+}
+
+
+@pytest.mark.parametrize("d", sorted(CONSTANT_BITS))
+def test_constant_bits_are_pinned(d):
+    assert truncation_constant(d) == float.fromhex(CONSTANT_BITS[d])
 
 
 def test_constant_small_d_equivalent():
@@ -98,6 +112,15 @@ def test_rate_fit_validation():
         rate_fit([(64, 1.0 / 64)] * 5)
     with pytest.raises(ValueError):
         rate_fit([(1, 1.0), (2, 0.5), (3, 0.3), (4, 0.25), (4, 0.25)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rate_fit_rejects_non_finite(bad):
+    ks = (1, 2, 3, 4, 5, 6)
+    for pairs in ([(bad if k == 3 else k, 1.0 / k) for k in ks],
+                  [(k, bad if k == 3 else 1.0 / k) for k in ks]):
+        with pytest.raises(ValueError, match="finite"):
+            rate_fit(pairs)
 
 
 def test_truncation_excess_rate():

@@ -9,7 +9,7 @@ from longpred.cli import main
 from longpred.errors import ModelError
 from longpred.process import (AR, DEFAULT_ACVF_TOL, MA, ProcessModel, _ma_series, acvf,
                               ar_coeffs, ma_coeffs)
-from longpred.special import gamma_ratio
+from longpred.special import log_gamma_diff
 
 from _oracles import (arma_acvf_brute, brute_orthogonality_sum, read_csv,
                       reference_block_ratio_acvf, reference_ma_inversion,
@@ -119,7 +119,7 @@ def test_ar_second_coefficient_oracle():
     d = 0.3
     got = ar_coeffs(ProcessModel.frac_noise(d), 2)[2]
     assert got == pytest.approx(-0.105, abs=1e-15)
-    oracle = gamma_ratio([2.0 - d], [3.0, -d]).value()
+    oracle = math.gamma(2.0 - d) / (math.gamma(3.0) * math.gamma(-d))
     assert got == pytest.approx(oracle, rel=1e-13)
 
 
@@ -147,8 +147,8 @@ def test_acvf_ratio_and_closed_form():
     g = acvf(ProcessModel.frac_noise(d), 1)
     assert g[1] / g[0] == pytest.approx(d / (1 - d), rel=1e-14)
     # both lags against direct Gamma-ratio evaluation
-    s0 = gamma_ratio([1 - 2 * d], [1 - d, 1 - d]).value()
-    s1 = -gamma_ratio([1 - 2 * d], [2 - d, -d]).value()
+    s0 = math.gamma(1 - 2 * d) / math.gamma(1 - d) ** 2
+    s1 = -math.gamma(1 - 2 * d) / (math.gamma(2 - d) * math.gamma(-d))
     assert g[0] == pytest.approx(s0, rel=1e-13)
     assert g[1] == pytest.approx(s1, rel=1e-13)
 
@@ -166,14 +166,31 @@ def test_acvf_scales_with_noise_variance():
     assert np.allclose(g2, 2.5 * g1, rtol=1e-14)
 
 
+# sigma(0) = Gamma(1-2d) / Gamma(1-d)^2 to the bit: a change in how its
+# log-Gamma terms are summed moves golden output bytes
+SIGMA0_BITS = {  # (d, noise_variance): sigma(0)
+    (0.01, 1.0): "0x1.000af0f4a8737p+0", (0.05, 1.0): "0x1.012389b0f3b39p+0",
+    (0.25, 1.0): "0x1.2e2acd2eea49dp+0", (0.3, 1.0): "0x1.510343b57824dp+0",
+    (0.4, 1.0): "0x1.08f8fb5f5371fp+1", (0.45, 1.0): "0x1.d23b22538a659p+1",
+    (0.49, 1.0): "0x1.05c3bc6960b23p+4", (0.4999, 1.0): "0x1.8dff683ca4da2p+10",
+    (0.3, 2.5): "0x1.a54414a2d62e0p+1",
+}
+
+
+@pytest.mark.parametrize("d, noise_variance", sorted(SIGMA0_BITS))
+def test_sigma0_bits_are_pinned(d, noise_variance):
+    got = acvf(ProcessModel.frac_noise(d, noise_variance=noise_variance), 0)[0]
+    assert got == float.fromhex(SIGMA0_BITS[d, noise_variance])
+
+
 def test_acvf_alternating_closed_form_small_lags():
-    # the (-1)^j / Gamma(1 - j - d) form exercises the sign machinery
+    # the (-1)^j / Gamma(1 - j - d) form, whose Gamma factor alternates in sign
     d = 0.45
     g = acvf(ProcessModel.frac_noise(d), 6)
     for j in range(7):
         jf = float(j)
-        s_cf = (-1.0) ** (j % 2) * gamma_ratio(
-            [1.0 - 2.0 * d], [jf - d + 1.0, 1.0 - jf - d]).value()
+        s_cf = (-1.0) ** (j % 2) * math.gamma(1.0 - 2.0 * d) / (
+            math.gamma(jf - d + 1.0) * math.gamma(1.0 - jf - d))
         assert g[j] == pytest.approx(s_cf, rel=1e-13)
 
 
@@ -196,10 +213,10 @@ def test_recursions_match_closed_forms_to_high_order(d):
     for j in js:
         jf = float(j)
         tol = 1e-12 if exact_d else 1e-12 + 4.0 * math.log(jf + 2.0) * 2.2e-16 * jf
-        a_cf = gamma_ratio([jf - d], [jf + 1.0, -d]).value()
-        b_cf = gamma_ratio([jf + d], [jf + 1.0, d]).value()
-        s_cf = gamma_ratio([1.0 - 2.0 * d, jf + d],
-                           [d, 1.0 - d, jf + 1.0 - d]).value()
+        a_cf = math.exp(log_gamma_diff(jf - d, jf + 1.0)) / math.gamma(-d)
+        b_cf = math.exp(log_gamma_diff(jf + d, jf + 1.0)) / math.gamma(d)
+        s_cf = (math.gamma(1.0 - 2.0 * d) * math.exp(log_gamma_diff(jf + d, jf + 1.0 - d))
+                / (math.gamma(d) * math.gamma(1.0 - d)))
         assert a[j] == pytest.approx(a_cf, rel=tol)
         assert b[j] == pytest.approx(b_cf, rel=tol)
         assert g[j] == pytest.approx(s_cf, rel=tol)
