@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import asymptotics, mse
-from .config import RunConfig, load_config, with_values
+from .config import RunConfig, load_config
 from .csvio import write_csv
 from .errors import ConfigError, ModelError, NumericError, PoleError
 from .fit import projection_weights_at, yule_walker
@@ -79,9 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {key: getattr(args, key)
-                 for key in ("out", "d", "k", "h", "n", "seed", "reps", "svg")
-                 if getattr(args, key) is not None}
+    overrides = {key: value for key, value in vars(args).items()
+                 if key not in ("command", "config") and value is not None}
     return load_config(args.config, overrides)
 
 
@@ -172,10 +172,10 @@ def _sequences(cfg: RunConfig, model: ProcessModel, h_max: int):
 
 def cmd_figure3(cfg: RunConfig) -> list[Path]:
     # reference cell d = 0.4, k = 80 unless overridden
-    if not cfg.was_provided("d") and cfg.kind == "frac_noise":
-        cfg = with_values(cfg, d=0.4)
-    if not cfg.was_provided("k"):
-        cfg = with_values(cfg, k=80)
+    if "d" not in cfg.provided and cfg.kind == "frac_noise":
+        cfg = replace(cfg, d=0.4)
+    if "k" not in cfg.provided:
+        cfg = replace(cfg, k=80)
     model = cfg.model()
     out = cfg.out_dir()
     k = cfg.k
@@ -217,7 +217,7 @@ def cmd_rates(cfg: RunConfig) -> list[Path]:
     if cfg.kind != "frac_noise":
         raise ConfigError("rates requires a frac_noise model")
     out = cfg.out_dir()
-    d_grid = cfg.d_grid or ((cfg.d,) if cfg.was_provided("d") else _RATES_D_GRID)
+    d_grid = cfg.d_grid or ((cfg.d,) if "d" in cfg.provided else _RATES_D_GRID)
     k_grid = cfg.k_grid or _RATES_K_GRID
     if len(k_grid) < 5:
         raise ConfigError("rates needs at least 5 k in k_grid for its rate fits")

@@ -26,14 +26,19 @@ Documented keys:
     sim_method      circulant_embedding | ma_truncation
     ma_cov_tol      certified covariance error of the MA sampler
     dump_paths      true | false, dump simulated paths from montecarlo
+
+Each key may appear once in a file.  ``_KINDS`` lists the model keys each
+kind reads and the ``ProcessModel`` constructor arguments they fill; any
+other model key set for that kind is an error.  The remaining keys are the
+fields of :class:`RunConfig`, each parsed by its type.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
 from .errors import ConfigError, ModelError
 from .process import ProcessModel
@@ -68,38 +73,16 @@ def _parse_ints(s: str) -> tuple[int, ...]:
     return tuple(int(v) for v in vals)
 
 
-_PARSERS = {
-    "kind": str,
-    "d": float,
-    "noise_variance": float,
-    "ar": _parse_floats,
-    "ma": _parse_floats,
-    "ma_coeffs": _parse_floats,
-    "n": int,
-    "k": int,
-    "h": int,
-    "h_max": int,
-    "d_grid": _parse_floats,
-    "k_grid": _parse_ints,
-    "h_grid": _parse_ints,
-    "seed": int,
-    "reps": int,
-    "out": str,
-    "svg": _parse_bool,
-    "acvf_tol": float,
-    "sim_method": str,
-    "ma_cov_tol": float,
-    "dump_paths": _parse_bool,
+# each model kind, mapping the model keys it reads to the arguments of its
+# ProcessModel constructor; setting a model key the kind does not read is an error
+_KINDS = {
+    "frac_noise": {"d": "d"},
+    "farima": {"d": "d", "ar": "ar", "ma": "ma"},
+    "generic_ma": {"ma_coeffs": "coeffs"},
+    "arma": {"ar": "ar", "ma": "ma"},
+    "white_noise": {},
 }
-
-
-# model keys and the kinds that read them; setting one for another kind is an error
-_KIND_KEYS = {
-    "d": ("frac_noise", "farima"),
-    "ar": ("farima", "arma"),
-    "ma": ("farima", "arma"),
-    "ma_coeffs": ("generic_ma",),
-}
+_MODEL_KEYS = tuple(dict.fromkeys(key for keys in _KINDS.values() for key in keys))
 
 
 @dataclass(frozen=True)
@@ -134,12 +117,12 @@ class RunConfig:
     provided: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("frac_noise", "farima", "generic_ma", "arma", "white_noise"):
+        if self.kind not in _KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}")
-        for key, kinds in _KIND_KEYS.items():
-            if key in self.provided and self.kind not in kinds:
+        for key in _MODEL_KEYS:
+            if key in self.provided and key not in _KINDS[self.kind]:
                 raise ConfigError(f"{key} is not a parameter of kind = {self.kind}")
-        if self.kind in ("frac_noise", "farima") and not 0.0 < self.d < 0.5:
+        if "d" in _KINDS[self.kind] and not 0.0 < self.d < 0.5:
             raise ConfigError("d must lie strictly inside (0, 1/2)")
         if not 0.0 < self.noise_variance < math.inf:
             raise ConfigError("noise_variance must be positive and finite")
@@ -165,23 +148,13 @@ class RunConfig:
             if len(set(grid)) < len(grid):
                 raise ConfigError(f"{name} values must be distinct")
 
-    def was_provided(self, key: str) -> bool:
-        return key in self.provided
-
     def model(self) -> ProcessModel:
         """Build the configured process model."""
+        if self.kind == "generic_ma" and not self.ma_coeffs:
+            raise ConfigError("generic_ma requires ma_coeffs")
+        args = {arg: getattr(self, key) for key, arg in _KINDS[self.kind].items()}
         try:
-            if self.kind == "frac_noise":
-                return ProcessModel.frac_noise(self.d, self.noise_variance)
-            if self.kind == "farima":
-                return ProcessModel.farima(self.d, self.ar, self.ma, self.noise_variance)
-            if self.kind == "generic_ma":
-                if not self.ma_coeffs:
-                    raise ConfigError("generic_ma requires ma_coeffs")
-                return ProcessModel.generic_ma(self.ma_coeffs, self.noise_variance)
-            if self.kind == "arma":
-                return ProcessModel.arma(self.ar, self.ma, self.noise_variance)
-            return ProcessModel.white_noise(self.noise_variance)
+            return getattr(ProcessModel, self.kind)(**args, noise_variance=self.noise_variance)
         except ModelError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -197,9 +170,17 @@ class RunConfig:
         return path
 
 
+# every RunConfig field but ``provided`` is a config key, parsed by its type
+_TYPE_PARSERS = {str: str, float: float, int: int, bool: _parse_bool,
+                 tuple[float, ...]: _parse_floats, tuple[int, ...]: _parse_ints}
+_PARSERS = {key: _TYPE_PARSERS[hint]
+            for key, hint in get_type_hints(RunConfig).items() if key != "provided"}
+
+
 def parse_config_file(path: str | Path) -> dict[str, Any]:
     """Read a flat key = value file into parsed values."""
     out: dict[str, Any] = {}
+    lines: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -214,6 +195,9 @@ def parse_config_file(path: str | Path) -> dict[str, Any]:
         key = key.strip()
         if key not in _PARSERS:
             raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{ln}: {key} is already set on line {lines[key]}")
+        lines[key] = ln
         try:
             out[key] = _PARSERS[key](value.strip())
         except ConfigError:
@@ -239,8 +223,3 @@ def load_config(config_path: str | Path | None = None,
         return RunConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def with_values(cfg: RunConfig, **values: Any) -> RunConfig:
-    """Copy of ``cfg`` with ``values`` applied and marked as provided."""
-    return replace(cfg, provided=cfg.provided | frozenset(values), **values)

@@ -84,30 +84,30 @@ def _check_variance(v: float, order: int, variance_floor: float) -> None:
             f"floor {variance_floor:.3e} at order {order}")
 
 
-def _levinson(t: np.ndarray, variance_floor: float, rhs: np.ndarray | None = None):
+def _levinson(t: np.ndarray, variance_floor: float, rhs: np.ndarray):
     """Levinson-Durbin recursion on sigma(0..) = t, one reflection per lag.
 
     Returns ``(phi, v, kappa, x)``: the order t.size - 1 predictor, its
-    prediction variance, the reflections and, given ``rhs`` of shape (H, n),
-    the H solutions of T x = rhs[c] (T the order-n Toeplitz matrix of t) as
-    the rows of ``x``, else None.  The loop runs over n orders, so with
-    n = t.size - 1 the predictor reaches order n (variance check included)
-    and with n = t.size it stops at order n - 1.  Each row takes its own dot
-    product at every order, so it carries exactly the bits of a one-row
-    solve.
+    prediction variance, the reflections and the H solutions of T x = rhs[c]
+    (``rhs`` of shape (H, n), T the order-n Toeplitz matrix of t) as the rows
+    of ``x``.  The loop runs over n orders, so with n = t.size - 1 the
+    predictor reaches order n (variance check included) and with n = t.size
+    it stops at order n - 1.  At every order one ``np.vecdot`` call gives
+    each row the bits of its own ``np.dot``, so each row carries exactly the
+    bits of a one-row solve.
     """
-    k = rhs.shape[1] if rhs is not None else t.size - 1
+    k = rhs.shape[1]
     v = float(t[0])
     _check_variance(v, 0, variance_floor)
     t_rev = t[::-1].copy()
     phi = np.zeros(k)
     kappa = np.zeros(k)
-    x = np.zeros((rhs.shape[0], k)) if rhs is not None else None
+    x = np.zeros(rhs.shape)
     for m in range(k):
         prev_rev = phi[m - 1::-1]  # order-m predictor, reversed (unused at m = 0)
         lags = t_rev[t.size - 1 - m: t.size - 1]  # sigma(m), ..., sigma(1)
-        if x is not None and len(x):  # with no rows, only the predictor runs
-            mu = (rhs[:, m] - np.array([np.dot(row[:m], lags) for row in x])) / v
+        if len(x):  # with no rows, only the predictor runs
+            mu = (rhs[:, m] - np.vecdot(x[:, :m], lags)) / v
             if m:
                 x[:, :m] -= mu[:, None] * prev_rev
             x[:, m] = mu
@@ -131,7 +131,7 @@ def levinson_durbin(acvf_prefix, variance_floor: float = 0.0):
     t = np.asarray(acvf_prefix, dtype=float)
     if t.size < 2:
         raise ValueError("need sigma(0) and at least sigma(1)")
-    phi, v, kappa, _ = _levinson(t, variance_floor)
+    phi, v, kappa, _ = _levinson(t, variance_floor, np.empty((0, t.size - 1)))
     return phi, v, kappa
 
 

@@ -239,8 +239,8 @@ def test_flag_overrides_config(tmp_path):
     cfg = load_config(cfgfile, {"d": 0.4})
     assert cfg.d == 0.4
     assert cfg.k == 3
-    assert cfg.was_provided("d") and cfg.was_provided("k")
-    assert not cfg.was_provided("h")
+    assert {"d", "k"} <= cfg.provided
+    assert "h" not in cfg.provided
 
 
 def test_config_file_parsing(tmp_path):
@@ -266,6 +266,54 @@ def test_config_rejects_unknown_key(tmp_path):
         parse_config_file(cfgfile)
 
 
+def test_config_rejects_repeated_key(tmp_path):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("d = 0.2\nk = 3\n# later\nd = 0.4\n")
+    with pytest.raises(ConfigError, match=r"c\.cfg:4: d is already set on line 1"):
+        load_config(cfgfile)
+    assert main(["coeffs", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
+    # a flag still overrides the file's one value
+    cfgfile.write_text("d = 0.2\n")
+    assert load_config(cfgfile, {"d": 0.4}).d == 0.4
+
+
+# every model key each kind reads, set alone, and the model it builds
+KIND_KEY_MODELS = {
+    ("frac_noise", "d"): ProcessModel.frac_noise(0.2),
+    ("farima", "d"): ProcessModel.farima(0.2),
+    ("farima", "ar"): ProcessModel.farima(0.3, (0.5,)),
+    ("farima", "ma"): ProcessModel.farima(0.3, (), (0.4,)),
+    ("generic_ma", "ma_coeffs"): ProcessModel.generic_ma((1.0, 0.5)),
+    ("arma", "ar"): ProcessModel.arma((0.5,)),
+    ("arma", "ma"): ProcessModel.arma((), (0.4,)),
+}
+MODEL_KEY_LINES = {"d": "d = 0.2", "ar": "ar = 0.5", "ma": "ma = 0.4",
+                   "ma_coeffs": "ma_coeffs = 1,0.5"}
+
+
+@pytest.mark.parametrize("kind", ["frac_noise", "farima", "generic_ma", "arma", "white_noise"])
+def test_config_model_keys_of_each_kind(tmp_path, kind):
+    cfgfile = tmp_path / "c.cfg"
+    for key, line in MODEL_KEY_LINES.items():
+        cfgfile.write_text(f"kind = {kind}\n{line}\n")
+        if (kind, key) in KIND_KEY_MODELS:
+            assert load_config(cfgfile).model() == KIND_KEY_MODELS[kind, key]
+            continue
+        # a model key the configured kind does not read
+        with pytest.raises(ConfigError, match=f"{key} is not a parameter of kind = {kind}"):
+            load_config(cfgfile)
+        assert main(["coeffs", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
+    # every key of the kind together
+    lines = [MODEL_KEY_LINES[key] for k, key in KIND_KEY_MODELS if k == kind]
+    cfgfile.write_text("\n".join([f"kind = {kind}", *lines, "noise_variance = 2"]))
+    want = {"frac_noise": ProcessModel.frac_noise(0.2, 2.0),
+            "farima": ProcessModel.farima(0.2, (0.5,), (0.4,), 2.0),
+            "generic_ma": ProcessModel.generic_ma((1.0, 0.5), 2.0),
+            "arma": ProcessModel.arma((0.5,), (0.4,), 2.0),
+            "white_noise": ProcessModel.white_noise(2.0)}[kind]
+    assert load_config(cfgfile).model() == want
+
+
 def test_config_rejects_bad_values(tmp_path):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text("d = about-a-third\n")
@@ -275,18 +323,6 @@ def test_config_rejects_bad_values(tmp_path):
         load_config(None, {"sim_method": "dice"})
     with pytest.raises(ConfigError):
         load_config(None, {"reps": 0})
-    # model keys the configured kind does not read
-    for text in ("kind = white_noise\nma_coeffs = 1,0.5\n",
-                 "kind = frac_noise\nar = 0.5\n",
-                 "kind = generic_ma\nma_coeffs = 1,0.5\nma = 0.3\n",
-                 "kind = farima\nd = 0.3\nma_coeffs = 1,0.5\n",
-                 "kind = arma\nar = 0.5\nd = 0.3\n",
-                 "kind = white_noise\nd = 0.3\n",
-                 "kind = generic_ma\nma_coeffs = 1,0.5\nd = 0.3\n"):
-        cfgfile.write_text(text)
-        with pytest.raises(ConfigError):
-            load_config(cfgfile)
-        assert main(["coeffs", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
     with pytest.raises(ConfigError):
         load_config(None, {"kind": "arma", "d": 0.3})
     # non-finite model and config values

@@ -300,6 +300,17 @@ def test_batched_kernel_bitwise_matches_reference_loops(name, k):
                         singles[h])
 
 
+def test_batched_kernel_bitwise_above_the_blas_threading_threshold():
+    # OpenBLAS splits dot products of more than about 10^4 terms across
+    # threads; each row's residual must still carry its one-row solve's bits
+    k, hs = 12000, (7, 2)
+    seq = acvf(ProcessModel.frac_noise(0.3), k + max(hs))
+    g = np.array(seq.values)
+    for w, h in zip(projection_weights_at(seq, k, hs), hs):
+        _assert_bitwise((w.weights,),
+                        (reference_solve_toeplitz(g[:k], g[h: h + k], _VARIANCE_FLOOR_REL),))
+
+
 def test_horizons_without_one_skip_the_order_k_variance_check():
     # only the order-k predictor sees the order-1 variance 1 - 0.9999^2 ~ 2e-4,
     # below the floor 1e-3; the h >= 2 solves stop at order k - 1 = 0
