@@ -10,7 +10,7 @@ cross-validation.
 
 from .asymptotics import RateFit, improvement_ratio, rate_fit, truncation_constant
 from .errors import (CertificationError, ConfigError, IllConditionedError,
-                     ModelError, NotPositiveDefiniteError, NumericError, PoleError)
+                     ModelError, NotPositiveDefiniteError, NumericError)
 from .fit import (FittedAr, levinson_durbin, projection_weights, projection_weights_at,
                   solve_toeplitz, yule_walker)
 from .mse import (ErrorDecomposition, MseReport, error_decomposition, infinite_past_mse,
@@ -26,7 +26,7 @@ __all__ = [
     "CertificationError", "CoefSeq", "ConfigError",
     "ErrorDecomposition", "FittedAr", "IllConditionedError", "McEstimate",
     "ModelError", "MseReport", "NotPositiveDefiniteError", "NumericError",
-    "PoleError", "PredictorWeights", "ProcessModel", "PROJECTION", "RateFit",
+    "PredictorWeights", "ProcessModel", "PROJECTION", "RateFit",
     "SimulationPlan", "TRUNCATED_WK",
     "acvf", "ar_coeffs", "empirical_mse",
     "error_decomposition", "forecast", "improvement_ratio",

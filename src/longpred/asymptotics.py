@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import ModelError
 from .mse import error_decomposition
 from .process import ProcessModel
 
@@ -32,7 +32,7 @@ def truncation_constant(d: float) -> float:
     diverges like 1 / ((1-2d) pi^2) as d -> 1/2.
     """
     if not 0.0 < d < 0.5:
-        raise PoleError("truncation constant is defined for 0 < d < 1/2")
+        raise ModelError("memory parameter d must lie strictly inside (0, 1/2)")
     # ln|Gamma(-d)| is subtracted twice (the square is positive), not doubled:
     # this summation order keeps the last bits of every output
     lg = math.lgamma

@@ -10,6 +10,9 @@ Subcommands::
     rates       excess-vs-k tables, rate fits, constant-recovery ratios
     montecarlo  analytic vs simulated errors with z-scores
 
+Each subcommand takes ``--config PATH``, ``--out DIR`` and only the flags it
+reads (see its ``--help``); any other flag exits 1.
+
 Every command is deterministic given its configuration and seed: re-running
 with the same numpy/OpenBLAS build and BLAS thread count writes
 byte-identical files.  Exit codes: 0 success, 1 invalid
@@ -27,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, mse
-from .config import RunConfig, load_config
+from .config import _PARSERS, RunConfig, load_config
 from .csvio import write_csv
-from .errors import ConfigError, ModelError, NumericError, PoleError
+from .errors import ConfigError, ModelError, NumericError
 from .fit import projection_weights_at, yule_walker
 from .predict import TRUNCATED_WK, truncated_wk_weights_at
 from .process import ProcessModel, acvf, ar_coeffs, ma_coeffs
@@ -52,30 +55,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# each subcommand, its help line and the config keys it takes as flags
+_SUBCOMMANDS = [
+    ("coeffs", "dump model coefficient sequences", ("d", "n")),
+    ("fit", "dump the order-k Yule-Walker fit", ("d", "k")),
+    ("figure1", "truncation-excess constant over a d grid", ("svg",)),
+    ("figure2", "improvement ratio over a (d, k) grid", ("svg",)),
+    ("figure3", "three error curves against the horizon", ("d", "k", "svg")),
+    ("rates", "excess decay rates and constant recovery", ("d",)),
+    ("montecarlo", "Monte-Carlo cross-validation of analytic errors", ("d", "k", "seed", "reps")),
+]
+_FLAG_HELP = {"d": "memory parameter", "k": "predictor order", "n": "coefficient dump length",
+              "seed": "RNG seed", "reps": "Monte-Carlo replications",
+              "svg": "also emit SVG charts"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="longpred", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("coeffs", "dump model coefficient sequences"),
-        ("fit", "dump the order-k Yule-Walker fit"),
-        ("figure1", "truncation-excess constant over a d grid"),
-        ("figure2", "improvement ratio over a (d, k) grid"),
-        ("figure3", "three error curves against the horizon"),
-        ("rates", "excess decay rates and constant recovery"),
-        ("montecarlo", "Monte-Carlo cross-validation of analytic errors"),
-    ]:
-        q = sub.add_parser(name, help=helptext)
+    for name, helptext, flags in _SUBCOMMANDS:
+        # no prefixes: one could name another command's flag, and --h opens --help
+        q = sub.add_parser(name, help=helptext, allow_abbrev=False)
         q.add_argument("--config", metavar="PATH", help="flat key = value config file")
         q.add_argument("--out", metavar="DIR", help="output directory")
-        q.add_argument("--d", type=float, help="memory parameter")
-        q.add_argument("--k", type=int, help="predictor order")
-        q.add_argument("--h", type=int, help="forecast horizon")
-        q.add_argument("--n", type=int, help="coefficient dump length")
-        q.add_argument("--seed", type=int, help="RNG seed")
-        q.add_argument("--reps", type=int, help="Monte-Carlo replications")
-        q.add_argument("--svg", action="store_true", default=None,
-                       help="also emit SVG charts")
+        for key in flags:  # --svg is None, so not in ``provided``, unless given
+            kind = ({"action": "store_true", "default": None} if key == "svg"
+                    else {"type": _PARSERS[key]})
+            q.add_argument(f"--{key}", help=_FLAG_HELP[key], **kind)
     return p
 
 
@@ -257,7 +264,7 @@ def cmd_rates(cfg: RunConfig) -> list[Path]:
 def cmd_montecarlo(cfg: RunConfig) -> list[Path]:
     model = cfg.model()
     out = cfg.out_dir()
-    h_grid = cfg.h_grid or (cfg.h,)
+    h_grid = cfg.h_grid or (1,)
     k = cfg.k
     g, a, b = _sequences(cfg, model, max(h_grid))
     rows = []
@@ -312,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ModelError) as exc:
         print(f"longpred: invalid configuration: {exc}", file=sys.stderr)
         return 1
-    except (NumericError, PoleError, ArithmeticError) as exc:
+    except (NumericError, ArithmeticError) as exc:
         bound = getattr(exc, "achieved_bound", None)
         suffix = f"; achieved_bound {bound:.3g}" if bound is not None else ""
         print(f"longpred: numeric certification failure: {exc}{suffix}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Run configuration: flat key = value files plus command-line overrides.
 
 The configuration format is one ``key = value`` pair per line; ``#`` starts
-a comment.  Command-line flags mirror config keys and take precedence.
+a comment.  A command's flags set the keys it reads and take precedence
+over the file; a file may also set keys that only other commands read.
 Documented keys:
 
     kind            frac_noise | farima | generic_ma | arma | white_noise
@@ -12,11 +13,10 @@ Documented keys:
     ma_coeffs       comma-separated b_0..b_q, b_0 = 1 (generic_ma)
     n               dump length for the coeffs command
     k               predictor order
-    h               forecast horizon
     h_max           largest horizon for the figure3 command
     d_grid          comma-separated memory parameters for grid commands
     k_grid          comma-separated orders for grid commands
-    h_grid          comma-separated horizons for the montecarlo command
+    h_grid          comma-separated horizons for the montecarlo command (default 1)
                     (the values of each grid must be distinct)
     seed            64-bit RNG seed
     reps            Monte-Carlo replications
@@ -101,7 +101,6 @@ class RunConfig:
     ma_coeffs: tuple[float, ...] = ()
     n: int = 200
     k: int = 50
-    h: int = 1
     h_max: int = 40
     d_grid: tuple[float, ...] = ()
     k_grid: tuple[int, ...] = ()
@@ -128,7 +127,7 @@ class RunConfig:
             raise ConfigError("noise_variance must be positive and finite")
         if self.n < 0:
             raise ConfigError("n must be nonnegative")
-        for name in ("k", "h", "h_max"):
+        for name in ("k", "h_max"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.reps < 30:

@@ -1,14 +1,6 @@
 """Exception types shared across the package."""
 
 
-class PoleError(ValueError):
-    """A Gamma closed form asked for outside its domain.
-
-    Raised by ``truncation_constant`` for d outside (0, 1/2), where its
-    Gamma factors reach a pole or the constant is undefined.
-    """
-
-
 class ModelError(ValueError):
     """Process model parameters violate a construction invariant."""
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -564,3 +565,66 @@ def decimal_projection(d: float, k: int, h: int) -> Decimal:
                 phi = [phi[i] - km * phi[m - 1 - i] for i in range(m)] + [km]
                 v *= 1 - km * km
         return 1 - sum(xi * ri for xi, ri in zip(x, rhs))
+
+
+def _bernoulli(count: int) -> list[Fraction]:
+    """B_0..B_count exactly, by the recurrence sum_{i<=m} C(m+1, i) B_i = 0."""
+    b = [Fraction(1)]
+    for m in range(1, count + 1):
+        b.append(-sum(math.comb(m + 1, i) * b[i] for i in range(m)) / (m + 1))
+    return b
+
+
+def decimal_pi() -> Decimal:
+    """pi to the current precision, by the decimal module's recipe."""
+    with localcontext() as ctx:
+        ctx.prec += 2
+        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return +s
+
+
+def decimal_log_gamma(x: float | Decimal) -> Decimal:
+    """ln Gamma(x) for x > 0 to 60 significant digits, at the exact value of x.
+
+    The Stirling series with 30 exact Bernoulli terms is summed at y = x + 40,
+    where its first dropped term is below 1e-64, and the shift is undone by
+    subtracting ln(x + i) for i = 0..39.
+    """
+    x = Decimal(x)
+    assert x > 0
+    with localcontext() as ctx:
+        ctx.prec = 70
+        y = x + 40
+        series = sum(Decimal(b.numerator) / (Decimal(b.denominator) * (2 * n) * (2 * n - 1)
+                                             * y ** (2 * n - 1))
+                     for n, b in enumerate(_bernoulli(60)[2::2], start=1))
+        stirling = (y - Decimal("0.5")) * y.ln() - y + (2 * decimal_pi()).ln() / 2 + series
+        out = stirling - sum((x + i).ln() for i in range(40))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return +out
+
+
+def decimal_frac_noise(d: float, n: int) -> tuple[list[Decimal], list[Decimal], list[Decimal]]:
+    """a_0..a_n, b_0..b_n and sigma(0..n) of unit-variance fractional noise
+    to 60 significant digits, at the exact binary d.
+
+    sigma(0) = Gamma(1 - 2d) / Gamma(1 - d)^2; the rest are running products
+    of the rational one-term ratios.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dd = Decimal(d)
+        a, b = [Decimal(1)], [Decimal(1)]
+        sigma = [(decimal_log_gamma(1 - 2 * dd) - 2 * decimal_log_gamma(1 - dd)).exp()]
+        for i in range(1, n + 1):
+            a.append(a[-1] * (i - 1 - dd) / i)
+            b.append(b[-1] * (i - 1 + dd) / i)
+            sigma.append(sigma[-1] * (i - 1 + dd) / (i - dd))
+        return a, b, sigma

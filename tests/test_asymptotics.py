@@ -5,7 +5,7 @@ import pytest
 
 from longpred.asymptotics import (improvement_ratio, rate_fit,
                                   truncation_constant)
-from longpred.errors import PoleError
+from longpred.errors import ModelError
 from longpred.mse import error_decomposition
 from longpred.process import ProcessModel
 
@@ -67,7 +67,7 @@ def test_constant_recovered_from_excess():
 
 @pytest.mark.parametrize("d", [0.0, 0.5, -0.2])
 def test_constant_pole_guard(d):
-    with pytest.raises(PoleError):
+    with pytest.raises(ModelError):
         truncation_constant(d)
 
 

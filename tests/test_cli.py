@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from longpred.cli import main
+from longpred.cli import _config_from_args, build_parser, main
 from longpred.config import load_config, parse_config_file
 from longpred.errors import ConfigError
 from longpred.process import ProcessModel, acvf, ar_coeffs
@@ -208,23 +208,25 @@ def test_white_noise_z_scores_over_many_seeds(tmp_path):
 @pytest.mark.parametrize("command", ["coeffs", "fit", "figure1", "figure2",
                                      "figure3", "rates", "montecarlo"])
 def test_commands_are_byte_deterministic(tmp_path, command):
-    extra = []
+    extra = ["--svg"] if command in ("figure1", "figure2", "figure3") else []
     if command == "figure2":
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("d_grid = 0.3,0.45\nk_grid = 8,16\n")
-        extra = ["--config", cfgfile]
+        extra += ["--config", cfgfile]
     if command == "rates":
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("k_grid = 64,128,256,512,1024\n")
         extra = ["--config", cfgfile]
     if command == "montecarlo":
         extra = ["--reps", "50", "--k", "10"]
-    if command in ("coeffs", "fit"):
-        extra = ["--n", "40", "--k", "10"]
+    if command == "coeffs":
+        extra = ["--n", "40"]
+    if command == "fit":
+        extra = ["--k", "10"]
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert run([command, "--out", out, "--svg", *extra]) == 0
+        assert run([command, "--out", out, *extra]) == 0
         outs.append(sorted(p for p in out.iterdir()))
     names_a = [p.name for p in outs[0]]
     names_b = [p.name for p in outs[1]]
@@ -444,6 +446,40 @@ def test_figure3_scores_at_the_configured_acvf_tol(tmp_path):
     col = cols.index("certified_tol")
     for row in rows:
         assert float(row[col]) == (0.0 if row[0] == "infinite_past" else tol)
+
+
+# the flags each command's computation reads, besides --config and --out
+READS = {"coeffs": {"d", "n"}, "fit": {"d", "k"}, "figure1": {"svg"}, "figure2": {"svg"},
+         "figure3": {"d", "k", "svg"}, "rates": {"d"},
+         "montecarlo": {"d", "k", "seed", "reps"}}
+FLAG_VALUES = {"d": ["0.3"], "k": ["10"], "h": ["5"], "n": ["10"], "seed": ["3"],
+               "reps": ["40"], "svg": []}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys, command, flag):
+    argv = [command, f"--{flag}", *FLAG_VALUES[flag]]
+    if flag in READS[command]:
+        assert flag in _config_from_args(build_parser().parse_args(argv)).provided
+        return
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc_info:
+        main([*argv, "--out", str(out)])
+    assert exc_info.value.code == 1
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_h_is_not_a_config_key(tmp_path):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("h = 5\nreps = 40\nk = 10\n")
+    assert run(["montecarlo", "--config", cfgfile, "--out", tmp_path / "x"]) == 1
+    for grid, want in (("h_grid = 5\n", [5, 5]), ("", [1, 1])):
+        out = tmp_path / f"o{len(grid)}"
+        cfgfile.write_text(f"{grid}reps = 40\nk = 10\n")
+        assert run(["montecarlo", "--config", cfgfile, "--out", out]) == 0
+        assert list(rows_as_floats(out / "montecarlo.csv", ["h"])[:, 0]) == want
 
 
 def test_bad_flag_exits_one(capsys):

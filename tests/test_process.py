@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from longpred.process import (AR, DEFAULT_ACVF_TOL, MA, ProcessModel, _ma_series
                               ar_coeffs, ma_coeffs)
 from longpred.special import log_gamma_diff
 
-from _oracles import (arma_acvf_brute, brute_orthogonality_sum, read_csv,
-                      reference_block_ratio_acvf, reference_ma_inversion,
-                      reference_rational_series, verify_decay)
+from _oracles import (arma_acvf_brute, brute_orthogonality_sum, decimal_frac_noise,
+                      decimal_log_gamma, decimal_pi, read_csv, reference_block_ratio_acvf,
+                      reference_ma_inversion, reference_rational_series, verify_decay)
 
 D_VALUES = (0.05, 0.25, 0.45)
 
@@ -181,6 +182,45 @@ SIGMA0_BITS = {  # (d, noise_variance): sigma(0)
 def test_sigma0_bits_are_pinned(d, noise_variance):
     got = acvf(ProcessModel.frac_noise(d, noise_variance=noise_variance), 0)[0]
     assert got == float.fromhex(SIGMA0_BITS[d, noise_variance])
+
+
+EPS = np.finfo(float).eps
+
+
+def _relative_errors(values, reference):
+    """|v_j - ref_j| / |ref_j| of each float against its decimal reference."""
+    return np.array([float(abs((Decimal(float(v)) - r) / r)) for v, r in zip(values, reference)])
+
+
+def test_decimal_log_gamma_self_checks():
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pi = decimal_pi()
+        assert abs((2 * decimal_log_gamma(0.5)).exp() - pi) <= Decimal("1e-50") * pi
+    for x in (0.1, 0.37, 0.5, 0.9, 1.0):
+        ref = math.gamma(x)
+        assert abs(float(decimal_log_gamma(x).exp()) - ref) <= math.ulp(ref)
+
+
+@pytest.mark.parametrize("d", (0.01, 0.05, 0.1, 0.25, 0.3, 0.4, 0.45, 0.49, 0.4999))
+def test_sigma0_matches_60_digit_reference(d):
+    # worst measured: 6.1 eps at d = 0.45
+    _, _, sigma = decimal_frac_noise(d, 0)
+    got = acvf(ProcessModel.frac_noise(d), 0).prefix(0)
+    assert _relative_errors(got, sigma)[0] <= 16 * EPS
+
+
+@pytest.mark.parametrize("d", (0.05, 0.3, 0.45, 0.49))
+def test_fractional_sequences_match_60_digit_references(d):
+    # each recursion step rounds once or twice, so the bound grows with j;
+    # measured: a_j and b_j within 0.26 j eps, sigma(j) within 0.38 (16 + j) eps
+    n = 4096
+    a, b, sigma = decimal_frac_noise(d, n)
+    model = ProcessModel.frac_noise(d)
+    j = np.arange(n + 1)
+    assert np.all(_relative_errors(ar_coeffs(model, n).prefix(n), a) <= j * EPS)
+    assert np.all(_relative_errors(ma_coeffs(model, n).prefix(n), b) <= j * EPS)
+    assert np.all(_relative_errors(acvf(model, n).prefix(n), sigma) <= (16 + j) * EPS)
 
 
 def test_acvf_alternating_closed_form_small_lags():
