@@ -18,7 +18,7 @@ from .mse import (ErrorDecomposition, MseReport, error_decomposition, infinite_p
 from .predict import (PROJECTION, TRUNCATED_WK, PredictorWeights, forecast, truncated_wk_weights,
                       truncated_wk_weights_at)
 from .process import CoefSeq, ProcessModel, acvf, ar_coeffs, ma_coeffs
-from .sim import McEstimate, SimulationPlan, empirical_mse, simulate
+from .sim import McEstimate, SimulationPlan, empirical_mse, empirical_mses, simulate
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "ModelError", "MseReport", "NotPositiveDefiniteError", "NumericError",
     "PredictorWeights", "ProcessModel", "PROJECTION", "RateFit",
     "SimulationPlan", "TRUNCATED_WK",
-    "acvf", "ar_coeffs", "empirical_mse",
+    "acvf", "ar_coeffs", "empirical_mse", "empirical_mses",
     "error_decomposition", "forecast", "improvement_ratio",
     "infinite_past_mse", "levinson_durbin",
     "ma_coeffs", "mse_of_weights", "projection_weights",

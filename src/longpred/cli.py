@@ -36,7 +36,7 @@ from .errors import ConfigError, ModelError, NumericError
 from .fit import projection_weights_at, yule_walker
 from .predict import TRUNCATED_WK, truncated_wk_weights_at
 from .process import ProcessModel, acvf, ar_coeffs, ma_coeffs
-from .sim import SimulationPlan, empirical_mse, simulate
+from .sim import SimulationPlan, empirical_mses, simulate
 from .svgplot import line_chart
 
 __all__ = ["main", "build_parser"]
@@ -267,35 +267,30 @@ def cmd_montecarlo(cfg: RunConfig) -> list[Path]:
     h_grid = cfg.h_grid or (1,)
     k = cfg.k
     g, a, b = _sequences(cfg, model, max(h_grid))
+    plan = SimulationPlan(model, length=k + h_grid[0], replications=cfg.reps,
+                          seed=cfg.seed, method=cfg.sim_method, ma_cov_tol=cfg.ma_cov_tol)
+    weights = [w for pair in zip(truncated_wk_weights_at(a, k, h_grid),
+                                 projection_weights_at(g, k, h_grid)) for w in pair]
     rows = []
-    first_paths = None
-    for h, pair in zip(h_grid, zip(truncated_wk_weights_at(a, k, h_grid),
-                                   projection_weights_at(g, k, h_grid))):
-        paths = simulate(SimulationPlan(model, length=k + h, replications=cfg.reps,
-                                        seed=cfg.seed, method=cfg.sim_method,
-                                        ma_cov_tol=cfg.ma_cov_tol))
-        if cfg.dump_paths and first_paths is None:
-            first_paths = paths
-        for weights in pair:
-            est = empirical_mse(paths, weights)
-            analytic = mse.mse_of_weights(g, b, weights)
-            z = (est.mean - analytic.total) / est.std_error
-            rows.append((weights.method, cfg.d if model.d is not None else "",
-                         k, int(h), est.mean, est.std_error, analytic.total, z))
-        del paths  # free this horizon's paths before the next simulation
+    for w, est in zip(weights, empirical_mses(plan, weights)):
+        analytic = mse.mse_of_weights(g, b, w)
+        z = (est.mean - analytic.total) / est.std_error
+        rows.append((w.method, cfg.d if model.d is not None else "",
+                     k, int(w.h), est.mean, est.std_error, analytic.total, z))
     written = [write_csv(out / "montecarlo.csv", "longpred/montecarlo v1",
                          [f"model: {model.describe()}",
                           f"seed: {cfg.seed}", f"replications: {cfg.reps}",
                           f"sim_method: {cfg.sim_method}"],
                          ["method", "d", "k", "h", "mc_mean", "mc_stderr",
                           "analytic_total", "z"], rows)]
-    if first_paths is not None:
+    if cfg.dump_paths:
+        paths = simulate(plan)
         written.append(write_csv(
             out / "paths.csv", "longpred/paths v1",
             [f"model: {model.describe()}", f"seed: {cfg.seed}",
              "one replication per row"],
-            [f"x{t + 1}" for t in range(first_paths.shape[1])],
-            (tuple(float(v) for v in row) for row in first_paths)))
+            [f"x{t + 1}" for t in range(paths.shape[1])],
+            (tuple(float(v) for v in row) for row in paths)))
     return written
 
 

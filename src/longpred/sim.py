@@ -4,7 +4,9 @@ Sample paths provide the end-to-end check of every analytic error formula:
 simulate, forecast with the constructed weights, and compare empirical
 squared errors against the quadratic-form values.  :func:`simulate` draws
 the paths; :func:`empirical_mse` scores one weight vector on the first k + h
-columns of each row, so one array of paths can serve several predictors.
+columns of each row; :func:`empirical_mses` scores many weight vectors,
+each on paths of its own length k + h, with the same bits as
+:func:`empirical_mse` on a :func:`simulate` at that length.
 
 Two samplers are available.  Circulant embedding is the default and exact:
 the length-n covariance is embedded into a 2(n-1)-circulant whose FFT gives
@@ -14,15 +16,20 @@ cross-check; it carries a certified covariance error.
 Randomness is counter-based: each replication draws from its own Philox
 stream keyed by (seed, replication index), so row r depends only on
 (seed, r) and results are reproducible regardless of execution order and
-of how the rows are split.  Circulant embedding cuts the rows into
-contiguous ranges on block boundaries and fills them on min(CPUs, blocks)
+of how the rows are split.  A row of an embedding of length m reads the
+first 2m normals of its stream, so one draw at the longest embedding holds
+every shorter one as a prefix.  Circulant embedding cuts the rows into
+contiguous ranges on block boundaries and runs them on min(CPUs, blocks)
 threads; numpy releases the GIL while it draws normals and runs FFTs.  Each
-range re-keys one bit generator for each of its rows and transforms its
-rows in blocks with one in-place FFT per block.  The threads share one
-temporary-memory budget and write into buffers the calling thread
-allocated, so temporaries stay bounded and the output does not depend on
-the number of threads.  MA truncation stays on the calling thread: its
-rows are short, so time under the GIL dominates and threads slowed it down.
+range re-keys one bit generator for each of its rows, draws the row's
+normals once and, per embedding length, transforms its blocks in place and
+hands each block's paths to a visitor: :func:`simulate` copies them out,
+:func:`empirical_mses` scores them, so it never builds an array of paths.
+The threads share one temporary-memory budget and write into buffers the
+calling thread allocated, so temporaries stay bounded and the output does
+not depend on the number of threads.  MA truncation stays on the calling
+thread: its rows are short, so time under the GIL dominates and threads
+slowed it down.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +53,7 @@ __all__ = [
     "McEstimate",
     "simulate",
     "empirical_mse",
+    "empirical_mses",
 ]
 
 CIRCULANT_EMBEDDING = "circulant_embedding"
@@ -128,26 +136,69 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _circulant_rows(out: np.ndarray, amp: np.ndarray, seed: int, start: int,
-                    normals: np.ndarray, z: np.ndarray) -> None:
-    """Fill ``out`` with rows start, start + 1, ... of the circulant
-    sampler, ``len(z)`` rows at a time, in the caller's buffers.
+def _circulant_rows(lengths: list[int], amps: list[np.ndarray], seed: int, start: int,
+                    stop: int, normals: np.ndarray, z: np.ndarray, visit) -> None:
+    """Run rows start..stop-1 of the circulant sampler, ``len(normals)`` rows
+    at a time, in the caller's buffers.
 
-    Each row draws 2m normals, the real parts then the imaginary parts, from
-    stream (seed, r); the block is scaled by ``amp`` and transformed in place.
+    Each row draws 2 m_max normals from stream (seed, r), once.  Embedding i,
+    of length m = ``amps[i].size``, reads the first m as real parts and the
+    next m as imaginary parts, so every embedding gets exactly the normals a
+    draw at its own length would.  Per embedding the block is scaled by the
+    amplitudes, transformed in place in a contiguous buffer, and its paths
+    of length ``lengths[i]`` are handed to ``visit(i, first_row, paths)``.
     """
-    reps, n = out.shape
-    m = z.shape[1]
-    streams = _streams(seed, start, start + reps)
-    for lo in range(0, reps, len(z)):
-        zb = z[:min(len(z), reps - lo)]
-        for row, rng in zip(normals, streams):
+    streams = _streams(seed, start, stop)
+    for lo in range(start, stop, len(normals)):
+        block = normals[:min(len(normals), stop - lo)]
+        for row, rng in zip(block, streams):
             rng.standard_normal(out=row)
-        zb.real = normals[:len(zb), :m]
-        zb.imag = normals[:len(zb), m:]
-        zb *= amp
-        np.fft.fft(zb, axis=1, out=zb)
-        out[lo:lo + len(zb)] = zb.real[:, :n]
+        for i, amp in enumerate(amps):
+            m = amp.size
+            zb = z[:len(block) * m].reshape(len(block), m)
+            zb.real = block[:, :m]
+            zb.imag = block[:, m:2 * m]
+            zb *= amp
+            np.fft.fft(zb, axis=1, out=zb)
+            visit(i, lo, zb.real[:, :lengths[i]])
+
+
+def _circulant_pass(model: ProcessModel, lengths: list[int], reps: int, seed: int,
+                    visit) -> None:
+    """Run replications 0..reps-1 through the circulant embedding of every
+    length in ``lengths``, calling ``visit(i, first_row, paths)`` with the
+    exact paths of length ``lengths[i]`` of each row block, from worker
+    threads; blocks are disjoint row ranges.
+    """
+    amps = []
+    for n in lengths:
+        m = max(2 * n - 2, 1)  # n = 1 embeds into the 1-circulant (sigma(0))
+        amps.append(np.sqrt(_circulant_spectrum(model, n) / m))
+
+    # one thread per CPU, at most one per block of the whole budget; the
+    # threads then split the budget, and each takes a run of whole blocks
+    m_max = max(amp.size for amp in amps)
+    row_bytes = 16 * m_max
+    workers = min(_worker_count(), -(-reps // max(1, _BLOCK_BYTES // row_bytes)))
+    block = max(1, _BLOCK_BYTES // workers // row_bytes)
+    blocks = -(-reps // block)
+    cuts = [min(reps, block * (i * blocks // workers)) for i in range(workers + 1)]
+    # imported here: concurrent.futures pulls in logging, about 5 ms and
+    # 0.6 MB that commands which never simulate should not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    futures = []
+    with ThreadPoolExecutor(workers) as pool:
+        for start, stop in zip(cuts, cuts[1:]):
+            # buffers come from the calling thread: allocations made in the
+            # workers would land in per-thread malloc arenas and raise peak RSS
+            rows = min(block, stop - start)
+            normals = np.empty((rows, 2 * m_max))
+            z = np.empty(rows * m_max, dtype=complex)
+            futures.append(pool.submit(_circulant_rows, lengths, amps, seed, start,
+                                       stop, normals, z, visit))
+    for future in futures:
+        future.result()
 
 
 def _circulant_spectrum(model: ProcessModel, n: int) -> np.ndarray:
@@ -230,33 +281,10 @@ def simulate(plan: SimulationPlan) -> np.ndarray:
     n, reps = plan.length, plan.replications
     out = np.empty((reps, n))
     if plan.method == CIRCULANT_EMBEDDING:
-        lam = _circulant_spectrum(plan.model, n)
-        m = max(2 * n - 2, 1)  # n = 1 embeds into the 1-circulant (sigma(0))
-        amp = np.sqrt(lam / m)
-        # one thread per CPU, at most one per block of the whole budget; the
-        # threads then split the budget, and each takes a run of whole blocks
-        row_bytes = 16 * m
-        workers = min(_worker_count(), -(-reps // max(1, _BLOCK_BYTES // row_bytes)))
-        block = max(1, _BLOCK_BYTES // workers // row_bytes)
-        blocks = -(-reps // block)
-        cuts = [min(reps, block * (i * blocks // workers)) for i in range(workers + 1)]
-        # imported here: concurrent.futures pulls in logging, about 5 ms and
-        # 0.6 MB that commands which never simulate should not pay
-        from concurrent.futures import ThreadPoolExecutor
+        def store(_: int, lo: int, paths: np.ndarray) -> None:
+            out[lo:lo + len(paths)] = paths
 
-        futures = []
-        with ThreadPoolExecutor(workers) as pool:
-            for start, stop in zip(cuts, cuts[1:]):
-                # buffers come from the calling thread: allocations made in
-                # the workers would land in per-thread malloc arenas and
-                # raise peak RSS
-                rows = min(block, stop - start)
-                normals = np.empty((rows, 2 * m))
-                z = np.empty((rows, m), dtype=complex)
-                futures.append(pool.submit(_circulant_rows, out[start:stop], amp,
-                                           plan.seed, start, normals, z))
-        for future in futures:
-            future.result()
+        _circulant_pass(plan.model, [n], reps, plan.seed, store)
         return out
     # MA truncation stays serial: its rows are short, so the work under the
     # GIL dominates and threads made model_zoo's MA-truncation ops slower
@@ -269,20 +297,65 @@ def simulate(plan: SimulationPlan) -> np.ndarray:
     return out
 
 
+def _squared_errors(paths: np.ndarray, weights: PredictorWeights) -> np.ndarray:
+    """Squared error of forecasting X_{k+h} from (X_1..X_k), row by row."""
+    k, h = weights.k, weights.h
+    preds = paths[:, :k][:, ::-1] @ weights.weights
+    return (paths[:, k + h - 1] - preds) ** 2
+
+
+def _estimate(errs: np.ndarray) -> McEstimate:
+    """Sample mean of one predictor's squared errors with its standard error."""
+    r = errs.size
+    return McEstimate(mean=float(np.mean(errs)),
+                      std_error=float(np.std(errs, ddof=1) / math.sqrt(r)),
+                      replications=r)
+
+
 def empirical_mse(paths: np.ndarray, weights: PredictorWeights) -> McEstimate:
     """Monte-Carlo squared prediction error of a weight vector on the rows of
     ``paths``, an array :func:`simulate` returned.
 
     Each row forecasts X_{k+h} from (X_1..X_k); columns after k + h are not
-    read, so one simulation at the longest k + h serves every horizon.  The
-    estimate is the sample mean of squared errors with its standard error.
+    read.  The estimate is the sample mean of squared errors with its
+    standard error.
     """
-    r, n = paths.shape
-    k, h = weights.k, weights.h
-    if n < k + h:
-        raise ValueError(f"path length {n} too short for k + h = {k + h}")
-    preds = paths[:, :k][:, ::-1] @ weights.weights
-    errs = (paths[:, k + h - 1] - preds) ** 2
-    return McEstimate(mean=float(np.mean(errs)),
-                      std_error=float(np.std(errs, ddof=1) / math.sqrt(r)),
-                      replications=r)
+    n = paths.shape[1]
+    if n < weights.k + weights.h:
+        raise ValueError(f"path length {n} too short for k + h = {weights.k + weights.h}")
+    return _estimate(_squared_errors(paths, weights))
+
+
+def empirical_mses(plan: SimulationPlan, weights) -> list[McEstimate]:
+    """Monte-Carlo squared prediction error of each weight vector, in order,
+    on the plan's replications at length k + h (``plan.length`` is not read).
+
+    Entry i equals ``empirical_mse(simulate(replace(plan, length=k + h)),
+    weights[i])`` bit for bit.  The circulant sampler draws each row's
+    normals once for every length and scores every weight vector on row
+    blocks, so no array of paths is built; MA truncation simulates each
+    distinct length once.
+    """
+    weights = tuple(weights)
+    by_length: dict[int, list[int]] = {}
+    for i, w in enumerate(weights):
+        by_length.setdefault(w.k + w.h, []).append(i)
+    if not weights:
+        return []
+    if plan.method == MA_TRUNCATION:
+        out: list = [None] * len(weights)
+        for n, group in by_length.items():
+            paths = simulate(replace(plan, length=n))
+            for i in group:
+                out[i] = empirical_mse(paths, weights[i])
+            del paths  # free this length's paths before the next simulation
+        return out
+    errs = np.empty((len(weights), plan.replications))
+    groups = list(by_length.values())
+
+    def score(i: int, lo: int, paths: np.ndarray) -> None:
+        for j in groups[i]:
+            errs[j, lo:lo + len(paths)] = _squared_errors(paths, weights[j])
+
+    _circulant_pass(plan.model, list(by_length), plan.replications, plan.seed, score)
+    return [_estimate(e) for e in errs]

@@ -95,6 +95,31 @@ def test_improvement_ratio_large_memory():
     assert improvement_ratio(0.40, 24) > 0.55
 
 
+@pytest.mark.parametrize("d", (0.2, 0.35, 0.45))
+def test_fitted_ar_excess_times_k_tends_to_d_squared(d):
+    # the fitted-AR excess is v_k - sigma^2 with v_k = prod (1 - kappa_j^2)
+    # sigma(0), kappa_j = d / (j - d), so k times it tends to d^2
+    k = 1024
+    dec = error_decomposition(ProcessModel.frac_noise(d), k)
+    assert abs(k * dec.ar_excess / d ** 2 - 1.0) <= 1e-3
+
+
+def test_improvement_ratio_rises_below_its_limit():
+    # k times the two excesses tend to d^2 and C(d), so r(k) tends to
+    # 1 - d^2 / C(d); at d = 0.35 that limit is below 1/2, which is why
+    # criterion 5's d = 0.35 cells fail: the limit reaches 1/2 only above
+    # d* = 0.3710
+    d = 0.35
+    limit = 1.0 - d ** 2 / truncation_constant(d)
+    assert limit == pytest.approx(0.43975, abs=1e-5)
+    ratios = [improvement_ratio(d, k) for k in (64, 128, 256, 512, 1024)]
+    assert all(a < b for a, b in zip(ratios, ratios[1:]))
+    assert ratios[-1] < limit < 0.5
+    assert limit - ratios[-1] < 2e-4
+    crossing = [1.0 - x ** 2 / truncation_constant(x) - 0.5 for x in (0.3709, 0.3711)]
+    assert crossing[0] < 0.0 < crossing[1]
+
+
 def test_rate_fit_exact_power_law():
     fit = rate_fit([(k, 7.0 / k) for k in (2, 4, 8, 16, 32, 64)])
     assert fit.slope == pytest.approx(-1.0, abs=1e-12)

@@ -6,7 +6,7 @@ from longpred.config import load_config, parse_config_file
 from longpred.errors import ConfigError
 from longpred.process import ProcessModel, acvf, ar_coeffs
 
-from _oracles import read_csv
+from _oracles import per_row_paths, read_csv
 
 
 def run(args):
@@ -126,23 +126,27 @@ def test_montecarlo_z_scores(tmp_path):
     assert np.all(np.abs(arr[:, 2]) <= 3.0)
 
 
-def test_montecarlo_simulates_each_plan_once(tmp_path, monkeypatch):
-    from longpred import cli
-    calls = []
-    simulate = cli.simulate
+def test_montecarlo_keys_each_row_stream_once(tmp_path, monkeypatch):
+    # one draw per row serves every horizon: a circulant run keys each
+    # row's stream once and builds no array of paths
+    from longpred import cli, sim
+    keyed, simulated = [], []
+    streams = sim._streams
 
-    def counted(plan):
-        calls.append(plan)
-        return simulate(plan)
+    def counted(seed, start, stop):
+        keyed.extend(range(start, stop))
+        return streams(seed, start, stop)
 
-    monkeypatch.setattr(cli, "simulate", counted)
+    monkeypatch.setattr(sim, "_streams", counted)
+    monkeypatch.setattr(cli, "simulate", simulated.append)
     cfgfile = tmp_path / "c.cfg"
-    cfgfile.write_text("h_grid = 1,2\nreps = 60\nk = 10\n")
+    cfgfile.write_text("h_grid = 5,1,2\nreps = 60\nk = 10\n")
     assert run(["montecarlo", "--config", cfgfile, "--out", tmp_path / "o"]) == 0
-    assert [plan.length for plan in calls] == [11, 12]
+    assert sorted(keyed) == list(range(60))
+    assert simulated == []
 
 
-def test_montecarlo_dump_paths_reuses_first_simulation(tmp_path, monkeypatch):
+def test_montecarlo_dump_paths_simulates_first_horizon_once(tmp_path, monkeypatch):
     from longpred import cli
     calls = []
     simulate = cli.simulate
@@ -153,12 +157,19 @@ def test_montecarlo_dump_paths_reuses_first_simulation(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "simulate", counted)
     cfgfile = tmp_path / "c.cfg"
-    cfgfile.write_text("h_grid = 1,2\nreps = 60\nk = 10\ndump_paths = true\n")
-    out = tmp_path / "o"
-    assert run(["montecarlo", "--config", cfgfile, "--out", out]) == 0
-    assert [plan.length for plan in calls] == [11, 12]
-    _, arr = rows_as_floats(out / "paths.csv")
-    assert np.array_equal(arr, simulate(calls[0]))
+    cfgfile.write_text("h_grid = 2,1\nreps = 60\nk = 10\nseed = 7\n")
+    plain, dumped = tmp_path / "plain", tmp_path / "dumped"
+    assert run(["montecarlo", "--config", cfgfile, "--out", plain]) == 0
+    assert calls == []
+    with open(cfgfile, "a") as f:
+        f.write("dump_paths = true\n")
+    assert run(["montecarlo", "--config", cfgfile, "--out", dumped]) == 0
+    assert [plan.length for plan in calls] == [12]
+    # the dump is the first horizon's paths, drawn one row at a time as
+    # before, and leaves the estimates' bytes alone
+    _, arr = rows_as_floats(dumped / "paths.csv")
+    assert np.array_equal(arr, per_row_paths(calls[0]))
+    assert (plain / "montecarlo.csv").read_bytes() == (dumped / "montecarlo.csv").read_bytes()
 
 
 def test_montecarlo_certification_exit_code(tmp_path, capsys):

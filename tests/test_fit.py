@@ -60,6 +60,15 @@ def test_closed_form_matches_levinson(d):
                                                        rel=1e-10)
 
 
+@pytest.mark.parametrize("d", (0.2, 0.35, 0.45))
+def test_fractional_noise_reflections_are_d_over_j_minus_d(d):
+    # Hosking (1981): the partial autocorrelations are kappa_j = d / (j - d)
+    k = 1024
+    kappa = yule_walker(acvf(ProcessModel.frac_noise(d), k), k).reflections
+    j = np.arange(1, k + 1)
+    np.testing.assert_allclose(kappa, d / (j - d), rtol=1e-11, atol=0.0)
+
+
 def test_closed_form_last_coefficient():
     # phi_k = d / (k - d) after simplifying the Gamma ratio at j = k
     cf = closed_form_ar_fit(0.4, 4)

@@ -223,6 +223,15 @@ def test_decomposition_brute_force_small_order():
     assert dec.term_trunc == pytest.approx(trunc, rel=1e-6)
 
 
+@pytest.mark.parametrize("d", (0.2, 0.35, 0.45))
+@pytest.mark.parametrize("k", (64, 1024))
+def test_decomposition_cross_term_is_minus_twice_quad(d, k):
+    # Pythagoras for the projection: the fitted-AR excess is the truncation
+    # excess less delta' T delta, so term_cross = -2 term_quad exactly
+    dec = error_decomposition(ProcessModel.frac_noise(d), k)
+    assert dec.term_cross == pytest.approx(-2.0 * dec.term_quad, rel=1e-10)
+
+
 def test_decomposition_requires_fractional_noise():
     with pytest.raises(ModelError):
         error_decomposition(ProcessModel.white_noise(), 5)

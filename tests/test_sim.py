@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,12 +8,12 @@ import pytest
 from _oracles import per_row_paths
 from longpred import sim
 from longpred.errors import CertificationError
-from longpred.fit import projection_weights
+from longpred.fit import projection_weights, projection_weights_at
 from longpred.mse import mse_of_weights
-from longpred.predict import PredictorWeights, truncated_wk_weights
+from longpred.predict import PredictorWeights, truncated_wk_weights, truncated_wk_weights_at
 from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 from longpred.sim import (CIRCULANT_EMBEDDING, MA_TRUNCATION, SimulationPlan,
-                          empirical_mse, simulate)
+                          empirical_mse, empirical_mses, simulate)
 
 
 def _cov_se(gamma, i, j, reps):
@@ -96,6 +98,82 @@ def test_circulant_temporaries_stay_within_the_block_budget(workers, monkeypatch
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes <= 2.5 * sim._BLOCK_BYTES
+
+
+def _horizon_weights(model, k, horizons):
+    """Both predictors at every horizon, as ``montecarlo`` scores them."""
+    longest = k + max(horizons)
+    return [w for pair in zip(truncated_wk_weights_at(ar_coeffs(model, longest), k, horizons),
+                              projection_weights_at(acvf(model, longest), k, horizons))
+            for w in pair]
+
+
+def _per_length(plan, weights):
+    return [empirical_mse(simulate(replace(plan, length=w.k + w.h)), w) for w in weights]
+
+
+@pytest.mark.parametrize("model, k, horizons, reps", [
+    (ProcessModel.frac_noise(0.3), 20, (20, 1, 5), 100),
+    (ProcessModel.frac_noise(0.45), 1, (1, 2, 3), 50),
+    (ProcessModel.farima(0.2, ar=(0.5,), ma=(0.3,)), 12, (4, 1), 61),
+])
+@pytest.mark.parametrize("block_rows", (None, 7))
+@pytest.mark.parametrize("workers", (1, 3))
+def test_empirical_mses_match_per_length_simulations(model, k, horizons, reps, block_rows,
+                                                     workers, monkeypatch):
+    # 7-row blocks at the longest embedding leave a short last block (one
+    # worker) or 2-row blocks over three uneven row ranges (three workers)
+    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    if block_rows is not None:
+        monkeypatch.setattr(sim, "_BLOCK_BYTES",
+                            block_rows * 16 * (2 * (k + max(horizons)) - 2))
+    weights = _horizon_weights(model, k, horizons)
+    plan = SimulationPlan(model, length=1, replications=reps, seed=2 ** 63 + 11)
+    expected = _per_length(plan, weights)
+    # threads write disjoint slices of one error array; switching threads
+    # often would expose a lost or misplaced block
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = empirical_mses(plan, weights)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+
+def test_empirical_mses_ma_truncation_simulates_each_length_once(monkeypatch):
+    model = ProcessModel.arma(ar=(0.5,), ma=(0.3,))
+    weights = _horizon_weights(model, 6, (3, 1))
+    plan = SimulationPlan(model, length=1, replications=40, seed=5, method=MA_TRUNCATION)
+    expected = _per_length(plan, weights)
+    lengths = []
+
+    def counted(p):
+        lengths.append(p.length)
+        return simulate(p)
+
+    monkeypatch.setattr(sim, "simulate", counted)
+    assert empirical_mses(plan, weights) == expected
+    assert lengths == [9, 7]
+
+
+@pytest.mark.parametrize("workers", (1, 3))
+def test_empirical_mses_temporaries_stay_within_the_block_budget(workers, monkeypatch):
+    # the scorer keeps the squared errors and one budget of row blocks; the
+    # paths of one horizon alone would take more than 2.5 budgets
+    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    model, k, reps = ProcessModel.frac_noise(0.3), 200, 2000
+    weights = _horizon_weights(model, k, (1, 5, 10, 20))
+    plan = SimulationPlan(model, length=1, replications=reps, seed=3)
+    assert 8 * reps * (k + 1) > 2.5 * sim._BLOCK_BYTES
+    empirical_mses(plan, weights)  # warm caches outside the traced region
+    tracemalloc.start()
+    try:
+        empirical_mses(plan, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * len(weights) * reps <= 2.5 * sim._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("model", (ProcessModel.white_noise(1.5),
