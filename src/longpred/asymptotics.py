@@ -59,7 +59,6 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
-    grid: tuple[tuple[float, float], ...]
 
 
 def rate_fit(values: Iterable[Sequence[float]]) -> RateFit:
@@ -80,5 +79,4 @@ def rate_fit(values: Iterable[Sequence[float]]) -> RateFit:
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return RateFit(slope=float(slope), intercept=float(intercept),
-                   r_squared=r2, grid=grid)
+    return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2)

@@ -55,16 +55,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# each subcommand, its help line and the config keys it takes as flags
-_SUBCOMMANDS = [
-    ("coeffs", "dump model coefficient sequences", ("d", "n")),
-    ("fit", "dump the order-k Yule-Walker fit", ("d", "k")),
-    ("figure1", "truncation-excess constant over a d grid", ("svg",)),
-    ("figure2", "improvement ratio over a (d, k) grid", ("svg",)),
-    ("figure3", "three error curves against the horizon", ("d", "k", "svg")),
-    ("rates", "excess decay rates and constant recovery", ("d",)),
-    ("montecarlo", "Monte-Carlo cross-validation of analytic errors", ("d", "k", "seed", "reps")),
-]
 _FLAG_HELP = {"d": "memory parameter", "k": "predictor order", "n": "coefficient dump length",
               "seed": "RNG seed", "reps": "Monte-Carlo replications",
               "svg": "also emit SVG charts"}
@@ -74,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="longpred", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, helptext, flags in _SUBCOMMANDS:
+    for name, helptext, flags, _ in _SUBCOMMANDS:
         # no prefixes: one could name another command's flag, and --h opens --help
         q = sub.add_parser(name, help=helptext, allow_abbrev=False)
         q.add_argument("--config", metavar="PATH", help="flat key = value config file")
@@ -294,15 +284,18 @@ def cmd_montecarlo(cfg: RunConfig) -> list[Path]:
     return written
 
 
-_COMMANDS = {
-    "coeffs": cmd_coeffs,
-    "fit": cmd_fit,
-    "figure1": cmd_figure1,
-    "figure2": cmd_figure2,
-    "figure3": cmd_figure3,
-    "rates": cmd_rates,
-    "montecarlo": cmd_montecarlo,
-}
+# each subcommand, its help line, the config keys it takes as flags and its handler
+_SUBCOMMANDS = [
+    ("coeffs", "dump model coefficient sequences", ("d", "n"), cmd_coeffs),
+    ("fit", "dump the order-k Yule-Walker fit", ("d", "k"), cmd_fit),
+    ("figure1", "truncation-excess constant over a d grid", ("svg",), cmd_figure1),
+    ("figure2", "improvement ratio over a (d, k) grid", ("svg",), cmd_figure2),
+    ("figure3", "three error curves against the horizon", ("d", "k", "svg"), cmd_figure3),
+    ("rates", "excess decay rates and constant recovery", ("d",), cmd_rates),
+    ("montecarlo", "Monte-Carlo cross-validation of analytic errors",
+     ("d", "k", "seed", "reps"), cmd_montecarlo),
+]
+_COMMANDS = {name: handler for name, _, _, handler in _SUBCOMMANDS}
 
 
 def main(argv: list[str] | None = None) -> int:

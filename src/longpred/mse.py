@@ -12,7 +12,8 @@ method floor (the h-step error given the infinite past, noise_variance *
 sum_{l<h} b_l^2) and the excess attributable to truncation or to the finite
 observation span.
 Reports read sigma(j) and b_j from :class:`~longpred.process.CoefSeq` values
-the caller computed once, at the accuracy that built its predictors.
+the caller computed once, at the accuracy that built its predictors.  The
+quadratic form lag-correlates the weights by ``process._lag_products``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 from .errors import ModelError
 from .fit import closed_form_log_inflation
 from .predict import PredictorWeights
-from .process import (ACVF, FRAC_NOISE, MA, CoefSeq, ProcessModel, _check_kind, acvf,
-                      ar_coeffs)
+from .process import (ACVF, FRAC_NOISE, MA, CoefSeq, ProcessModel, _check_kind,
+                      _lag_products, acvf, ar_coeffs)
 
 __all__ = [
     "MseReport",
@@ -82,7 +83,7 @@ def toeplitz_quadratic_form(gamma: np.ndarray, w: np.ndarray) -> float:
     k = w.size
     if k == 0:
         return 0.0
-    c = np.convolve(w, w[::-1])[k - 1:]
+    c = _lag_products(w, 1.0, k - 1)
     return float(c[0] * gamma[0] + 2.0 * np.dot(c[1:k], gamma[1:k]))
 
 

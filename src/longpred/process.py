@@ -32,6 +32,10 @@ term, no cancellation, exact sign propagation.  The closed-form
 Gamma-ratio expressions are kept as independent oracles in the test suite.
 The ARMA moving-average series, the FARIMA filter and the AR inversion of a
 generic moving average share one power-series division, ``_rational_series``.
+Every lag autocorrelation sum_m b_m b_{m+s}, of an MA series, of the FARIMA
+filter or of predictor weights (``mse``), is taken by ``_lag_products``: one
+``np.correlate``, or one dot per lag when few lags of a long series are
+asked for; a second correlation filters the FARIMA core's autocovariance.
 FARIMA autocovariances, and ARMA ones whose series sticks at subnormal values
 before the block-ratio tail test passes, are certified from the filter's
 root modulus (``_certified_rational_series``).
@@ -270,10 +274,16 @@ def _stuck_rational_tail(den: Sequence[float], b: np.ndarray, start: int) -> boo
 
 
 def _lag_products(b: np.ndarray, s2: float, n: int) -> np.ndarray:
-    """s2 * sum_m b_m b_{m+s} for lags s = 0..n; 0 past the last lag of b."""
+    """s2 * sum_m b_m b_{m+s} for lags s = 0..n, 0 past the last lag of b:
+    one ``np.correlate`` (b.size^2 products), or one dot per lag, the same
+    bits, when b is far longer than n + 1 (the ARMA block path)."""
     out = np.zeros(n + 1)
-    for s in range(min(n, b.size - 1) + 1):
-        out[s] = s2 * np.dot(b[: b.size - s], b[s:])
+    top = min(n, b.size - 1)
+    if b.size * b.size <= (top + 1) * (b.size + 4096):
+        out[: top + 1] = s2 * np.correlate(b, b, "full")[b.size - 1: b.size + top]
+    else:
+        for s in range(top + 1):
+            out[s] = s2 * np.dot(b[: b.size - s], b[s:])
     return out
 
 
@@ -393,14 +403,14 @@ def _farima(model: ProcessModel, kind: str, n: int, tol: float) -> tuple[np.ndar
     if kind != ACVF:
         return np.convolve(_frac(model.d, 1.0, kind, n), psi)[: n + 1], 0.0
     # sigma_X(s) = sum_m gbar(m) sigma_F(s - m) where gbar is the lag
-    # autocorrelation of the rational filter psi
+    # autocorrelation of the rational filter psi; correlating gbar along
+    # sigma_F(|n + p - u|), u = 0..n + 2p, gives s = n..0
     p = psi.size - 1
     sig_f = _frac(model.d, model.noise_variance, ACVF, n + p)
-    gbar = np.convolve(psi, psi[::-1])  # lags -p..p, index m+p
-    lags = np.arange(-p, p + 1)
-    out = np.empty(n + 1)
-    for s in range(n + 1):
-        out[s] = np.dot(gbar, sig_f[np.abs(s - lags)])
+    half = _lag_products(psi, 1.0, p)
+    gbar = np.concatenate([half[:0:-1], half])  # lags -p..p, index m+p
+    folded = sig_f[np.abs(n + p - np.arange(n + 2 * p + 1))]
+    out = np.correlate(folded, gbar, "valid")[::-1]
     return out, _filter_tail_tol(psi, psi_tail, sig_f[0], out[0], tol, "FARIMA")
 
 

@@ -353,10 +353,42 @@ def reference_block_ratio_acvf(model, n: int, tol: float = 1e-10):
             q = t2 / t1
             tail_sq = t2 * q / (1.0 - q)
         if tail_sq is not None and s2 * tail_sq <= tol * sigma0:
-            values = np.array([s2 * np.dot(b[: b.size - s], b[s:]) for s in range(n + 1)])
+            values = reference_lag_products(b, s2, n)
             return values, s2 * tail_sq / values[0]
         m *= 2
     raise AssertionError("block-ratio loop did not certify")
+
+
+def reference_lag_products(b: np.ndarray, s2: float, n: int) -> np.ndarray:
+    """s2 * sum_m b_m b_{m+s} for s = 0..n by one dot per lag, 0 past the
+    last lag of b."""
+    out = np.zeros(n + 1)
+    for s in range(min(n, b.size - 1) + 1):
+        out[s] = s2 * np.dot(b[: b.size - s], b[s:])
+    return out
+
+
+def reference_filtered_core(psi: np.ndarray, sig_f: np.ndarray, n: int) -> np.ndarray:
+    """sigma_X(s) = sum_m gbar(m) sigma_F(|s - m|) for s = 0..n, gathering
+    sigma_F at each lag; gbar(m), m = -p..p, is the lag autocorrelation of
+    the filter psi_0..psi_p."""
+    p = psi.size - 1
+    gbar = np.convolve(psi, psi[::-1])
+    lags = np.arange(-p, p + 1)
+    return np.array([np.dot(gbar, sig_f[np.abs(s - lags)]) for s in range(n + 1)])
+
+
+def reference_quadratic_form(gamma: np.ndarray, w: np.ndarray) -> float:
+    """sum_{j,l} w_j w_l gamma(|j-l|) from the lag autocorrelation of w
+    taken by ``np.convolve(w, w[::-1])``."""
+    k = w.size
+    c = np.convolve(w, w[::-1])[k - 1:]
+    return float(c[0] * gamma[0] + 2.0 * np.dot(c[1:k], gamma[1:k]))
+
+
+def same_bits(got, want) -> bool:
+    """Equal values with equal signs of zero."""
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # -- test-only routes: independent evaluations the suite compares production

@@ -9,8 +9,8 @@ from longpred.predict import truncated_wk_weights
 from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 
 from _oracles import (brute_truncation_excess, decimal_projection, dense_quadratic_form,
-                      fitted_ar_mse, spectral_contrast_mse, tail_cross_sum,
-                      truncated_one_step_excess)
+                      fitted_ar_mse, reference_quadratic_form, same_bits,
+                      spectral_contrast_mse, tail_cross_sum, truncated_one_step_excess)
 
 
 def test_quadratic_form_against_dense():
@@ -20,6 +20,15 @@ def test_quadratic_form_against_dense():
         w = rng.standard_normal(k)
         assert toeplitz_quadratic_form(g, w) == pytest.approx(
             dense_quadratic_form(g, w), rel=1e-12)
+
+
+def test_lag_kernel_quadratic_form_matches_convolve():
+    rng = np.random.default_rng(5)
+    g = acvf(ProcessModel.frac_noise(0.4), 2000).prefix(2000)
+    a = ar_coeffs(ProcessModel.frac_noise(0.4), 2000).prefix(2000)
+    for k in (*range(1, 65), 127, 128, 129, 255, 256, 257, 511, 512, 1000, 1024, 1999, 2000):
+        for w in (rng.standard_normal(k), -a[1: k + 1]):
+            assert same_bits(toeplitz_quadratic_form(g, w), reference_quadratic_form(g, w))
 
 
 def test_white_noise_truncated_error_is_floor():

@@ -8,13 +8,14 @@ from hypothesis import given, strategies as st
 from longpred import process
 from longpred.cli import main
 from longpred.errors import ModelError
-from longpred.process import (AR, DEFAULT_ACVF_TOL, MA, ProcessModel, _ma_series, acvf,
-                              ar_coeffs, ma_coeffs)
+from longpred.process import (ACVF, AR, DEFAULT_ACVF_TOL, MA, ProcessModel, _ma_series,
+                              acvf, ar_coeffs, ma_coeffs)
 from longpred.special import log_gamma_diff
 
 from _oracles import (arma_acvf_brute, brute_orthogonality_sum, decimal_frac_noise,
                       decimal_log_gamma, decimal_pi, read_csv, reference_block_ratio_acvf,
-                      reference_ma_inversion, reference_rational_series, verify_decay)
+                      reference_filtered_core, reference_lag_products, reference_ma_inversion,
+                      reference_rational_series, same_bits, verify_decay)
 
 D_VALUES = (0.05, 0.25, 0.45)
 
@@ -332,10 +333,6 @@ def test_generic_inversion_round_trip():
     assert np.max(np.abs(conv[1:])) < 1e-12
 
 
-def _same_bits(got, want):
-    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-
-
 # (model, indices j whose AR coefficient is -0, or None)
 INVERSION_MODELS = {
     "arma_0.9": (ProcessModel.arma(ar=(0.9,)), slice(2, None)),
@@ -353,7 +350,7 @@ def test_generic_ar_inversion_bitwise_matches_reference_loop(name):
     support = model.finite_ma_support
     want = reference_ma_inversion(b, support if support is not None else n, n)
     got = ar_coeffs(model, n).prefix(n)
-    assert _same_bits(got, want)
+    assert same_bits(got, want)
     if negative_zeros is not None:  # the -0 rows that coeffs_ar.csv writes
         assert np.all(got[negative_zeros] == 0.0) and np.all(np.signbit(got[negative_zeros]))
 
@@ -375,7 +372,7 @@ def test_ma_series_zero_signs():
 def test_arma_stream_bitwise_matches_reference_series(ar, ma, n):
     want = reference_rational_series((1.0,) + ma, (1.0,) + tuple(-p for p in ar), n)
     got = ma_coeffs(ProcessModel.arma(ar=ar, ma=ma), n).prefix(n)
-    assert _same_bits(got, want)
+    assert same_bits(got, want)
     if n > 1100:  # coeffs_ma.csv writes these zeros unsigned
         assert np.any(got == 0.0) and not np.any(np.signbit(got[got == 0.0]))
 
@@ -386,7 +383,7 @@ def test_farima_filter_expansion_matches_reference_series(kind):
     psi, _ = process._psi_series(model, kind, DEFAULT_ACVF_TOL)
     phi_op, theta_op = (1.0, -0.4), (1.0, -0.3)
     num, den = (phi_op, theta_op) if kind == AR else (theta_op, phi_op)
-    assert _same_bits(psi, reference_rational_series(num, den, psi.size - 1))
+    assert same_bits(psi, reference_rational_series(num, den, psi.size - 1))
 
 
 def test_arma_stream_matches_textbook_acvf():
@@ -397,12 +394,13 @@ def test_arma_stream_matches_textbook_acvf():
 
 
 @pytest.mark.parametrize("n", [50, 240, 1024])
-@pytest.mark.parametrize("ar, ma", [((0.9,), ()), ((0.5, -0.2), (0.4,))])
+@pytest.mark.parametrize("ar, ma", [((0.9,), ()), ((0.5, -0.2), (0.4,)),
+                                    ((0.99,), ()), ((0.999,), ())])
 def test_arma_acvf_bitwise_matches_block_ratio_loop(ar, ma, n):
     # where the block test certifies, the root-modulus fallback never runs
     seq = acvf(ProcessModel.arma(ar=ar, ma=ma), n)
     want, want_tol = reference_block_ratio_acvf(ProcessModel.arma(ar=ar, ma=ma), n)
-    assert _same_bits(seq.prefix(n), want)
+    assert same_bits(seq.prefix(n), want)
     assert seq.certified_tol == want_tol
 
 
@@ -496,6 +494,87 @@ def test_farima_acvf_convolution_identity():
     lhs = (1.0 + phi * phi) * x[s] - phi * (x[np.abs(s - 1)] + x[s + 1])
     # measured 1.5e-15 relative, against a certified_tol of 4.8e-16
     assert np.max(np.abs(lhs - f)) <= 1e-14 * f[0]
+
+
+# -- the lag-product kernel ----------------------------------------------------
+# a lag autocorrelation over about all of its series is one np.correlate; these
+# keep its bits equal to one dot per lag (the ARMA block path, whose prefix is
+# far longer than its lags, is checked by
+# test_arma_acvf_bitwise_matches_block_ratio_loop)
+
+@pytest.mark.parametrize("ar, p, n", [
+    ((), 0, 0), ((), 0, 300),
+    ((0.4,), 64, 10), ((0.4,), 64, 300),
+    ((0.9,), 1024, 100), ((0.9,), 1024, 2000),
+])
+def test_lag_kernel_farima_acvf_matches_gather_loop(ar, p, n):
+    model = ProcessModel.farima(0.3, ar=ar)
+    psi, _ = process._psi_series(model, ACVF, DEFAULT_ACVF_TOL)
+    assert psi.size - 1 == p
+    sig_f = process._frac(0.3, 1.0, ACVF, n + p)
+    assert same_bits(acvf(model, n).prefix(n), reference_filtered_core(psi, sig_f, n))
+
+
+def test_lag_kernel_stuck_arma_matches_dot_loop():
+    # ar = 0.9 at n = 2500 sticks and takes the root-modulus filter, which
+    # ends at lag 1024: the kernel writes zeros past it
+    model = ProcessModel.arma(ar=(0.9,))
+    n = 2500
+    psi, _ = process._psi_series(model, ACVF, DEFAULT_ACVF_TOL)
+    assert psi.size - 1 < n
+    assert same_bits(acvf(model, n).prefix(n), reference_lag_products(psi, 1.0, n))
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, -0.0, 0.5), (1.0, 0.0, -0.0, 0.25, -0.5),
+                                    (1.0, -0.5, -0.0, 0.0, 0.3)])
+def test_lag_kernel_finite_ma_matches_dot_loop(coeffs):
+    n = len(coeffs) + 2
+    got = acvf(ProcessModel.generic_ma(coeffs, noise_variance=2.0), n).prefix(n)
+    assert same_bits(got, reference_lag_products(np.array(coeffs), 2.0, n))
+
+
+def test_lag_kernel_trailing_negative_zero_gives_positive_zero():
+    # the last lag of a finite MA ending in -0 is the one product 1 * -0:
+    # np.dot wrote it as -0, the correlation writes +0
+    got = acvf(ProcessModel.generic_ma((1.0, 0.0, -0.0)), 3).prefix(3)
+    assert np.array_equal(got, [1.0, 0.0, 0.0, 0.0]) and not np.any(np.signbit(got))
+
+
+def test_lag_kernel_short_lags_of_long_prefix_take_one_dot_each(monkeypatch):
+    # ar = 0.999 at n = 10 certifies a 16385-term prefix: correlating it
+    # would take 2.7e8 products where 11 dots take 1.8e5
+    sizes = []
+    correlate = np.correlate
+
+    def counted(a, v, mode="valid"):
+        sizes.append(a.size * v.size)
+        return correlate(a, v, mode)
+
+    monkeypatch.setattr(np, "correlate", counted)
+    dots = []
+    lag_products = process._lag_products
+
+    def spy(b, s2, n):
+        dots.append(b.size)
+        return lag_products(b, s2, n)
+
+    monkeypatch.setattr(process, "_lag_products", spy)
+    acvf(ProcessModel.arma(ar=(0.999,)), 10)
+    assert dots == [16385] and sizes == []
+    # the lags of a whole series still take one correlation
+    acvf(ProcessModel.generic_ma((1.0, 0.5, 0.25)), 10)
+    assert sizes == [9]
+
+
+@pytest.mark.xfail(strict=True, reason="the block-ratio certificate bounds only the tail "
+                   "of sigma(0): lag s sums b_0..b_{M-s} and misses up to "
+                   "sqrt(T(M-s) T(M)), not T(M)")
+@pytest.mark.parametrize("phi, n", [(0.99, 288), (0.99, 300), (0.995, 300)])
+def test_arma_certified_tol_holds_at_every_lag(phi, n):
+    seq = acvf(ProcessModel.arma(ar=(phi,)), n)
+    want = phi ** np.arange(n + 1) / (1.0 - phi * phi)
+    slack = seq.certified_tol + 32 * np.finfo(float).eps
+    assert np.max(np.abs(seq.prefix(n) - want)) <= slack * seq[0]
 
 
 @pytest.mark.parametrize("tol", (0.0, -1.0, math.inf, math.nan))
