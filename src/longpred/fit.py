@@ -177,13 +177,11 @@ def closed_form_log_inflation(d: float, k: int) -> np.ndarray:
     The fitted operator coefficients inflate the autoregressive ones by the
     factor Gamma(k+1) Gamma(k-d-j+1) / (Gamma(k-j+1) Gamma(k-d+1)) > 1.
     Returning the log lets callers evaluate a_j - a_{j,k} via expm1 without
-    cancellation; each Gamma pair goes through the cancellation-free
-    log-difference.
+    cancellation; the Gamma pairs go through the cancellation-free
+    log-difference, all k j-dependent ones in one array call.
     """
     j = np.arange(1, k + 1, dtype=float)
-    base = log_gamma_diff(k + 1.0, k - d + 1.0)
-    diffs = np.array([log_gamma_diff(k - d - jj + 1.0, k - jj + 1.0) for jj in j])
-    return base + diffs
+    return log_gamma_diff(k + 1.0, k - d + 1.0) + log_gamma_diff(k - d - j + 1.0, k - j + 1.0)
 
 
 def projection_weights_at(acvf: CoefSeq, k: int, horizons) -> tuple[PredictorWeights, ...]:

@@ -28,6 +28,7 @@ from longpred.mse import MseReport, _floor, _make_report, toeplitz_quadratic_for
 from longpred.predict import PROJECTION
 from longpred.process import (ACVF, AR, MA, CoefSeq, ProcessModel, _ma_series, acvf,
                               ar_coeffs, ma_coeffs)
+from longpred.special import _PAIR_MIN, _stirling_tail
 
 
 def gamma_by_quadrature(x: float, nodes: int = 120) -> float:
@@ -384,6 +385,25 @@ def reference_quadratic_form(gamma: np.ndarray, w: np.ndarray) -> float:
     k = w.size
     c = np.convolve(w, w[::-1])[k - 1:]
     return float(c[0] * gamma[0] + 2.0 * np.dot(c[1:k], gamma[1:k]))
+
+
+def reference_log_gamma_diff(x: float, y: float) -> float:
+    """``special.log_gamma_diff`` for one pair, in Python floats with
+    ``math``'s logs: the scalar form whose bits the array form keeps."""
+    if x < _PAIR_MIN or y < _PAIR_MIN:
+        return math.lgamma(x) - math.lgamma(y)
+    delta = x - y
+    return ((y - 0.5) * math.log1p(delta / y) + delta * (math.log(x) - 1.0)
+            + _stirling_tail(x) - _stirling_tail(y))
+
+
+def reference_log_inflation(d: float, k: int) -> np.ndarray:
+    """``fit.closed_form_log_inflation`` as one scalar log-Gamma difference
+    per j."""
+    j = np.arange(1, k + 1, dtype=float)
+    base = reference_log_gamma_diff(k + 1.0, k - d + 1.0)
+    diffs = np.array([reference_log_gamma_diff(k - d - jj + 1.0, k - jj + 1.0) for jj in j])
+    return base + diffs
 
 
 def same_bits(got, want) -> bool:

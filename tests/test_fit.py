@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from longpred.cli import _FIGURE2_D_GRID, _FIGURE2_K_GRID
 from longpred.errors import IllConditionedError, NotPositiveDefiniteError
-from longpred.fit import (_VARIANCE_FLOOR_REL, levinson_durbin, projection_weights,
-                          projection_weights_at, solve_toeplitz, yule_walker)
+from longpred.fit import (_VARIANCE_FLOOR_REL, closed_form_log_inflation, levinson_durbin,
+                          projection_weights, projection_weights_at, solve_toeplitz, yule_walker)
 from longpred.process import ACVF, CoefSeq, ProcessModel, acvf
 
 from _oracles import (closed_form_ar_fit, dense_toeplitz_solve, reference_levinson_durbin,
-                      reference_solve_toeplitz)
+                      reference_log_inflation, reference_solve_toeplitz, same_bits)
 
 D_VALUES = (0.1, 0.3, 0.45)
 
@@ -58,6 +59,23 @@ def test_closed_form_matches_levinson(d):
         assert np.max(np.abs(cf.phi - lv.phi)) < 1e-10
         assert cf.innovation_variance == pytest.approx(lv.innovation_variance,
                                                        rel=1e-10)
+
+
+# the analytic_exact benchmark's rates grid, figure2's grid, and orders up to
+# 12, where some or all pairs fall below the Stirling threshold and take lgamma
+INFLATION_GRIDS = {
+    "rates": ((0.05, 0.2, 0.3, 0.35, 0.4499), tuple(2 ** e for e in range(7, 15))),
+    "figure2": (_FIGURE2_D_GRID, _FIGURE2_K_GRID),
+    "small_k": ((0.01, 0.25, 0.45, 0.499), tuple(range(1, 13))),
+}
+
+
+@pytest.mark.parametrize("grid", INFLATION_GRIDS)
+def test_inflation_matches_the_scalar_loop_bit_for_bit(grid):
+    d_grid, k_grid = INFLATION_GRIDS[grid]
+    for d in d_grid:
+        for k in k_grid:
+            assert same_bits(closed_form_log_inflation(d, k), reference_log_inflation(d, k)), (d, k)
 
 
 @pytest.mark.parametrize("d", (0.2, 0.35, 0.45))
