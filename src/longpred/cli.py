@@ -93,12 +93,11 @@ def cmd_coeffs(cfg: RunConfig) -> list[Path]:
     for kind, seq in [("ar", ar_coeffs(model, cfg.n)),
                       ("ma", ma_coeffs(model, cfg.n)),
                       ("acvf", acvf(model, cfg.n, tol=cfg.acvf_tol))]:
-        vals = seq.prefix(cfg.n)
         written.append(write_csv(
             out / f"coeffs_{kind}.csv", "longpred/coeffs v1",
             [f"model: {model.describe()}", f"kind: {kind}",
              f"certified_tol: {seq.certified_tol:.17g}"],
-            ["j", "value"], ((j, float(v)) for j, v in enumerate(vals))))
+            ["j", "value"], enumerate(seq.prefix(cfg.n).tolist())))
     return written
 
 
@@ -106,9 +105,7 @@ def cmd_fit(cfg: RunConfig) -> list[Path]:
     model = cfg.model()
     out = cfg.out_dir()
     fit = yule_walker(acvf(model, cfg.k, tol=cfg.acvf_tol), cfg.k)
-    rows = [(0, 0.0, 1.0)]
-    rows += [(j, float(fit.phi[j - 1]), float(fit.a_fit[j]))
-             for j in range(1, cfg.k + 1)]
+    rows = [(0, 0.0, 1.0), *zip(range(1, cfg.k + 1), fit.phi.tolist(), fit.a_fit[1:].tolist())]
     path = write_csv(
         out / "fitted_ar.csv", "longpred/fitted-ar v1",
         [f"model: {model.describe()}", f"k: {cfg.k}",

@@ -94,13 +94,16 @@ def _levinson(t: np.ndarray, variance_floor: float, rhs: np.ndarray):
     predictor reaches order n (variance check included) and with n = t.size
     it stops at order n - 1.  At every order one ``np.vecdot`` call gives
     each row the bits of its own ``np.dot``, so each row carries exactly the
-    bits of a one-row solve.
+    bits of a one-row solve.  The predictor update scales phi into ``scaled``
+    on unit strides and subtracts that buffer read reversed: the same
+    products and differences as ``phi - km * phi[::-1]``.
     """
     k = rhs.shape[1]
     v = float(t[0])
     _check_variance(v, 0, variance_floor)
     t_rev = t[::-1].copy()
     phi = np.zeros(k)
+    scaled = np.empty(k)
     kappa = np.zeros(k)
     x = np.zeros(rhs.shape)
     for m in range(k):
@@ -115,7 +118,8 @@ def _levinson(t: np.ndarray, variance_floor: float, rhs: np.ndarray):
             km = (t[m + 1] - np.dot(phi[:m], lags)) / v
             kappa[m] = km
             if m:
-                phi[:m] -= km * prev_rev
+                np.multiply(phi[:m], km, out=scaled[:m])
+                np.subtract(phi[:m], scaled[m - 1::-1], out=phi[:m])
             phi[m] = km
             v = v * (1.0 - km * km)
             _check_variance(v, m + 1, variance_floor)

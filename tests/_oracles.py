@@ -680,3 +680,61 @@ def decimal_frac_noise(d: float, n: int) -> tuple[list[Decimal], list[Decimal], 
             b.append(b[-1] * (i - 1 + dd) / i)
             sigma.append(sigma[-1] * (i - 1 + dd) / (i - dd))
         return a, b, sigma
+
+
+def decimal_fit_phi(d: float, k: int) -> list[Decimal]:
+    """phi_{k,1..k} of the order-k Yule-Walker fit of fractional noise to
+    60 significant digits, at the exact binary d.
+
+    The fit is known in closed form (Hosking 1981):
+    phi_{k,j} = -a_j prod_{i=k-j+1..k} i / (i - d), a running product in j.
+    """
+    a, _, _ = decimal_frac_noise(d, k)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dd = Decimal(d)
+        phi, inflation = [], Decimal(1)
+        for j in range(1, k + 1):
+            inflation *= (k - j + 1) / (k - j + 1 - dd)
+            phi.append(-a[j] * inflation)
+        return phi
+
+
+def decimal_fitted_ar_excess(d: float, k: int) -> Decimal:
+    """v_k - 1, the order-k fitted-AR one-step excess of unit-variance
+    fractional noise, to 60 significant digits at the exact binary d.
+
+    The reflections are d / (j - d), so the Levinson variance is
+    v_k = sigma(0) prod_{j<=k} j (j - 2d) / (j - d)^2.
+    """
+    _, _, sigma = decimal_frac_noise(d, 0)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dd = Decimal(d)
+        v = sigma[0]
+        for j in range(1, k + 1):
+            v *= j * (j - 2 * dd) / ((j - dd) * (j - dd))
+        return v - 1
+
+
+# -- the CSV writer as it was written cell by cell, kept as a byte reference
+
+
+def _reference_fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def reference_write_csv(path: str | Path, schema: str, comments, columns, rows) -> Path:
+    """``csvio.write_csv`` with one ``_reference_fmt`` call per cell."""
+    path = Path(path)
+    lines = [f"# schema: {schema}"]
+    lines.extend(f"# {c}" for c in comments)
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(_reference_fmt(v) for v in row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return path

@@ -1,4 +1,5 @@
 import functools
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from longpred.fit import (_VARIANCE_FLOOR_REL, closed_form_log_inflation, levins
                           projection_weights, projection_weights_at, solve_toeplitz, yule_walker)
 from longpred.process import ACVF, CoefSeq, ProcessModel, acvf
 
-from _oracles import (closed_form_ar_fit, dense_toeplitz_solve, reference_levinson_durbin,
-                      reference_log_inflation, reference_solve_toeplitz, same_bits)
+from _oracles import (closed_form_ar_fit, decimal_fit_phi, dense_toeplitz_solve,
+                      reference_levinson_durbin, reference_log_inflation,
+                      reference_solve_toeplitz, same_bits)
 
 D_VALUES = (0.1, 0.3, 0.45)
 
@@ -336,6 +338,39 @@ def test_batched_kernel_bitwise_above_the_blas_threading_threshold():
     for w, h in zip(projection_weights_at(seq, k, hs), hs):
         _assert_bitwise((w.weights,),
                         (reference_solve_toeplitz(g[:k], g[h: h + k], _VARIANCE_FLOOR_REL),))
+
+
+def test_predictor_bitwise_above_the_blas_threading_threshold():
+    # the predictor's own dots split across threads too; phi, v and kappa
+    # must keep the reference loop's bits
+    g = np.array(acvf(ProcessModel.frac_noise(0.3), 12000).values)
+    _assert_bitwise(_outcome(levinson_durbin, g, _VARIANCE_FLOOR_REL),
+                    _outcome(reference_levinson_durbin, g, _VARIANCE_FLOOR_REL))
+
+
+@pytest.mark.parametrize("d", (0.3, 0.45))
+def test_yule_walker_bitwise_at_the_benchmark_order(d):
+    # the order fit --k 16384 runs at
+    k = 16384
+    seq = acvf(ProcessModel.frac_noise(d), k)
+    fit = yule_walker(seq, k)
+    _assert_bitwise((fit.phi, fit.innovation_variance, fit.reflections),
+                    reference_levinson_durbin(seq.prefix(k), _VARIANCE_FLOOR_REL))
+
+
+# (median, worst) relative error of phi at k = 1024 against 60 digits;
+# measured: d = 0.1 2.6e-14, 6.0e-14; 0.3 7.2e-14, 4.9e-13; 0.45 3.4e-12, 3.7e-11
+FIT_PHI_BOUNDS = {0.1: (1e-13, 2.5e-13), 0.3: (3e-13, 2e-12), 0.45: (1.5e-11, 1.5e-10)}
+
+
+@pytest.mark.parametrize("d", D_VALUES)
+def test_fit_phi_matches_60_digit_reference(d):
+    k = 1024
+    phi = yule_walker(acvf(ProcessModel.frac_noise(d), k), k).phi
+    rel = np.array([float(abs((Decimal(float(p)) - r) / r))
+                    for p, r in zip(phi, decimal_fit_phi(d, k))])
+    median_bound, worst_bound = FIT_PHI_BOUNDS[d]
+    assert np.median(rel) <= median_bound and rel.max() <= worst_bound
 
 
 def test_horizons_without_one_skip_the_order_k_variance_check():

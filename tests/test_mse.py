@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from longpred.mse import (error_decomposition, infinite_past_mse, mse_of_weights
 from longpred.predict import truncated_wk_weights
 from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 
-from _oracles import (brute_truncation_excess, decimal_projection, dense_quadratic_form,
-                      fitted_ar_mse, reference_quadratic_form, same_bits,
+from _oracles import (brute_truncation_excess, decimal_fitted_ar_excess, decimal_projection,
+                      dense_quadratic_form, fitted_ar_mse, reference_quadratic_form, same_bits,
                       spectral_contrast_mse, tail_cross_sum, truncated_one_step_excess)
 
 
@@ -323,3 +325,17 @@ def test_projection_mse_matches_60_digit_reference(d, k):
     for w in projection_weights_at(g, k, (1, 2, 5)):
         ratio = mse_of_weights(g, b, w).total / g[0]
         assert abs(ratio - float(decimal_projection(d, k, w.h))) <= k * np.finfo(float).eps
+
+
+# relative error of the fitted-AR excess in units of k eps; measured: up to
+# 360 at d = 0.1 (3.3e-10 at k = 4096) and up to 33 at d = 0.3 and 0.45
+AR_EXCESS_BOUNDS = {0.1: 512, 0.3: 64, 0.45: 64}
+
+
+@pytest.mark.parametrize("d", (0.1, 0.3, 0.45))
+@pytest.mark.parametrize("k", (128, 1024, 4096))
+def test_fitted_ar_excess_matches_60_digit_reference(d, k):
+    ref = decimal_fitted_ar_excess(d, k)
+    got = error_decomposition(ProcessModel.frac_noise(d), k).ar_excess
+    rel = float(abs((Decimal(got) - ref) / ref))
+    assert rel <= AR_EXCESS_BOUNDS[d] * k * np.finfo(float).eps
