@@ -11,12 +11,11 @@ cross-validation.
 from .asymptotics import RateFit, improvement_ratio, rate_fit, truncation_constant
 from .errors import (CertificationError, ConfigError, IllConditionedError,
                      ModelError, NotPositiveDefiniteError, NumericError)
-from .fit import (FittedAr, levinson_durbin, projection_weights, projection_weights_at,
-                  solve_toeplitz, yule_walker)
+from .fit import (FittedAr, levinson_durbin, projection_weights_at, solve_toeplitz,
+                  yule_walker)
 from .mse import (ErrorDecomposition, MseReport, error_decomposition, infinite_past_mse,
                   mse_of_weights)
-from .predict import (PROJECTION, TRUNCATED_WK, PredictorWeights, forecast, truncated_wk_weights,
-                      truncated_wk_weights_at)
+from .predict import PROJECTION, TRUNCATED_WK, PredictorWeights, forecast, truncated_wk_weights_at
 from .process import CoefSeq, ProcessModel, acvf, ar_coeffs, ma_coeffs
 from .sim import McEstimate, SimulationPlan, empirical_mse, empirical_mses, simulate
 
@@ -31,8 +30,7 @@ __all__ = [
     "acvf", "ar_coeffs", "empirical_mse", "empirical_mses",
     "error_decomposition", "forecast", "improvement_ratio",
     "infinite_past_mse", "levinson_durbin",
-    "ma_coeffs", "mse_of_weights", "projection_weights",
-    "projection_weights_at",
+    "ma_coeffs", "mse_of_weights", "projection_weights_at",
     "rate_fit", "simulate", "solve_toeplitz",
-    "truncated_wk_weights", "truncated_wk_weights_at", "truncation_constant", "yule_walker",
+    "truncated_wk_weights_at", "truncation_constant", "yule_walker",
 ]

@@ -24,7 +24,7 @@ Documented keys:
     svg             true | false, also emit SVG charts
     acvf_tol        certified relative autocovariance accuracy of fits and MSEs
     sim_method      circulant_embedding | ma_truncation
-    ma_cov_tol      certified covariance error of the MA sampler
+    ma_cov_tol      MA sampler's covariance error bound (estimated for FARIMA/ARMA)
     dump_paths      true | false, dump simulated paths from montecarlo
 
 Each key may appear once in a file.  ``_KINDS`` lists the model keys each

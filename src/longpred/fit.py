@@ -14,10 +14,10 @@ for every h (the h = 1 weights are the order-k predictor), and each
 horizon's weights carry the same bits as a solve for that horizon alone.
 A dense solver is deliberately *not* used here so that the test suite can
 keep one as an independent oracle.
-``yule_walker``, ``projection_weights`` and ``projection_weights_at`` take a
-computed :class:`~longpred.process.CoefSeq`, whose model's noise variance
-sets the precision floor of the variance iterates; plain arrays go to the
-two kernels with an explicit floor.
+``yule_walker`` and ``projection_weights_at`` take a computed
+:class:`~longpred.process.CoefSeq`, whose model's noise variance sets the
+precision floor of the variance iterates; plain arrays go to the two
+kernels with an explicit floor.
 
 Two coefficient conventions coexist and are both stored on the result:
 ``phi`` are predictor weights (prediction = sum phi_j X_{n+1-j}) while
@@ -48,7 +48,6 @@ __all__ = [
     "solve_toeplitz",
     "yule_walker",
     "closed_form_log_inflation",
-    "projection_weights",
     "projection_weights_at",
 ]
 
@@ -210,9 +209,3 @@ def projection_weights_at(acvf: CoefSeq, k: int, horizons) -> tuple[PredictorWei
     if 1 in hs:
         rows[1] = phi
     return tuple(PredictorWeights(rows[h], k=k, h=h, method=PROJECTION) for h in hs)
-
-
-def projection_weights(acvf: CoefSeq, k: int, h: int = 1) -> PredictorWeights:
-    """Orthogonal projection of X_{k+h} onto span(X_1..X_k); the one-horizon
-    case of :func:`projection_weights_at`."""
-    return projection_weights_at(acvf, k, (h,))[0]

@@ -31,7 +31,6 @@ __all__ = [
     "TRUNCATED_WK",
     "PROJECTION",
     "PredictorWeights",
-    "truncated_wk_weights",
     "truncated_wk_weights_at",
     "forecast",
 ]
@@ -94,12 +93,6 @@ def truncated_wk_weights_at(ar: CoefSeq, k: int, horizons) -> tuple[PredictorWei
             w -= a[j] * stack[g - j]
         stack[g] = w
     return tuple(PredictorWeights(stack[h], k=k, h=h, method=TRUNCATED_WK) for h in hs)
-
-
-def truncated_wk_weights(ar: CoefSeq, k: int, h: int = 1) -> PredictorWeights:
-    """Truncated Wiener-Kolmogorov weights of order k at horizon h; the
-    one-horizon case of :func:`truncated_wk_weights_at`."""
-    return truncated_wk_weights_at(ar, k, (h,))[0]
 
 
 def forecast(weights: PredictorWeights, observations: np.ndarray) -> float:

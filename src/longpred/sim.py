@@ -10,8 +10,9 @@ each on paths of its own length k + h, with the same bits as
 
 Two samplers are available.  Circulant embedding is the default and exact:
 the length-n covariance is embedded into a 2(n-1)-circulant whose FFT gives
-the sampling spectrum.  Moving-average truncation is the fallback and
-cross-check; it carries a certified covariance error.
+the sampling spectrum.  Moving-average truncation runs only when a plan
+asks for it; its order rests on a tail bound that FARIMA and infinite
+rational filters only estimate.
 
 Randomness is counter-based: each replication draws from its own Philox
 stream keyed by (seed, replication index), so row r depends only on
@@ -71,10 +72,10 @@ _BLOCK_BYTES = 1 << 20
 class SimulationPlan:
     """Reproducible description of a batch of Gaussian sample paths.
 
-    ``ma_cov_tol`` is the certified relative covariance error allowed for
-    the MA-truncation sampler (relative to sigma(0)); power-law tails make
-    tight tolerances unattainable there, in which case construction of the
-    sampler raises a :class:`~longpred.errors.CertificationError`.
+    ``ma_cov_tol`` bounds the MA-truncation sampler's covariance error
+    relative to sigma(0), by an estimate for FARIMA and infinite rational
+    filters (:func:`_ma_tail_sq_bound`); a tolerance no order meets raises
+    a :class:`~longpred.errors.CertificationError`.
     """
 
     model: ProcessModel
@@ -214,23 +215,24 @@ def _circulant_spectrum(model: ProcessModel, n: int) -> np.ndarray:
 
 
 def _ma_tail_sq_bound(model: ProcessModel, order: int) -> float | None:
-    """Certified bound on sum_{m > order} b_m^2."""
+    """Bound on sum_{m > order} b_m^2, or None: proven for a finite MA and
+    fractional noise, extrapolated from the computed b_m otherwise."""
     support = model.finite_ma_support
     if support is not None:
         return 0.0 if order >= support else None
-    if model.kind == FRAC_NOISE:
-        # b_m * m^(1-d) increases towards 1/Gamma(d), so b_m <= m^(d-1)/Gamma(d)
+    if model.kind in (FRAC_NOISE, FARIMA):
+        # |b_m| <= c m^(d-1) past order: fractional noise's b_m m^(1-d) rises
+        # to 1/Gamma(d); FARIMA's c is the largest on [order/2, order]
         d = model.d
-        c = 1.0 / math.gamma(d)
+        if model.kind == FRAC_NOISE:
+            c = 1.0 / math.gamma(d)
+        else:
+            half = order // 2
+            b = ma_coeffs(model, order).prefix(order)
+            j = np.arange(half, order + 1, dtype=float)
+            c = float(np.max(np.abs(b[half:]) * j ** (1.0 - d)))
         return c * c * order ** (2.0 * d - 1.0) / (1.0 - 2.0 * d)
-    if model.kind == FARIMA:
-        d = model.d
-        b = ma_coeffs(model, order).prefix(order)
-        half = order // 2
-        j = np.arange(half, order + 1, dtype=float)
-        c = float(np.max(np.abs(b[half:]) * j ** (1.0 - d)))
-        return c * c * order ** (2.0 * d - 1.0) / (1.0 - 2.0 * d)
-    # infinite generic series: geometric block certification
+    # infinite generic series: a geometric estimate from two blocks
     den = model.ma_filter[1]
     b = _ma_series(model.ma_filter, 2 * order)
     s1 = float(np.sum(b[order // 2: order] ** 2))
@@ -255,7 +257,8 @@ def _ma_tail_sq_bound(model: ProcessModel, order: int) -> float | None:
 
 
 def _ma_truncation_order(plan: SimulationPlan) -> int:
-    """Smallest certified order meeting ma_cov_tol, or raise."""
+    """Smallest doubling order whose tail bound (proven or estimated, see
+    :func:`_ma_tail_sq_bound`) meets ma_cov_tol, or raise."""
     model = plan.model
     sigma0 = acvf(model, 0)[0]
     tol_abs = plan.ma_cov_tol * sigma0 / model.noise_variance
@@ -331,10 +334,11 @@ def empirical_mses(plan: SimulationPlan, weights) -> list[McEstimate]:
     on the plan's replications at length k + h (``plan.length`` is not read).
 
     Entry i equals ``empirical_mse(simulate(replace(plan, length=k + h)),
-    weights[i])`` bit for bit.  The circulant sampler draws each row's
-    normals once for every length and scores every weight vector on row
-    blocks, so no array of paths is built; MA truncation simulates each
-    distinct length once.
+    weights[i])`` bit for bit.  Both samplers hand the paths of each
+    distinct length to one scoring visitor.  The circulant sampler draws
+    each row's normals once for every length and scores every weight vector
+    on row blocks, so no array of paths is built; MA truncation simulates
+    each distinct length once and scores all its rows in one block.
     """
     weights = tuple(weights)
     by_length: dict[int, list[int]] = {}
@@ -342,14 +346,6 @@ def empirical_mses(plan: SimulationPlan, weights) -> list[McEstimate]:
         by_length.setdefault(w.k + w.h, []).append(i)
     if not weights:
         return []
-    if plan.method == MA_TRUNCATION:
-        out: list = [None] * len(weights)
-        for n, group in by_length.items():
-            paths = simulate(replace(plan, length=n))
-            for i in group:
-                out[i] = empirical_mse(paths, weights[i])
-            del paths  # free this length's paths before the next simulation
-        return out
     errs = np.empty((len(weights), plan.replications))
     groups = list(by_length.values())
 
@@ -357,5 +353,9 @@ def empirical_mses(plan: SimulationPlan, weights) -> list[McEstimate]:
         for j in groups[i]:
             errs[j, lo:lo + len(paths)] = _squared_errors(paths, weights[j])
 
-    _circulant_pass(plan.model, list(by_length), plan.replications, plan.seed, score)
+    if plan.method == MA_TRUNCATION:
+        for i, n in enumerate(by_length):
+            score(i, 0, simulate(replace(plan, length=n)))
+    else:
+        _circulant_pass(plan.model, list(by_length), plan.replications, plan.seed, score)
     return [_estimate(e) for e in errs]

@@ -240,6 +240,23 @@ def per_row_paths(plan) -> np.ndarray:
     return out
 
 
+def reference_power_tail_sq_bound(model: ProcessModel, order: int) -> float:
+    """The MA sampler's power-law tail bound on sum_{m > order} b_m^2 for
+    fractional noise and FARIMA, one branch per kind, written out apart from
+    ``sim._ma_tail_sq_bound``."""
+    if model.kind == "frac_noise":
+        d = model.d
+        c = 1.0 / math.gamma(d)
+        return c * c * order ** (2.0 * d - 1.0) / (1.0 - 2.0 * d)
+    assert model.kind == "farima"
+    d = model.d
+    b = ma_coeffs(model, order).prefix(order)
+    half = order // 2
+    j = np.arange(half, order + 1, dtype=float)
+    c = float(np.max(np.abs(b[half:]) * j ** (1.0 - d)))
+    return c * c * order ** (2.0 * d - 1.0) / (1.0 - 2.0 * d)
+
+
 # -- bitwise references: Levinson loops and series divisions written out apart
 
 

@@ -24,9 +24,9 @@ import pytest
 
 from longpred.asymptotics import improvement_ratio, rate_fit, truncation_constant
 from longpred.cli import main as cli_main
-from longpred.fit import projection_weights, yule_walker
+from longpred.fit import projection_weights_at, yule_walker
 from longpred.mse import error_decomposition, infinite_past_mse, mse_of_weights
-from longpred.predict import truncated_wk_weights
+from longpred.predict import truncated_wk_weights_at
 from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 from longpred.sim import SimulationPlan, empirical_mse, simulate
 
@@ -134,8 +134,8 @@ def test_criterion_07_figure3_ordering():
     sigma0 = seq.prefix(0)[0]
     for h in range(1, 41):
         mm = infinite_past_mse(b, h).total
-        tp = mse_of_weights(seq, b, truncated_wk_weights(a, k, h)).total
-        ll = mse_of_weights(seq, b, projection_weights(seq, k, h)).total
+        tp = mse_of_weights(seq, b, truncated_wk_weights_at(a, k, (h,))[0]).total
+        ll = mse_of_weights(seq, b, projection_weights_at(seq, k, (h,))[0]).total
         assert mm <= ll + 1e-13, f"h={h}: mmse {mm} > llspe {ll}"
         assert ll <= tp + 1e-13, f"h={h}: llspe {ll} > tpmse {tp}"
         assert max(mm, ll, tp) < sigma0, f"h={h}: curve reached sigma(0)"
@@ -168,7 +168,7 @@ def test_criterion_09_h_step_shape():
     for h in range(1, 33):
         for k in (64, 128, 256, 512, 1024):
             rep = mse_of_weights(acvf(model, k + h - 1), ma_coeffs(model, h - 1),
-                                 truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h))
+                                 truncated_wk_weights_at(ar_coeffs(model, k + h - 1), k, (h,))[0])
             rows.append((h, k, rep.excess))
     arr = np.array(rows)
     design = np.column_stack([np.ones(len(arr)), np.log(arr[:, 0]),
@@ -188,8 +188,8 @@ def test_criterion_10_monte_carlo():
         seq = acvf(model, k + h)
         plan = SimulationPlan(model, length=k + h, replications=reps,
                               seed=8_000 + h)
-        for weights in (truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h),
-                        projection_weights(seq, k, h)):
+        for weights in (truncated_wk_weights_at(ar_coeffs(model, k + h - 1), k, (h,))[0],
+                        projection_weights_at(seq, k, (h,))[0]):
             analytic = mse_of_weights(seq, ma_coeffs(model, h - 1), weights).total
             est = empirical_mse(simulate(plan), weights)
             dev = abs(analytic - est.mean)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from longpred.cli import _FIGURE2_D_GRID, _FIGURE2_K_GRID
 from longpred.errors import IllConditionedError, NotPositiveDefiniteError
 from longpred.fit import (_VARIANCE_FLOOR_REL, closed_form_log_inflation, levinson_durbin,
-                          projection_weights, projection_weights_at, solve_toeplitz, yule_walker)
+                          projection_weights_at, solve_toeplitz, yule_walker)
 from longpred.process import ACVF, CoefSeq, ProcessModel, acvf
 
 from _oracles import (closed_form_ar_fit, decimal_fit_phi, dense_toeplitz_solve,
@@ -138,7 +138,7 @@ def test_innovation_variance_monotone_and_floored():
 def test_projection_weights_match_dense_solver(d, k, h):
     seq = acvf(ProcessModel.frac_noise(d), k + h)
     g = seq.prefix(k + h - 1)
-    w = projection_weights(seq, k, h)
+    w = projection_weights_at(seq, k, (h,))[0]
     dense = dense_toeplitz_solve(g[:k], g[h: h + k])
     assert np.max(np.abs(w.weights - dense)) < 1e-10
     assert w.method == "projection"
@@ -146,7 +146,7 @@ def test_projection_weights_match_dense_solver(d, k, h):
 
 def test_projection_horizon_one_equals_yule_walker():
     seq = acvf(ProcessModel.frac_noise(0.4), 13)
-    w = projection_weights(seq, 12, 1)
+    w = projection_weights_at(seq, 12, (1,))[0]
     fit = yule_walker(seq, 12)
     assert np.array_equal(w.weights, fit.phi)
 
@@ -155,7 +155,7 @@ def test_projection_residual():
     d, k, h = 0.35, 48, 4
     seq = acvf(ProcessModel.frac_noise(d), k + h)
     g = seq.prefix(k + h - 1)
-    w = projection_weights(seq, k, h)
+    w = projection_weights_at(seq, k, (h,))[0]
     idx = np.abs(np.subtract.outer(np.arange(k), np.arange(k)))
     residual = g[idx] @ w.weights - g[h: h + k]
     assert np.max(np.abs(residual)) < 1e-8 * g[0]
@@ -164,7 +164,7 @@ def test_projection_residual():
 def test_projection_white_noise_is_zero():
     seq = acvf(ProcessModel.white_noise(), 10)
     for h in (1, 3):
-        w = projection_weights(seq, 7, h)
+        w = projection_weights_at(seq, 7, (h,))[0]
         assert np.array_equal(w.weights, np.zeros(7))
 
 
@@ -191,7 +191,7 @@ def test_too_short_acvf_rejected():
     with pytest.raises(ValueError):
         yule_walker(seq, 6)
     with pytest.raises(ValueError):
-        projection_weights(seq, 5, 2)
+        projection_weights_at(seq, 5, (2,))[0]
 
 
 def test_toeplitz_system_solve():
@@ -325,8 +325,8 @@ def test_batched_kernel_bitwise_matches_reference_loops(name, k):
         for w, h in zip(got, hs):
             _assert_bitwise((w,), singles[h])
     for h in (1, 5):
-        _assert_bitwise(_outcome(lambda: projection_weights(_kernel_seq(name), k, h).weights),
-                        singles[h])
+        one = _outcome(lambda: projection_weights_at(_kernel_seq(name), k, (h,))[0].weights)
+        _assert_bitwise(one, singles[h])
 
 
 def test_batched_kernel_bitwise_above_the_blas_threading_threshold():

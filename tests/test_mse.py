@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from longpred.errors import CertificationError, ModelError
-from longpred.fit import projection_weights, projection_weights_at, yule_walker
+from longpred.fit import projection_weights_at, yule_walker
 from longpred.mse import (error_decomposition, infinite_past_mse, mse_of_weights,
                           toeplitz_quadratic_form)
-from longpred.predict import truncated_wk_weights
+from longpred.predict import truncated_wk_weights_at
 from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 
 from _oracles import (brute_truncation_excess, decimal_fitted_ar_excess, decimal_projection,
@@ -36,7 +36,7 @@ def test_lag_kernel_quadratic_form_matches_convolve():
 def test_white_noise_truncated_error_is_floor():
     model = ProcessModel.white_noise(1.7)
     rep = mse_of_weights(acvf(model, 10), ma_coeffs(model, 0),
-                         truncated_wk_weights(ar_coeffs(model, 10), 10, 1))
+                         truncated_wk_weights_at(ar_coeffs(model, 10), 10, (1,))[0])
     assert rep.total == pytest.approx(1.7)
     assert rep.floor == pytest.approx(1.7)
     assert rep.excess == 0.0
@@ -46,7 +46,7 @@ def test_order_one_projection_by_hand():
     # total = sigma(0) (1 - rho(1)^2) with rho(1) = 2/3 at d = 0.4
     model = ProcessModel.frac_noise(0.4)
     seq = acvf(model, 1)
-    rep = mse_of_weights(seq, ma_coeffs(model, 0), projection_weights(seq, 1, 1))
+    rep = mse_of_weights(seq, ma_coeffs(model, 0), projection_weights_at(seq, 1, (1,))[0])
     sigma0 = acvf(model, 0)[0]
     assert rep.total == pytest.approx(sigma0 * 5.0 / 9.0, rel=1e-13)
     assert rep.floor == pytest.approx(1.0)
@@ -65,7 +65,7 @@ def test_truncated_report_matches_direct_excess():
     model = ProcessModel.frac_noise(0.3)
     k = 50
     rep = mse_of_weights(acvf(model, k), ma_coeffs(model, 0),
-                         truncated_wk_weights(ar_coeffs(model, k), k, 1))
+                         truncated_wk_weights_at(ar_coeffs(model, k), k, (1,))[0])
     assert rep.excess == pytest.approx(truncated_one_step_excess(model, k),
                                        rel=1e-10)
 
@@ -132,9 +132,9 @@ def test_mse_ordering_infinite_projection_truncated():
         seq = acvf(model, k + h)
         b = ma_coeffs(model, h - 1)
         mm = infinite_past_mse(b, h).total
-        ll = mse_of_weights(seq, b, projection_weights(seq, k, h)).total
+        ll = mse_of_weights(seq, b, projection_weights_at(seq, k, (h,))[0]).total
         tp = mse_of_weights(seq, b,
-                            truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)).total
+                            truncated_wk_weights_at(ar_coeffs(model, k + h - 1), k, (h,))[0]).total
         assert mm <= ll + 1e-14
         assert ll <= tp + 1e-14
         sigma0 = seq.prefix(0)[0]
@@ -145,10 +145,10 @@ def test_projection_monotone_in_k_and_h():
     model = ProcessModel.frac_noise(0.3)
     seq = acvf(model, 200)
     b = ma_coeffs(model, 15)
-    totals_k = [mse_of_weights(seq, b, projection_weights(seq, k, 1)).total
+    totals_k = [mse_of_weights(seq, b, projection_weights_at(seq, k, (1,))[0]).total
                 for k in (1, 2, 4, 8, 16, 32)]
     assert np.all(np.diff(totals_k) <= 1e-14)
-    totals_h = [mse_of_weights(seq, b, projection_weights(seq, 16, h)).total
+    totals_h = [mse_of_weights(seq, b, projection_weights_at(seq, 16, (h,))[0]).total
                 for h in (1, 2, 4, 8, 16)]
     assert np.all(np.diff(totals_h) >= -1e-14)
     assert totals_h[-1] < seq.prefix(0)[0]
@@ -157,7 +157,7 @@ def test_projection_monotone_in_k_and_h():
 def test_one_step_truncated_floor_is_noise_variance():
     model = ProcessModel.frac_noise(0.25, noise_variance=1.3)
     rep = mse_of_weights(acvf(model, 30), ma_coeffs(model, 0),
-                         truncated_wk_weights(ar_coeffs(model, 30), 30, 1))
+                         truncated_wk_weights_at(ar_coeffs(model, 30), 30, (1,))[0])
     assert rep.floor == pytest.approx(1.3)
     assert rep.total >= 1.3
 
@@ -258,7 +258,7 @@ def test_h_step_excess_exponents():
     for h in (1, 2, 4, 8, 16, 32):
         for k in (64, 128, 256, 512, 1024):
             rep = mse_of_weights(acvf(model, k + h - 1), ma_coeffs(model, h - 1),
-                                 truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h))
+                                 truncated_wk_weights_at(ar_coeffs(model, k + h - 1), k, (h,))[0])
             rows.append((h, k, rep.excess))
     arr = np.array(rows)
     design = np.column_stack([np.ones(len(arr)), np.log(arr[:, 0]), np.log(arr[:, 1])])
@@ -273,7 +273,7 @@ def test_h_step_excess_exponents():
 def test_reports_are_consistent():
     model = ProcessModel.frac_noise(0.3)
     rep = mse_of_weights(acvf(model, 23), ma_coeffs(model, 3),
-                         truncated_wk_weights(ar_coeffs(model, 23), 20, 4))
+                         truncated_wk_weights_at(ar_coeffs(model, 23), 20, (4,))[0])
     assert rep.total == pytest.approx(rep.floor + rep.excess, rel=1e-12)
     assert rep.excess >= 0.0
     assert rep.k == 20 and rep.h == 4
@@ -283,7 +283,7 @@ def test_reports_are_consistent():
 def test_report_certified_tol_propagates_for_farima():
     model = ProcessModel.farima(0.3, ar=(0.5,))
     rep = mse_of_weights(acvf(model, 10), ma_coeffs(model, 0),
-                         truncated_wk_weights(ar_coeffs(model, 10), 10, 1))
+                         truncated_wk_weights_at(ar_coeffs(model, 10), 10, (1,))[0])
     assert 0.0 < rep.certified_tol < 1e-10
 
 
@@ -291,10 +291,10 @@ _FRAC = ProcessModel.frac_noise(0.3)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda w: truncated_wk_weights(acvf(_FRAC, 30), 20, 5),
+    (lambda w: truncated_wk_weights_at(acvf(_FRAC, 30), 20, (5,))[0],
      "expected an 'ar' sequence, got 'acvf'"),
     (lambda w: yule_walker(ar_coeffs(_FRAC, 10), 5), "expected an 'acvf' sequence, got 'ar'"),
-    (lambda w: projection_weights(ma_coeffs(_FRAC, 30), 20, 5),
+    (lambda w: projection_weights_at(ma_coeffs(_FRAC, 30), 20, (5,))[0],
      "expected an 'acvf' sequence, got 'ma'"),
     (lambda w: infinite_past_mse(acvf(_FRAC, 5), 3), "expected an 'ma' sequence, got 'acvf'"),
     (lambda w: mse_of_weights(ma_coeffs(_FRAC, 30), acvf(_FRAC, 30), w),
@@ -306,7 +306,7 @@ _FRAC = ProcessModel.frac_noise(0.3)
 ], ids=["wk_weights", "yule_walker", "projection", "infinite_past", "mse_acvf", "mse_ma",
         "mse_models"])
 def test_sequence_consumers_reject_the_wrong_sequence(call, message):
-    w = truncated_wk_weights(ar_coeffs(_FRAC, 24), 20, 5)
+    w = truncated_wk_weights_at(ar_coeffs(_FRAC, 24), 20, (5,))[0]
     with pytest.raises(ValueError, match=message):
         call(w)
     # models compare by value: an equal model built separately is accepted

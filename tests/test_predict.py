@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from longpred.predict import (PredictorWeights, forecast, truncated_wk_weights,
-                              truncated_wk_weights_at)
+from longpred.predict import PredictorWeights, forecast, truncated_wk_weights_at
 from longpred.process import ProcessModel, ar_coeffs, ma_coeffs
 
 from _oracles import (infinite_past_coeffs, recursive_truncated_forecast,
@@ -12,10 +11,10 @@ from _oracles import (infinite_past_coeffs, recursive_truncated_forecast,
 
 def test_one_step_weights_are_negated_ar_coefficients():
     model = ProcessModel.frac_noise(0.4)
-    w = truncated_wk_weights(ar_coeffs(model, 2), 2, 1)
+    w = truncated_wk_weights_at(ar_coeffs(model, 2), 2, (1,))[0]
     assert np.allclose(w.weights, [0.4, 0.12], atol=1e-15)
     a = ar_coeffs(model, 5).prefix(5)
-    w5 = truncated_wk_weights(ar_coeffs(model, 5), 5, 1)
+    w5 = truncated_wk_weights_at(ar_coeffs(model, 5), 5, (1,))[0]
     assert np.array_equal(w5.weights, -a[1:6])
 
 
@@ -23,7 +22,7 @@ def test_two_step_weights_by_hand():
     # w(2) = -a_1 w(1) - (a_2, a_3)
     model = ProcessModel.frac_noise(0.4)
     a = ar_coeffs(model, 3).prefix(3)
-    w = truncated_wk_weights(ar_coeffs(model, 3), 2, 2)
+    w = truncated_wk_weights_at(ar_coeffs(model, 3), 2, (2,))[0]
     expected = -a[1] * np.array([-a[1], -a[2]]) - np.array([a[2], a[3]])
     assert np.allclose(w.weights, expected, atol=1e-15)
     # pattern a_1 a_j - a_{j+1} on the truncated range
@@ -34,7 +33,7 @@ def test_two_step_weights_by_hand():
 def test_white_noise_has_nothing_to_predict():
     model = ProcessModel.white_noise()
     for h in (1, 2, 7):
-        w = truncated_wk_weights(ar_coeffs(model, 6 + h - 1), 6, h)
+        w = truncated_wk_weights_at(ar_coeffs(model, 6 + h - 1), 6, (h,))[0]
         assert np.array_equal(w.weights, np.zeros(6))
 
 
@@ -63,7 +62,7 @@ def test_unrolled_weights_match_literal_recursion(h):
     rng = np.random.default_rng(12345)
     obs = rng.standard_normal(k)
     a = ar_coeffs(model, h + k).prefix(h + k)
-    w = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
+    w = truncated_wk_weights_at(ar_coeffs(model, k + h - 1), k, (h,))[0]
     unrolled = forecast(w, obs)
     literal = recursive_truncated_forecast(a, k, h, obs)
     assert unrolled == pytest.approx(literal, rel=1e-12, abs=1e-12)
@@ -76,7 +75,7 @@ def test_unrolled_weights_match_recursion_property(k, h, d):
     rng = np.random.default_rng(k * 1000 + h)
     obs = rng.standard_normal(k)
     a = ar_coeffs(model, h + k).prefix(h + k)
-    w = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
+    w = truncated_wk_weights_at(ar_coeffs(model, k + h - 1), k, (h,))[0]
     assert forecast(w, obs) == pytest.approx(
         recursive_truncated_forecast(a, k, h, obs), rel=1e-11, abs=1e-11)
 
@@ -88,7 +87,7 @@ def test_unrolled_weights_closed_form(h):
     k = 40
     a = ar_coeffs(model, h + k).prefix(h + k)
     b = ma_coeffs(model, h - 1).prefix(h - 1)
-    w = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
+    w = truncated_wk_weights_at(ar_coeffs(model, k + h - 1), k, (h,))[0]
     j = np.arange(1, k + 1)
     expected = -np.array([np.dot(b, a[jj + h - 1: jj - 1 if jj >= 1 else None: -1])
                           for jj in j])
@@ -135,7 +134,7 @@ def test_one_stack_bitwise_matches_per_horizon_loop(name, k):
         assert [w.h for w in got] == list(hs)
         for w, h in zip(got, hs):
             want = reference_truncated_wk_weights(a, k, h)
-            for weights in (w.weights, truncated_wk_weights(ar, k, h).weights):
+            for weights in (w.weights, truncated_wk_weights_at(ar, k, (h,))[0].weights):
                 assert np.array_equal(weights, want)
                 assert np.array_equal(np.signbit(weights), np.signbit(want))
 

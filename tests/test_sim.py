@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import per_row_paths
+from _oracles import per_row_paths, reference_power_tail_sq_bound, same_bits
 from longpred import sim
 from longpred.errors import CertificationError
-from longpred.fit import projection_weights, projection_weights_at
+from longpred.fit import projection_weights_at
 from longpred.mse import mse_of_weights
-from longpred.predict import PredictorWeights, truncated_wk_weights, truncated_wk_weights_at
+from longpred.predict import PredictorWeights, truncated_wk_weights_at
 from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 from longpred.sim import (CIRCULANT_EMBEDDING, MA_TRUNCATION, SimulationPlan,
                           empirical_mse, empirical_mses, simulate)
@@ -185,6 +185,15 @@ def test_ma_truncation_matches_per_row_oracle(model):
     assert np.array_equal(simulate(plan), per_row_paths(plan))
 
 
+@pytest.mark.parametrize("model", (ProcessModel.frac_noise(0.1), ProcessModel.frac_noise(0.3),
+                                   ProcessModel.frac_noise(0.45),
+                                   ProcessModel.farima(0.1, ar=(0.5,), ma=(0.3,))))
+def test_power_tail_bound_matches_per_kind_reference(model):
+    for order in (64 << i for i in range(8)):  # 64 .. 8192
+        got = sim._ma_tail_sq_bound(model, order)
+        assert same_bits(got, reference_power_tail_sq_bound(model, order)), order
+
+
 @pytest.mark.parametrize("length, order", [(51, 204), (2001, 8004)])
 def test_ma_truncation_order_near_unit_root_arma(length, order):
     # at 204 the block test certifies; at 8004 the squared tail underflows and
@@ -242,7 +251,7 @@ def test_ma_truncation_matches_circulant_on_arma_cell():
     model = ProcessModel.arma(ar=(0.5,), ma=(0.3,))
     k, h, reps = 12, 1, 4000
     seq = acvf(model, k + h)
-    w = projection_weights(seq, k, h)
+    w = projection_weights_at(seq, k, (h,))[0]
     ce = empirical_mse(simulate(SimulationPlan(model, length=k + h, replications=reps,
                                                seed=31, method=CIRCULANT_EMBEDDING)), w)
     ma = empirical_mse(simulate(SimulationPlan(model, length=k + h, replications=reps,
@@ -269,7 +278,7 @@ def test_ma_truncation_long_memory_loose_tolerance():
     d = 0.1
     model = ProcessModel.frac_noise(d)
     k, h, reps = 10, 1, 3000
-    w = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
+    w = truncated_wk_weights_at(ar_coeffs(model, k + h - 1), k, (h,))[0]
     ce = empirical_mse(simulate(SimulationPlan(model, length=k + h, replications=reps,
                                                seed=19)), w)
     ma = empirical_mse(simulate(SimulationPlan(model, length=k + h, replications=reps,
@@ -284,7 +293,7 @@ def test_farima_analytic_mse_validated_by_ma_sampler():
     model = ProcessModel.farima(0.1, ar=(0.5,), ma=(0.3,))
     k, h, reps = 15, 2, 3000
     seq = acvf(model, k + h)
-    w = projection_weights(seq, k, h)
+    w = projection_weights_at(seq, k, (h,))[0]
     analytic = mse_of_weights(seq, ma_coeffs(model, h - 1), w).total
     est = empirical_mse(simulate(SimulationPlan(model, length=k + h, replications=reps,
                                                 seed=61, method=MA_TRUNCATION,
@@ -304,7 +313,7 @@ def test_empirical_mse_white_noise_zero_predictor():
 def test_empirical_matches_analytic_truncated(h):
     model = ProcessModel.frac_noise(0.3)
     k, reps = 50, 2000
-    w = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
+    w = truncated_wk_weights_at(ar_coeffs(model, k + h - 1), k, (h,))[0]
     est = empirical_mse(simulate(SimulationPlan(model, length=k + h, replications=reps,
                                                 seed=100 + h)), w)
     analytic = mse_of_weights(acvf(model, k + h - 1), ma_coeffs(model, h - 1), w).total
@@ -315,8 +324,8 @@ def test_empirical_projection_not_worse_than_truncated():
     model = ProcessModel.frac_noise(0.3)
     k, h, reps = 50, 1, 2000
     seq = acvf(model, k + h)
-    wp = projection_weights(seq, k, h)
-    wt = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
+    wp = projection_weights_at(seq, k, (h,))[0]
+    wt = truncated_wk_weights_at(ar_coeffs(model, k + h - 1), k, (h,))[0]
     plan = SimulationPlan(model, length=k + h, replications=reps, seed=55)
     ep = empirical_mse(simulate(plan), wp)
     et = empirical_mse(simulate(plan), wt)
@@ -329,8 +338,8 @@ def test_empirical_mse_reads_only_the_first_k_plus_h_columns():
     # one simulation at the longest k + h can serve every shorter horizon
     model = ProcessModel.frac_noise(0.3)
     k, h = 20, 3
-    w1 = truncated_wk_weights(ar_coeffs(model, k + h - 1), k, h)
-    w2 = projection_weights(acvf(model, k + h), k, h)
+    w1 = truncated_wk_weights_at(ar_coeffs(model, k + h - 1), k, (h,))[0]
+    w2 = projection_weights_at(acvf(model, k + h), k, (h,))[0]
     x = simulate(SimulationPlan(model, length=220, replications=300, seed=9))
     for w in (w1, w2):
         expected = empirical_mse(x[:, :k + h].copy(), w)
@@ -340,7 +349,7 @@ def test_empirical_mse_reads_only_the_first_k_plus_h_columns():
 
 def test_empirical_mse_length_guard():
     model = ProcessModel.frac_noise(0.3)
-    w = truncated_wk_weights(ar_coeffs(model, 11), 10, 2)
+    w = truncated_wk_weights_at(ar_coeffs(model, 11), 10, (2,))[0]
     with pytest.raises(ValueError):
         empirical_mse(simulate(SimulationPlan(model, length=11, replications=4, seed=1)), w)
 
