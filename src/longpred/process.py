@@ -31,7 +31,9 @@ fractional kind the one-term recursions are the production path: O(1) per
 term, no cancellation, exact sign propagation.  The closed-form
 Gamma-ratio expressions are kept as independent oracles in the test suite.
 The ARMA moving-average series, the FARIMA filter and the AR inversion of a
-generic moving average share one power-series division, ``_rational_series``.
+generic moving average share one power-series division, ``_rational_series``:
+its terms sit in a reversed buffer, so each term's lag sum is one unit-stride
+dot, and a first-order denominator's tail is one ``np.cumprod``.
 Every lag autocorrelation sum_m b_m b_{m+s}, of an MA series, of the FARIMA
 filter or of predictor weights (``mse``), is taken by ``_lag_products``: one
 ``np.correlate``, or one dot per lag when few lags of a long series are
@@ -193,18 +195,30 @@ def _rational_series(num: Sequence[float], den: Sequence[float], n: int) -> np.n
     """First n+1 coefficients of num(z)/den(z), both with constant term 1.
 
     c_j = num_j - sum_{i>=1} den_i c_{j-i}; where ``num`` has no term j,
-    c_j = -sum, so an exact +0 sum gives c_j = -0.
+    c_j = -sum, so an exact +0 sum gives c_j = -0.  The terms are written in
+    reverse, rev[n - j] = c_j, so that c_{j-1}, c_{j-2}, ... is the
+    unit-stride slice after rev[n - j] and each sum is one BLAS ``ddot``
+    without a copy.  Past num's terms a first-order den gives
+    c_j = -(den_1 c_{j-1}), one product (``np.dot`` of one-element vectors
+    multiplies), so one ``np.cumprod`` by -den_1 writes that tail with the
+    same bits and signs of zero; a constant den leaves it at +0.
     """
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
-    out = np.zeros(n + 1)
-    for j in range(n + 1):
-        top = min(j, den.size - 1)
+    p = den.size - 1
+    head = min(num.size, n + 1)
+    rev = np.zeros(n + 1)
+    for j in range(head if p <= 1 else n + 1):
+        i, top = n - j, min(j, p)
         if top >= 1:
-            out[j] = -np.dot(den[1:top + 1], out[j - 1::-1][:top])
+            rev[i] = -np.dot(den[1:top + 1], rev[i + 1:i + 1 + top])
         if j < num.size:
-            out[j] += num[j]
-    return out
+            rev[i] += num[j]
+    if p == 1 and head <= n:
+        tail = rev[n + 1 - head::-1]  # c_{head-1}, then c_head..c_n
+        tail[1:] = -den[1]
+        np.cumprod(tail, out=tail)
+    return rev[::-1].copy()
 
 
 def _ma_series(ma_filter: tuple[tuple[float, ...], tuple[float, ...]],

@@ -30,7 +30,9 @@ The threads share one temporary-memory budget and write into buffers the
 calling thread allocated, so temporaries stay bounded and the output does
 not depend on the number of threads.  MA truncation stays on the calling
 thread: its rows are short, so time under the GIL dominates and threads
-slowed it down.
+slowed it down.  It fills row blocks of at most ``_BLOCK_BYTES``, one draw
+of n + order normals per row, and filters each block with one ``np.vecdot``
+over its sliding windows: one dot per output, as ``np.convolve`` takes.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CertificationError, NumericError
 from .predict import PredictorWeights
@@ -64,7 +67,8 @@ _EIGENVALUE_TOL_REL = 1e-10
 _MAX_MA_ORDER = 1 << 21
 # complex temporaries of all circulant-embedding blocks in flight, split
 # evenly across the threads; the normals each block is assembled from take
-# as much again
+# as much again; the normals of one MA-truncation row block take at most
+# this much, or one row where a row takes more
 _BLOCK_BYTES = 1 << 20
 
 
@@ -292,11 +296,20 @@ def simulate(plan: SimulationPlan) -> np.ndarray:
     # MA truncation stays serial: its rows are short, so the work under the
     # GIL dominates and threads made model_zoo's MA-truncation ops slower
     order = _ma_truncation_order(plan)
-    b = np.asarray(ma_coeffs(plan.model, order).prefix(order))
+    b_rev = ma_coeffs(plan.model, order).prefix(order)[::-1].copy()
     scale = math.sqrt(plan.model.noise_variance)
-    for r, rng in enumerate(_streams(plan.seed, 0, reps)):
-        eps = scale * rng.standard_normal(n + order)
-        out[r] = np.convolve(eps, b, mode="valid")
+    streams = _streams(plan.seed, 0, reps)
+    rows = min(reps, max(1, _BLOCK_BYTES // (8 * (n + order))))
+    normals = np.empty((rows, n + order))
+    for lo in range(0, reps, rows):
+        block = normals[:min(rows, reps - lo)]
+        for row, rng in zip(block, streams):
+            rng.standard_normal(out=row)
+        block *= scale
+        # one ddot per output, as np.convolve(eps, b, "valid") takes; a
+        # negative-stride b[::-1] would skip BLAS and move the bits
+        np.vecdot(sliding_window_view(block, order + 1, axis=1), b_rev,
+                  out=out[lo:lo + len(block)])
     return out
 
 

@@ -353,6 +353,22 @@ def reference_rational_series(num, den, n: int) -> np.ndarray:
     return out
 
 
+def reference_dot_rational_series(num, den, n: int) -> np.ndarray:
+    """num(z)/den(z) by one ``np.dot`` per term over a reversed view, -dot
+    and then + num_j, at every order of den: ``process._rational_series``'s
+    bits and signs of zero."""
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
+    out = np.zeros(n + 1)
+    for j in range(n + 1):
+        top = min(j, den.size - 1)
+        if top >= 1:
+            out[j] = -np.dot(den[1:top + 1], out[j - 1::-1][:top])
+        if j < num.size:
+            out[j] += num[j]
+    return out
+
+
 def reference_block_ratio_acvf(model, n: int, tol: float = 1e-10):
     """(sigma(0..n), certified_tol) of an ARMA model by the block-ratio loop
     alone: double the MA prefix until the geometric decay of its squared

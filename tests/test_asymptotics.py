@@ -165,6 +165,27 @@ def test_fitted_ar_excess_shares_rate():
     assert -1.1 <= fit.slope <= -0.9
 
 
+def _richardson2(values):
+    """Two Richardson steps in 1/k on values at k, 2k, 4k, ...: the 1/k and
+    1/k^2 terms of a 1 + a/k + b/k^2 + ... expansion cancel."""
+    r1 = 2.0 * values[1:] - values[:-1]
+    return (4.0 * r1[1:] - r1[:-1]) / 3.0
+
+
+@pytest.mark.parametrize("d", (0.05, 0.1, 0.2, 0.3, 0.35, 0.45, 0.49))
+def test_both_excess_constants_by_richardson_extrapolation(d):
+    # k * truncation excess -> C(d) and k * fitted-AR excess -> d^2; raw at
+    # k = 4096 both sit up to about 1e-3 from their limit.  The truncation
+    # expansion seems to carry a non-integer next power, so its bound is the
+    # looser one
+    ks = np.array([512, 1024, 2048, 4096])
+    decs = [error_decomposition(ProcessModel.frac_noise(d), int(k)) for k in ks]
+    trunc = ks * np.array([x.truncation_excess for x in decs]) / truncation_constant(d)
+    ar = ks * np.array([x.ar_excess for x in decs]) / d ** 2
+    assert np.max(np.abs(_richardson2(trunc) - 1.0)) <= 1e-6
+    assert np.max(np.abs(_richardson2(ar) - 1.0)) <= 1e-9
+
+
 def test_infinite_past_gap_rate_in_h():
     from longpred.mse import infinite_past_mse
     from longpred.process import acvf, ma_coeffs

@@ -14,7 +14,8 @@ from longpred.special import log_gamma_diff
 
 from _oracles import (arma_acvf_brute, brute_orthogonality_sum, decimal_frac_noise,
                       decimal_log_gamma, decimal_pi, read_csv, reference_block_ratio_acvf,
-                      reference_filtered_core, reference_lag_products, reference_ma_inversion,
+                      reference_dot_rational_series, reference_filtered_core,
+                      reference_lag_products, reference_ma_inversion,
                       reference_rational_series, same_bits, verify_decay)
 
 D_VALUES = (0.05, 0.25, 0.45)
@@ -384,6 +385,48 @@ def test_farima_filter_expansion_matches_reference_series(kind):
     phi_op, theta_op = (1.0, -0.4), (1.0, -0.3)
     num, den = (phi_op, theta_op) if kind == AR else (theta_op, phi_op)
     assert same_bits(psi, reference_rational_series(num, den, psi.size - 1))
+
+
+SERIES_NUMS = ((1.0,), (1.0, -0.0), (1.0, 0.4, -0.0), (1.0, -0.0, 0.5, -0.2))
+
+
+def _series_lengths(num):
+    return sorted({0, 1, len(num) - 1, len(num), 1500, 16388})
+
+
+@pytest.mark.parametrize("ar", (0.3, -0.3, 0.5, -0.5, 0.9, -0.9, 0.99))
+def test_series_division_bits_first_order_den(ar):
+    # past num's terms the tail is one cumprod; |ar| <= 0.5 underflows to
+    # exact zeros, signed as c_{j-1} * ar, well before 16388 terms
+    den = (1.0, -ar)
+    zero_signs = set()
+    for num in SERIES_NUMS:
+        for n in _series_lengths(num):
+            got = process._rational_series(num, den, n)
+            assert same_bits(got, reference_dot_rational_series(num, den, n)), (num, n)
+            zero_signs |= set(np.signbit(got[got == 0.0]).tolist())
+    want_signs = set() if abs(ar) > 0.5 else {False, True} if ar < 0.0 else {False}
+    assert want_signs <= zero_signs
+
+
+@pytest.mark.parametrize("den", ((1.0,), (1.0, -0.5, 0.2), (1.0, -1.2, 0.5),
+                                 (1.0, 0.1, -0.2, 0.3)))
+def test_series_division_bits_constant_and_higher_order_den(den):
+    for num in SERIES_NUMS:
+        for n in _series_lengths(num):
+            got = process._rational_series(num, den, n)
+            assert same_bits(got, reference_dot_rational_series(num, den, n)), (num, n)
+
+
+@pytest.mark.parametrize("model", (ProcessModel.arma(ar=(0.9,)),
+                                   ProcessModel.generic_ma((1.0, 0.2, -0.1, 0.05, 0.2))),
+                         ids=("arma_0.9", "finite_ma_4"))
+def test_series_division_bits_ar_inversions(model):
+    # the AR inversion 1/b(z) of a 4097-term ARMA prefix and of an order-4 MA
+    n = 4096
+    b = _ma_series(model.ma_filter, n if model.finite_ma_support is None else 4)
+    got = process._rational_series((1.0,), b, n)
+    assert same_bits(got, reference_dot_rational_series((1.0,), b, n))
 
 
 def test_arma_stream_matches_textbook_acvf():

@@ -185,6 +185,48 @@ def test_ma_truncation_matches_per_row_oracle(model):
     assert np.array_equal(simulate(plan), per_row_paths(plan))
 
 
+@pytest.mark.parametrize("model", (ProcessModel.white_noise(1.5),
+                                   ProcessModel.arma(ar=(0.5,), ma=(0.3,)),
+                                   ProcessModel.arma(ar=(0.9,)),
+                                   ProcessModel.generic_ma((1.0, 0.2, -0.1, 0.05, 0.2))))
+@pytest.mark.parametrize("block_rows", (7, 0))
+def test_ma_block_bits_match_per_row_oracle(model, block_rows, monkeypatch):
+    # 40 replications in 7-row blocks end in a 5-row block; a budget below
+    # one row leaves one row per block
+    plan = SimulationPlan(model, length=13, replications=40, seed=2 ** 63 + 5,
+                          method=MA_TRUNCATION)
+    row_bytes = 8 * (plan.length + sim._ma_truncation_order(plan))
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", max(block_rows * row_bytes, row_bytes - 1))
+    assert np.array_equal(simulate(plan), per_row_paths(plan))
+
+
+def test_ma_block_bits_match_per_row_oracle_past_blas_split(monkeypatch):
+    # near a unit root each output is a dot of 16385 terms, long enough for
+    # OpenBLAS to split it across threads; 8 rows fill blocks of 3, 3 and 2
+    plan = SimulationPlan(ProcessModel.arma(ar=(0.9995,)), length=5, replications=8,
+                          seed=9, method=MA_TRUNCATION)
+    order = sim._ma_truncation_order(plan)
+    assert order > 10 ** 4
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 3 * 8 * (plan.length + order))
+    assert np.array_equal(simulate(plan), per_row_paths(plan))
+
+
+def test_ma_truncation_temporaries_stay_within_the_block_budget():
+    # the normals of all rows at once would take more than 2.5 budgets
+    plan = SimulationPlan(ProcessModel.arma(ar=(0.5,), ma=(0.3,)), length=64,
+                          replications=1200, seed=3, method=MA_TRUNCATION)
+    order = sim._ma_truncation_order(plan)
+    assert 8 * plan.replications * (plan.length + order) > 2.5 * sim._BLOCK_BYTES
+    simulate(plan)  # warm caches outside the traced region
+    tracemalloc.start()
+    try:
+        out = simulate(plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 1.25 * sim._BLOCK_BYTES
+
+
 @pytest.mark.parametrize("model", (ProcessModel.frac_noise(0.1), ProcessModel.frac_noise(0.3),
                                    ProcessModel.frac_noise(0.45),
                                    ProcessModel.farima(0.1, ar=(0.5,), ma=(0.3,))))
