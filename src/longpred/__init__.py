@@ -11,13 +11,12 @@ cross-validation.
 from .asymptotics import RateFit, improvement_ratio, rate_fit, truncation_constant
 from .errors import (CertificationError, ConfigError, IllConditionedError,
                      ModelError, NotPositiveDefiniteError, NumericError)
-from .fit import (FittedAr, levinson_durbin, projection_weights_at, solve_toeplitz,
-                  yule_walker)
+from .fit import FittedAr, levinson_durbin, projection_weights_at, yule_walker
 from .mse import (ErrorDecomposition, MseReport, error_decomposition, infinite_past_mse,
                   mse_of_weights)
 from .predict import PROJECTION, TRUNCATED_WK, PredictorWeights, forecast, truncated_wk_weights_at
 from .process import CoefSeq, ProcessModel, acvf, ar_coeffs, ma_coeffs
-from .sim import McEstimate, SimulationPlan, empirical_mse, empirical_mses, simulate
+from .sim import McEstimate, SimulationPlan, empirical_mses, simulate
 
 __version__ = "0.1.0"
 
@@ -27,10 +26,10 @@ __all__ = [
     "ModelError", "MseReport", "NotPositiveDefiniteError", "NumericError",
     "PredictorWeights", "ProcessModel", "PROJECTION", "RateFit",
     "SimulationPlan", "TRUNCATED_WK",
-    "acvf", "ar_coeffs", "empirical_mse", "empirical_mses",
+    "acvf", "ar_coeffs", "empirical_mses",
     "error_decomposition", "forecast", "improvement_ratio",
     "infinite_past_mse", "levinson_durbin",
     "ma_coeffs", "mse_of_weights", "projection_weights_at",
-    "rate_fit", "simulate", "solve_toeplitz",
+    "rate_fit", "simulate",
     "truncated_wk_weights_at", "truncation_constant", "yule_walker",
 ]

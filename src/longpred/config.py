@@ -22,7 +22,7 @@ Documented keys:
     reps            Monte-Carlo replications
     out             output directory
     svg             true | false, also emit SVG charts
-    acvf_tol        certified relative autocovariance accuracy of fits and MSEs
+    acvf_tol        bound on the dropped autocovariance series tail, relative to sigma(0)
     sim_method      circulant_embedding | ma_truncation
     ma_cov_tol      MA sampler's covariance error bound (estimated for FARIMA/ARMA)
     dump_paths      true | false, dump simulated paths from montecarlo

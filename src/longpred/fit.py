@@ -6,8 +6,8 @@ The order-k Yule-Walker equations
 
 define the best linear one-step predictor over k observations.  They are
 solved by the Levinson-Durbin recursion in O(k^2).  One kernel runs it:
-``levinson_durbin`` takes the predictor and ``solve_toeplitz`` additionally
-carries one or many general right-hand sides along, which yields the h-step
+``levinson_durbin`` takes the predictor, and ``projection_weights_at``
+additionally carries general right-hand sides along, which yields the h-step
 projection weights.  Every horizon shares the matrix, so
 ``projection_weights_at(acvf, k, (1, 2, 5))`` computes the reflections once
 for every h (the h = 1 weights are the order-k predictor), and each
@@ -16,8 +16,8 @@ A dense solver is deliberately *not* used here so that the test suite can
 keep one as an independent oracle.
 ``yule_walker`` and ``projection_weights_at`` take a computed
 :class:`~longpred.process.CoefSeq`, whose model's noise variance sets the
-precision floor of the variance iterates; plain arrays go to the two
-kernels with an explicit floor.
+precision floor of the variance iterates; a plain array goes to
+``levinson_durbin`` with an explicit floor.
 
 Two coefficient conventions coexist and are both stored on the result:
 ``phi`` are predictor weights (prediction = sum phi_j X_{n+1-j}) while
@@ -45,7 +45,6 @@ from .special import log_gamma_diff
 __all__ = [
     "FittedAr",
     "levinson_durbin",
-    "solve_toeplitz",
     "yule_walker",
     "closed_form_log_inflation",
     "projection_weights_at",
@@ -136,22 +135,6 @@ def levinson_durbin(acvf_prefix, variance_floor: float = 0.0):
         raise ValueError("need sigma(0) and at least sigma(1)")
     phi, v, kappa, _ = _levinson(t, variance_floor, np.empty((0, t.size - 1)))
     return phi, v, kappa
-
-
-def solve_toeplitz(first_row, rhs, variance_floor: float = 0.0) -> np.ndarray:
-    """Solve T x = rhs for symmetric PD Toeplitz T, first row sigma(0..k-1).
-
-    ``rhs`` is one right-hand side of length k or an (H, k) array of H of
-    them; the solutions come back in the same shape.  The Levinson recursion
-    carries every solution along with the predictors of successive orders,
-    in O(H k^2) with the reflections computed once.
-    """
-    t = np.asarray(first_row, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    if t.ndim != 1 or t.size == 0 or b.ndim not in (1, 2) or b.shape[-1] != t.size:
-        raise ValueError("first_row must be a nonempty 1-d array and rhs an "
-                         "array of one or more rows of its length")
-    return _levinson(t, variance_floor, b.reshape(-1, t.size))[3].reshape(b.shape)
 
 
 def _acvf_values(acvf: CoefSeq, n: int) -> tuple[np.ndarray, float]:

@@ -46,8 +46,8 @@ class MseReport:
 
     ``total = floor + excess`` with ``floor`` the infinite-past h-step error
     and ``excess >= 0`` the finite-sample penalty.  ``certified_tol`` carries
-    the certified relative accuracy of the autocovariances that entered the
-    computation (0 for exact paths).
+    the autocovariances' bound on their dropped series tail only, relative to
+    sigma(0): rounding is not covered, and 0 means no tail, not exact.
     """
 
     total: float

@@ -330,8 +330,8 @@ class CoefSeq:
 
     The entries are computed once, when the sequence is made; ``values`` is
     read-only, so a sequence can be shared freely.  ``certified_tol``
-    reports the certified relative accuracy of an autocovariance computed by
-    truncated summation (0.0 for exact paths).
+    bounds only the dropped series tail of an autocovariance, relative to
+    sigma(0): rounding is not covered, and 0.0 means no tail, not exact.
     """
 
     model: ProcessModel
@@ -502,5 +502,5 @@ def ma_coeffs(model: ProcessModel, n: int) -> CoefSeq:
 
 
 def acvf(model: ProcessModel, n: int, tol: float = DEFAULT_ACVF_TOL) -> CoefSeq:
-    """Autocovariances sigma(0)..sigma(n) with certified relative accuracy."""
+    """Autocovariances sigma(0)..sigma(n), any dropped series tail below tol * sigma(0)."""
     return _sequence(model, ACVF, n, tol)

@@ -3,10 +3,9 @@
 Sample paths provide the end-to-end check of every analytic error formula:
 simulate, forecast with the constructed weights, and compare empirical
 squared errors against the quadratic-form values.  :func:`simulate` draws
-the paths; :func:`empirical_mse` scores one weight vector on the first k + h
-columns of each row; :func:`empirical_mses` scores many weight vectors,
-each on paths of its own length k + h, with the same bits as
-:func:`empirical_mse` on a :func:`simulate` at that length.
+the paths; :func:`empirical_mses` scores many weight vectors, each on paths
+of its own length k + h, with the same bits as scoring it on the rows of a
+:func:`simulate` at that length.
 
 Two samplers are available.  Circulant embedding is the default and exact:
 the length-n covariance is embedded into a 2(n-1)-circulant whose FFT gives
@@ -16,23 +15,24 @@ rational filters only estimate.
 
 Randomness is counter-based: each replication draws from its own Philox
 stream keyed by (seed, replication index), so row r depends only on
-(seed, r) and results are reproducible regardless of execution order and
-of how the rows are split.  A row of an embedding of length m reads the
-first 2m normals of its stream, so one draw at the longest embedding holds
-every shorter one as a prefix.  Circulant embedding cuts the rows into
-contiguous ranges on block boundaries and runs them on min(CPUs, blocks)
-threads; numpy releases the GIL while it draws normals and runs FFTs.  Each
-range re-keys one bit generator for each of its rows, draws the row's
-normals once and, per embedding length, transforms its blocks in place and
-hands each block's paths to a visitor: :func:`simulate` copies them out,
-:func:`empirical_mses` scores them, so it never builds an array of paths.
-The threads share one temporary-memory budget and write into buffers the
-calling thread allocated, so temporaries stay bounded and the output does
-not depend on the number of threads.  MA truncation stays on the calling
-thread: its rows are short, so time under the GIL dominates and threads
-slowed it down.  It fills row blocks of at most ``_BLOCK_BYTES``, one draw
-of n + order normals per row, and filters each block with one ``np.vecdot``
-over its sliding windows: one dot per output, as ``np.convolve`` takes.
+(seed, r) and results are reproducible regardless of execution order and of
+how the rows are split.  Both samplers fill their row blocks through one
+loop, :func:`_drawn_blocks`, which re-keys one bit generator per row.  A row
+of an embedding of length m reads the first 2m normals of its stream, so one
+draw at the longest embedding holds every shorter one as a prefix.
+Circulant embedding cuts the rows into contiguous ranges on block boundaries
+and runs them on min(CPUs, blocks) threads; numpy releases the GIL while it
+draws normals and runs FFTs.  Each range draws a row's normals once and, per
+embedding length, transforms its blocks in place and hands each block's
+paths to a visitor: :func:`simulate` copies them out, :func:`empirical_mses`
+scores them, so it never builds an array of paths.  The threads share one
+temporary-memory budget and write into buffers the calling thread allocated,
+so temporaries stay bounded and the output does not depend on the number of
+threads.  MA truncation stays on the calling thread: its rows are short, so
+time under the GIL dominates and threads slowed it down.  It fills row
+blocks of at most ``_BLOCK_BYTES``, one draw of n + order normals per row,
+and filters each block with one ``np.vecdot`` over its sliding windows: one
+dot per output, as ``np.convolve`` takes.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "SimulationPlan",
     "McEstimate",
     "simulate",
-    "empirical_mse",
     "empirical_mses",
 ]
 
@@ -132,6 +131,18 @@ def _streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
         yield rng
 
 
+def _drawn_blocks(seed: int, start: int, stop: int,
+                  normals: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(first_row, block)`` for rows start..stop-1, ``len(normals)`` at a
+    time; ``block`` is a view of ``normals`` whose row for r is drawn from (seed, r)."""
+    streams = _streams(seed, start, stop)
+    for lo in range(start, stop, len(normals)):
+        block = normals[:min(len(normals), stop - lo)]
+        for row, rng in zip(block, streams):
+            rng.standard_normal(out=row)
+        yield lo, block
+
+
 def _worker_count() -> int:
     """CPUs this process may run on; the circulant sampler uses as many
     threads, but never more than it has row blocks."""
@@ -143,8 +154,7 @@ def _worker_count() -> int:
 
 def _circulant_rows(lengths: list[int], amps: list[np.ndarray], seed: int, start: int,
                     stop: int, normals: np.ndarray, z: np.ndarray, visit) -> None:
-    """Run rows start..stop-1 of the circulant sampler, ``len(normals)`` rows
-    at a time, in the caller's buffers.
+    """Run rows start..stop-1 of the circulant sampler in the caller's buffers.
 
     Each row draws 2 m_max normals from stream (seed, r), once.  Embedding i,
     of length m = ``amps[i].size``, reads the first m as real parts and the
@@ -153,11 +163,7 @@ def _circulant_rows(lengths: list[int], amps: list[np.ndarray], seed: int, start
     amplitudes, transformed in place in a contiguous buffer, and its paths
     of length ``lengths[i]`` are handed to ``visit(i, first_row, paths)``.
     """
-    streams = _streams(seed, start, stop)
-    for lo in range(start, stop, len(normals)):
-        block = normals[:min(len(normals), stop - lo)]
-        for row, rng in zip(block, streams):
-            rng.standard_normal(out=row)
+    for lo, block in _drawn_blocks(seed, start, stop, normals):
         for i, amp in enumerate(amps):
             m = amp.size
             zb = z[:len(block) * m].reshape(len(block), m)
@@ -298,13 +304,8 @@ def simulate(plan: SimulationPlan) -> np.ndarray:
     order = _ma_truncation_order(plan)
     b_rev = ma_coeffs(plan.model, order).prefix(order)[::-1].copy()
     scale = math.sqrt(plan.model.noise_variance)
-    streams = _streams(plan.seed, 0, reps)
     rows = min(reps, max(1, _BLOCK_BYTES // (8 * (n + order))))
-    normals = np.empty((rows, n + order))
-    for lo in range(0, reps, rows):
-        block = normals[:min(rows, reps - lo)]
-        for row, rng in zip(block, streams):
-            rng.standard_normal(out=row)
+    for lo, block in _drawn_blocks(plan.seed, 0, reps, np.empty((rows, n + order))):
         block *= scale
         # one ddot per output, as np.convolve(eps, b, "valid") takes; a
         # negative-stride b[::-1] would skip BLAS and move the bits
@@ -328,30 +329,18 @@ def _estimate(errs: np.ndarray) -> McEstimate:
                       replications=r)
 
 
-def empirical_mse(paths: np.ndarray, weights: PredictorWeights) -> McEstimate:
-    """Monte-Carlo squared prediction error of a weight vector on the rows of
-    ``paths``, an array :func:`simulate` returned.
-
-    Each row forecasts X_{k+h} from (X_1..X_k); columns after k + h are not
-    read.  The estimate is the sample mean of squared errors with its
-    standard error.
-    """
-    n = paths.shape[1]
-    if n < weights.k + weights.h:
-        raise ValueError(f"path length {n} too short for k + h = {weights.k + weights.h}")
-    return _estimate(_squared_errors(paths, weights))
-
-
 def empirical_mses(plan: SimulationPlan, weights) -> list[McEstimate]:
     """Monte-Carlo squared prediction error of each weight vector, in order,
     on the plan's replications at length k + h (``plan.length`` is not read).
 
-    Entry i equals ``empirical_mse(simulate(replace(plan, length=k + h)),
-    weights[i])`` bit for bit.  Both samplers hand the paths of each
-    distinct length to one scoring visitor.  The circulant sampler draws
-    each row's normals once for every length and scores every weight vector
-    on row blocks, so no array of paths is built; MA truncation simulates
-    each distinct length once and scores all its rows in one block.
+    Entry i is, bit for bit, the sample mean and its standard error of the
+    squared errors of forecasting X_{k+h} from (X_1..X_k) with ``weights[i]``
+    over the rows of ``simulate(replace(plan, length=k + h))``.  Both
+    samplers hand the paths of each distinct length to one scoring visitor.
+    The circulant sampler draws each row's normals once for every length
+    and scores every weight vector on row blocks, so no array of paths is
+    built; MA truncation simulates each distinct length once and scores all
+    its rows in one block.
     """
     weights = tuple(weights)
     by_length: dict[int, list[int]] = {}

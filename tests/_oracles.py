@@ -4,11 +4,12 @@ Everything here deliberately avoids the production code paths it checks:
 quadrature instead of log-Gamma identities, dense linear algebra instead of
 Levinson, literal recursions instead of unrolled weights, and partial
 summation with integral-comparison remainders instead of finite quadratic
-forms.  A later section holds routes that only tests call: the
-spectral-contrast MSE, the closed-form fractional-noise fit, the direct
-truncation excess, decay-rate diagnostics and a reader for the CSVs the
-commands write.  The last section computes references to 60 digits with
-the standard library's ``decimal``.
+forms.  A later section holds routes that only tests call: a general
+Toeplitz solve and a scorer of one weight vector on given paths, both thin
+entries to production kernels, the spectral-contrast MSE, the closed-form
+fractional-noise fit, the direct truncation excess, decay-rate diagnostics
+and a reader for the CSVs the commands write.  The last section computes
+references to 60 digits with the standard library's ``decimal``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from longpred import sim
 from longpred.errors import CertificationError, IllConditionedError, NotPositiveDefiniteError
-from longpred.fit import FittedAr, closed_form_log_inflation, yule_walker
+from longpred.fit import FittedAr, _levinson, closed_form_log_inflation, yule_walker
 from longpred.mse import MseReport, _floor, _make_report, toeplitz_quadratic_form
 from longpred.predict import PROJECTION
 from longpred.process import (ACVF, AR, MA, CoefSeq, ProcessModel, _ma_series, acvf,
@@ -444,8 +445,38 @@ def same_bits(got, want) -> bool:
     return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
-# -- test-only routes: independent evaluations the suite compares production
-#    results against, and a reader of the CSVs the commands write
+# -- test-only routes: entries to production kernels no command needs,
+#    independent evaluations the suite compares production results against,
+#    and a reader of the CSVs the commands write
+
+
+def solve_toeplitz(first_row, rhs, variance_floor: float = 0.0) -> np.ndarray:
+    """Solve T x = rhs for symmetric PD Toeplitz T, first row sigma(0..k-1),
+    with the production Levinson kernel ``fit._levinson``.
+
+    ``rhs`` is one right-hand side of length k or an (H, k) array of H of
+    them; the solutions come back in the same shape.
+    """
+    t = np.asarray(first_row, dtype=float)
+    b = np.asarray(rhs, dtype=float)
+    if t.ndim != 1 or t.size == 0 or b.ndim not in (1, 2) or b.shape[-1] != t.size:
+        raise ValueError("first_row must be a nonempty 1-d array and rhs an "
+                         "array of one or more rows of its length")
+    return _levinson(t, variance_floor, b.reshape(-1, t.size))[3].reshape(b.shape)
+
+
+def empirical_mse(paths: np.ndarray, weights) -> sim.McEstimate:
+    """Monte-Carlo squared prediction error of one weight vector on the rows
+    of ``paths``, scored by the production helpers as a whole array: the
+    reference ``sim.empirical_mses`` matches bit for bit.
+
+    Each row forecasts X_{k+h} from (X_1..X_k); columns after k + h are not
+    read.
+    """
+    n = paths.shape[1]
+    if n < weights.k + weights.h:
+        raise ValueError(f"path length {n} too short for k + h = {weights.k + weights.h}")
+    return sim._estimate(sim._squared_errors(paths, weights))
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[str], list[list[str]]]:

@@ -28,9 +28,10 @@ from longpred.fit import projection_weights_at, yule_walker
 from longpred.mse import error_decomposition, infinite_past_mse, mse_of_weights
 from longpred.predict import truncated_wk_weights_at
 from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
-from longpred.sim import SimulationPlan, empirical_mse, simulate
+from longpred.sim import SimulationPlan, simulate
 
-from _oracles import closed_form_ar_fit, spectral_contrast_mse, truncated_one_step_excess
+from _oracles import (closed_form_ar_fit, empirical_mse, spectral_contrast_mse,
+                      truncated_one_step_excess)
 
 
 def criterion(name):

@@ -6,7 +6,7 @@ from longpred.config import load_config, parse_config_file
 from longpred.errors import ConfigError
 from longpred.process import ProcessModel, acvf, ar_coeffs
 
-from _oracles import per_row_paths, read_csv
+from _oracles import empirical_mse, per_row_paths, read_csv
 
 
 def run(args):
@@ -200,7 +200,7 @@ def test_white_noise_z_scores_over_many_seeds(tmp_path):
     from longpred.mse import mse_of_weights
     from longpred.predict import truncated_wk_weights_at
     from longpred.process import acvf, ar_coeffs, ma_coeffs
-    from longpred.sim import SimulationPlan, empirical_mse, simulate
+    from longpred.sim import SimulationPlan, simulate
 
     model = ProcessModel.white_noise()
     w = truncated_wk_weights_at(ar_coeffs(model, 5), 5, (1,))[0]
@@ -451,10 +451,10 @@ def test_commands_solve_every_horizon_in_one_pass(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    # one Levinson pass serves h = 1 and every longer horizon, so neither
-    # public kernel entry runs
-    for module, name in [(fit, "_levinson"), (fit, "solve_toeplitz"),
-                         (fit, "levinson_durbin"), (predict, "truncated_wk_weights_at"),
+    # one Levinson pass serves h = 1 and every longer horizon, so the public
+    # kernel entry does not run
+    for module, name in [(fit, "_levinson"), (fit, "levinson_durbin"),
+                         (predict, "truncated_wk_weights_at"),
                          (cli, "truncated_wk_weights_at")]:
         count(module, name)
     once = {"_levinson": 1, "truncated_wk_weights_at": 1}

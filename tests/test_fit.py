@@ -8,12 +8,12 @@ from hypothesis import given, strategies as st
 from longpred.cli import _FIGURE2_D_GRID, _FIGURE2_K_GRID
 from longpred.errors import IllConditionedError, NotPositiveDefiniteError
 from longpred.fit import (_VARIANCE_FLOOR_REL, closed_form_log_inflation, levinson_durbin,
-                          projection_weights_at, solve_toeplitz, yule_walker)
+                          projection_weights_at, yule_walker)
 from longpred.process import ACVF, CoefSeq, ProcessModel, acvf
 
 from _oracles import (closed_form_ar_fit, decimal_fit_phi, dense_toeplitz_solve,
                       reference_levinson_durbin, reference_log_inflation,
-                      reference_solve_toeplitz, same_bits)
+                      reference_solve_toeplitz, same_bits, solve_toeplitz)
 
 D_VALUES = (0.1, 0.3, 0.45)
 
@@ -226,8 +226,8 @@ def test_levinson_on_random_invertible_ma(theta):
     assert np.max(np.abs(fit.phi - dense)) < 1e-9
 
 
-# The Levinson kernel behind levinson_durbin and solve_toeplitz must
-# reproduce the two loops written out apart (tests/_oracles.py) bit for bit.
+# The Levinson kernel behind levinson_durbin and the test-side solve_toeplitz
+# must reproduce the two loops written out apart (tests/_oracles.py) bit for bit.
 KERNEL_MODELS = {
     "frac_noise_0.05": ProcessModel.frac_noise(0.05),
     "frac_noise_0.3": ProcessModel.frac_noise(0.3),

@@ -1,4 +1,4 @@
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,8 +10,8 @@ from longpred.mse import (error_decomposition, infinite_past_mse, mse_of_weights
 from longpred.predict import truncated_wk_weights_at
 from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 
-from _oracles import (brute_truncation_excess, decimal_fitted_ar_excess, decimal_projection,
-                      dense_quadratic_form, fitted_ar_mse, reference_quadratic_form, same_bits,
+from _oracles import (brute_truncation_excess, decimal_fitted_ar_excess, decimal_frac_noise,
+                      decimal_projection, dense_quadratic_form, fitted_ar_mse, reference_quadratic_form, same_bits,
                       spectral_contrast_mse, tail_cross_sum, truncated_one_step_excess)
 
 
@@ -325,6 +325,29 @@ def test_projection_mse_matches_60_digit_reference(d, k):
     for w in projection_weights_at(g, k, (1, 2, 5)):
         ratio = mse_of_weights(g, b, w).total / g[0]
         assert abs(ratio - float(decimal_projection(d, k, w.h))) <= k * np.finfo(float).eps
+
+
+# relative error of the projection excess (figure3's `excess` column) in
+# units of k eps; measured: 238-363 at every d = 0.1 cell (largest 9.6e-12,
+# at k = 128) and up to 72 at d >= 0.3 (d = 0.49, k = 16)
+PROJECTION_EXCESS_BOUNDS = {0.1: 512, 0.3: 128, 0.45: 128, 0.49: 128}
+
+
+@pytest.mark.parametrize("d", (0.1, 0.3, 0.45, 0.49))
+@pytest.mark.parametrize("k", (16, 64, 128))
+def test_projection_excess_matches_60_digit_reference(d, k):
+    # the reference excess is the projection MSE minus the infinite-past
+    # floor sum_{l<h} b_l^2, both to 60 digits
+    _, b, sigma = decimal_frac_noise(d, 4)
+    model = ProcessModel.frac_noise(d)
+    g, bm = acvf(model, k + 5), ma_coeffs(model, 4)
+    for w in projection_weights_at(g, k, (1, 2, 5)):
+        got = mse_of_weights(g, bm, w).excess
+        with localcontext() as ctx:
+            ctx.prec = 60
+            ref = decimal_projection(d, k, w.h) * sigma[0] - sum(bl * bl for bl in b[:w.h])
+            rel = float(abs((Decimal(got) - ref) / ref))
+        assert rel <= PROJECTION_EXCESS_BOUNDS[d] * k * np.finfo(float).eps, (w.h, rel)
 
 
 # relative error of the fitted-AR excess in units of k eps; measured: up to

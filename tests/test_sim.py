@@ -5,15 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import per_row_paths, reference_power_tail_sq_bound, same_bits
+from _oracles import empirical_mse, per_row_paths, reference_power_tail_sq_bound, same_bits
 from longpred import sim
 from longpred.errors import CertificationError
 from longpred.fit import projection_weights_at
 from longpred.mse import mse_of_weights
 from longpred.predict import PredictorWeights, truncated_wk_weights_at
 from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
-from longpred.sim import (CIRCULANT_EMBEDDING, MA_TRUNCATION, SimulationPlan,
-                          empirical_mse, empirical_mses, simulate)
+from longpred.sim import (CIRCULANT_EMBEDDING, MA_TRUNCATION, SimulationPlan, empirical_mses,
+                          simulate)
 
 
 def _cov_se(gamma, i, j, reps):
