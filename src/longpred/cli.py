@@ -143,7 +143,7 @@ def cmd_figure2(cfg: RunConfig) -> list[Path]:
     for d in d_grid:
         for k in k_grid:
             r = asymptotics.improvement_ratio(d, k)
-            rows.append((float(d), int(k), r, r >= 0.5))
+            rows.append((float(d), int(k), r, "true" if r >= 0.5 else "false"))
     written = [write_csv(out / "figure2.csv", "longpred/figure2 v1",
                          ["columns: d, k, improvement ratio, ratio >= 1/2 flag"],
                          ["d", "k", "r", "r_ge_half"], rows)]

@@ -39,8 +39,8 @@ filter or of predictor weights (``mse``), is taken by ``_lag_products``: one
 ``np.correlate``, or one dot per lag when few lags of a long series are
 asked for; a second correlation filters the FARIMA core's autocovariance.
 FARIMA autocovariances, and ARMA ones whose series sticks at subnormal values
-before the block-ratio tail test passes, are certified from the filter's
-root modulus (``_certified_rational_series``).
+before the block-ratio tail test passes, take a tail estimate, not a proof,
+from the filter's root modulus (``_certified_rational_series``).
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ def _geometric_envelope(c: np.ndarray, r: float) -> float | None:
 def _certified_rational_series(num: Sequence[float], den: Sequence[float],
                                tol: float) -> tuple[np.ndarray, float]:
     """Expand num/den far enough that the L1 tail past the computed range,
-    bounded by ``_geometric_envelope``, is below ``tol``."""
+    as ``_geometric_envelope`` estimates it, is below ``tol``."""
     den_t = np.trim_zeros(np.asarray(den, dtype=float), "b")
     if den_t.size <= 1:
         coeffs = np.asarray(num, dtype=float).copy()
@@ -302,7 +302,7 @@ def _lag_products(b: np.ndarray, s2: float, n: int) -> np.ndarray:
 
 
 def _tail_sq_bound(b: np.ndarray) -> float | None:
-    """Certified bound on sum_{m > M} b_m^2 given the computed prefix."""
+    """Estimate of sum_{m > M} b_m^2 from the prefix's last two quarter blocks."""
     m = b.size - 1
     half, three_q = m // 2, (3 * m) // 4
     s1 = float(np.sum(b[half: three_q] ** 2))
@@ -391,8 +391,8 @@ def _frac(d: float, noise_variance: float, kind: str, n: int) -> np.ndarray:
 
 
 def _psi_series(model: ProcessModel, kind: str, tol: float) -> tuple[np.ndarray, float]:
-    """Certified expansion of the model's rational filter num/den (den/num
-    for AR sequences).  ``tol`` is the autocovariance accuracy to certify."""
+    """Expansion of the model's rational filter num/den (den/num for AR
+    sequences) and its estimated L1 tail; ``tol`` is the acvf accuracy asked."""
     num, den = model.ma_filter[::-1] if kind == AR else model.ma_filter
     # the ACVF path squares the filter, so certify well below tol
     return _certified_rational_series(num, den, min(1e-15, 0.01 * tol))
@@ -439,12 +439,12 @@ def _generic_series(model: ProcessModel, kind: str, n: int) -> np.ndarray:
 
 
 def _generic_acvf(model: ProcessModel, n: int, tol: float) -> tuple[np.ndarray, float]:
-    """Autocovariances 0..n of a generic model and their certified tolerance."""
+    """Autocovariances 0..n of a generic model and their tail estimate."""
     s2 = model.noise_variance
     support = model.finite_ma_support
     if support is not None:
         return _lag_products(_ma_series(model.ma_filter, support), s2, n), 0.0
-    # infinite series: extend until the certified tail of
+    # infinite series: extend until the estimated tail of
     # sum_m b_m b_{m+s} drops below tol * sigma(0)
     den = model.ma_filter[1]
     m = max(4 * (n + 1), 1024)
@@ -456,7 +456,7 @@ def _generic_acvf(model: ProcessModel, n: int, tol: float) -> tuple[np.ndarray, 
             out = _lag_products(b, s2, n)
             return out, s2 * tail_sq / out[0]
         if tail_sq is None and _stuck_rational_tail(den, b, m // 2):
-            # no longer prefix passes the block test: certify from the
+            # no longer prefix passes the block test: estimate from the
             # filter's root modulus instead
             psi, psi_tail = _psi_series(model, ACVF, tol)
             out = _lag_products(psi, s2, n)

@@ -46,8 +46,7 @@ def _tick_label(v: float) -> str:
 
 
 def line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]], *,
-               title: str = "", xlabel: str = "", ylabel: str = "",
-               logx: bool = False) -> str:
+               title: str, xlabel: str, ylabel: str, logx: bool = False) -> str:
     """Render labelled (x, y) series as an SVG line chart string."""
     pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)]
     if not pts:
@@ -68,10 +67,9 @@ def line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]], *
     py0, py1 = _H - _MB, _MT
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
            f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
-           f'<rect width="{_W}" height="{_H}" fill="white"/>']
-    if title:
-        out.append(f'<text x="{_W / 2:.2f}" y="24" text-anchor="middle" '
-                   f'font-size="15">{title}</text>')
+           f'<rect width="{_W}" height="{_H}" fill="white"/>',
+           f'<text x="{_W / 2:.2f}" y="24" text-anchor="middle" '
+           f'font-size="15">{title}</text>']
 
     for tv in _ticks(x_lo, x_hi, logx):
         (px,) = _transform([tv], x_lo, x_hi, px0, px1, logx)
@@ -87,12 +85,10 @@ def line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]], *
                    f'{_tick_label(tv)}</text>')
     out.append(f'<rect x="{px0}" y="{py1}" width="{px1 - px0}" '
                f'height="{py0 - py1}" fill="none" stroke="#333333"/>')
-    if xlabel:
-        out.append(f'<text x="{(px0 + px1) / 2:.2f}" y="{_H - 14}" '
-                   f'text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        out.append(f'<text x="18" y="{(py0 + py1) / 2:.2f}" text-anchor="middle" '
-                   f'transform="rotate(-90 18 {(py0 + py1) / 2:.2f})">{ylabel}</text>')
+    out.append(f'<text x="{(px0 + px1) / 2:.2f}" y="{_H - 14}" '
+               f'text-anchor="middle">{xlabel}</text>')
+    out.append(f'<text x="18" y="{(py0 + py1) / 2:.2f}" text-anchor="middle" '
+               f'transform="rotate(-90 18 {(py0 + py1) / 2:.2f})">{ylabel}</text>')
 
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]

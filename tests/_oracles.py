@@ -781,12 +781,27 @@ def decimal_fitted_ar_excess(d: float, k: int) -> Decimal:
         return v - 1
 
 
+def decimal_truncation_excess(d: float, k: int) -> Decimal:
+    """a' T a - 1 with a = (a_0..a_k), the order-k truncated-AR one-step
+    excess of unit-variance fractional noise, to 60 significant digits at
+    the exact binary d.
+
+    Summed lag by lag: sigma(0) sum_j a_j^2 + 2 sum_{s>=1} sigma(s)
+    sum_j a_j a_{j+s}, O(k^2) products.
+    """
+    a, _, sigma = decimal_frac_noise(d, k)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        total = sigma[0] * sum(aj * aj for aj in a)
+        for s in range(1, k + 1):
+            total += 2 * sigma[s] * sum(a[j] * a[j + s] for j in range(k + 1 - s))
+        return total - 1
+
+
 # -- the CSV writer as it was written cell by cell, kept as a byte reference
 
 
 def _reference_fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)

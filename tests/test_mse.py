@@ -3,6 +3,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from longpred.asymptotics import improvement_ratio
 from longpred.errors import CertificationError, ModelError
 from longpred.fit import projection_weights_at, yule_walker
 from longpred.mse import (error_decomposition, infinite_past_mse, mse_of_weights,
@@ -11,7 +12,8 @@ from longpred.predict import truncated_wk_weights_at
 from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 
 from _oracles import (brute_truncation_excess, decimal_fitted_ar_excess, decimal_frac_noise,
-                      decimal_projection, dense_quadratic_form, fitted_ar_mse, reference_quadratic_form, same_bits,
+                      decimal_projection, decimal_truncation_excess, dense_quadratic_form,
+                      fitted_ar_mse, reference_quadratic_form, same_bits,
                       spectral_contrast_mse, tail_cross_sum, truncated_one_step_excess)
 
 
@@ -24,6 +26,7 @@ def test_quadratic_form_against_dense():
             dense_quadratic_form(g, w), rel=1e-12)
 
 
+@pytest.mark.one_blas_thread
 def test_lag_kernel_quadratic_form_matches_convolve():
     rng = np.random.default_rng(5)
     g = acvf(ProcessModel.frac_noise(0.4), 2000).prefix(2000)
@@ -362,3 +365,23 @@ def test_fitted_ar_excess_matches_60_digit_reference(d, k):
     got = error_decomposition(ProcessModel.frac_noise(d), k).ar_excess
     rel = float(abs((Decimal(got) - ref) / ref))
     assert rel <= AR_EXCESS_BOUNDS[d] * k * np.finfo(float).eps
+
+
+# relative error of the truncation excess and of r(k) in units of k eps;
+# measured: 279-367 at d = 0.1 (3.2e-11 at k = 512), up to 22 at d = 0.3 and
+# up to 5.6 at d = 0.45
+TRUNCATION_EXCESS_BOUNDS = {0.1: 512, 0.3: 64, 0.45: 64}
+
+
+@pytest.mark.parametrize("d", (0.1, 0.3, 0.45))
+@pytest.mark.parametrize("k", (64, 128, 512))
+def test_truncation_excess_and_ratio_match_60_digit_reference(d, k):
+    trunc, ar = decimal_truncation_excess(d, k), decimal_fitted_ar_excess(d, k)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ratio = (trunc - ar) / trunc
+    bound = TRUNCATION_EXCESS_BOUNDS[d] * k * np.finfo(float).eps
+    for got, ref in ((error_decomposition(ProcessModel.frac_noise(d), k).truncation_excess,
+                      trunc), (improvement_ratio(d, k), ratio)):
+        rel = float(abs((Decimal(got) - ref) / ref))
+        assert rel <= bound, (got, rel)

@@ -7,11 +7,12 @@ a scorer of one weight vector on given paths have no caller in the package:
 ``tests/_oracles.py``.  ``levinson_durbin`` stays public although no command
 needs it: ``bench/test_bench.py`` reads ``longpred.levinson_durbin`` and
 ``bench/tracing.py`` defines the ``fit.levinson_*`` layer metrics on it, so
-it can only go together with a change to the benchmark.
+it can only go together with a change to the benchmark.  ``csvio`` writes
+every row through one template path, so ``write_csv`` is its one name.
 """
 
 import longpred
-from longpred import fit, sim
+from longpred import csvio, fit, sim
 
 PUBLIC = {
     "CertificationError", "CoefSeq", "ConfigError",
@@ -40,3 +41,8 @@ def test_test_only_routes_are_not_in_the_package():
         for name in ("solve_toeplitz", "empirical_mse"):
             assert not hasattr(module, name), (module.__name__, name)
             assert name not in getattr(module, "__all__", ()), (module.__name__, name)
+
+
+def test_csv_writer_has_one_public_name():
+    assert csvio.__all__ == ["write_csv"]
+    assert not hasattr(csvio, "fmt")

@@ -72,6 +72,7 @@ def test_circulant_bytes_do_not_depend_on_worker_count(workers, reps, n, monkeyp
     assert np.array_equal(simulate(plan), per_row_paths(plan))
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("n", (2, 51))
 @pytest.mark.parametrize("block_rows", (1, 3))
 def test_circulant_block_edges_match_per_row_oracle(n, block_rows, monkeypatch):
@@ -112,6 +113,7 @@ def _per_length(plan, weights):
     return [empirical_mse(simulate(replace(plan, length=w.k + w.h)), w) for w in weights]
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("model, k, horizons, reps", [
     (ProcessModel.frac_noise(0.3), 20, (20, 1, 5), 100),
     (ProcessModel.frac_noise(0.45), 1, (1, 2, 3), 50),
@@ -185,6 +187,7 @@ def test_ma_truncation_matches_per_row_oracle(model):
     assert np.array_equal(simulate(plan), per_row_paths(plan))
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("model", (ProcessModel.white_noise(1.5),
                                    ProcessModel.arma(ar=(0.5,), ma=(0.3,)),
                                    ProcessModel.arma(ar=(0.9,)),
@@ -200,6 +203,7 @@ def test_ma_block_bits_match_per_row_oracle(model, block_rows, monkeypatch):
     assert np.array_equal(simulate(plan), per_row_paths(plan))
 
 
+@pytest.mark.one_blas_thread
 def test_ma_block_bits_match_per_row_oracle_past_blas_split(monkeypatch):
     # near a unit root each output is a dot of 16385 terms, long enough for
     # OpenBLAS to split it across threads; 8 rows fill blocks of 3, 3 and 2
