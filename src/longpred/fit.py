@@ -13,7 +13,9 @@ projection weights.  Every horizon shares the matrix, so
 for every h (the h = 1 weights are the order-k predictor), and each
 horizon's weights carry the same bits as a solve for that horizon alone.
 A dense solver is deliberately *not* used here so that the test suite can
-keep one as an independent oracle.
+keep one as an independent oracle.  The recursion sums its dot products in
+one fixed order on the calling thread (``_dot``), so its outputs do not
+depend on the BLAS thread count.
 ``yule_walker`` and ``projection_weights_at`` take a computed
 :class:`~longpred.process.CoefSeq`, whose model's noise variance sets the
 precision floor of the variance iterates; a plain array goes to
@@ -54,6 +56,9 @@ __all__ = [
 # can only arise from catastrophic rounding; abort rather than return noise.
 _VARIANCE_FLOOR_REL = 1e-3
 
+# OpenBLAS runs a dot product of more terms than this on two threads
+_BLAS_SPLIT = 10_000
+
 
 @dataclass(frozen=True)
 class FittedAr:
@@ -82,6 +87,25 @@ def _check_variance(v: float, order: int, variance_floor: float) -> None:
             f"floor {variance_floor:.3e} at order {order}")
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """``np.dot(a, b)``, or ``np.vecdot(a, b)`` row by row for a 2-d ``a``,
+    summed in one fixed order on the calling thread.
+
+    OpenBLAS hands a dot of more than ``_BLAS_SPLIT`` terms to a second
+    thread, which sums the last half apart, so the bits of a long
+    ``np.dot`` depend on the BLAS thread count, and each call pays a thread
+    handoff.  Here n > ``_BLAS_SPLIT`` terms are summed as
+    ``(0.0 + dot(first ceil(n/2))) + dot(rest)``, each half split again
+    while it is that long.  On numpy 2.4.6 with OpenBLAS 0.3.31 that is the
+    two-thread order, bit for bit, up to n = 2 * ``_BLAS_SPLIT`` + 1.
+    """
+    n = b.size
+    if n > _BLAS_SPLIT:
+        h = (n + 1) // 2
+        return (0.0 + _dot(a[..., :h], b[:h])) + _dot(a[..., h:], b[h:])
+    return np.dot(a, b) if a.ndim == 1 else np.vecdot(a, b)
+
+
 def _levinson(t: np.ndarray, variance_floor: float, rhs: np.ndarray):
     """Levinson-Durbin recursion on sigma(0..) = t, one reflection per lag.
 
@@ -90,37 +114,43 @@ def _levinson(t: np.ndarray, variance_floor: float, rhs: np.ndarray):
     (``rhs`` of shape (H, n), T the order-n Toeplitz matrix of t) as the rows
     of ``x``.  The loop runs over n orders, so with n = t.size - 1 the
     predictor reaches order n (variance check included) and with n = t.size
-    it stops at order n - 1.  At every order one ``np.vecdot`` call gives
-    each row the bits of its own ``np.dot``, so each row carries exactly the
-    bits of a one-row solve.  The predictor update scales phi into ``scaled``
-    on unit strides and subtracts that buffer read reversed: the same
-    products and differences as ``phi - km * phi[::-1]``.
+    it stops at order n - 1.  Both dots go through ``_dot``, so the outputs
+    do not depend on the BLAS thread count.  Its one 2-d call per order gives
+    each row the bits of its own 1-d call, so each row carries exactly the
+    bits of a one-row solve.  The predictor's scalars (sigma(m + 1), its dot,
+    the reflection and the variance) are Python floats: the same IEEE
+    operations as on numpy scalars, at less cost per order.  The predictor
+    update scales phi into ``scaled`` on unit strides and subtracts that
+    buffer read reversed: the same products and differences as
+    ``phi - km * phi[::-1]``.
     """
     k = rhs.shape[1]
     v = float(t[0])
     _check_variance(v, 0, variance_floor)
     t_rev = t[::-1].copy()
+    sigma = t.tolist()
     phi = np.zeros(k)
     scaled = np.empty(k)
     kappa = np.zeros(k)
     x = np.zeros(rhs.shape)
     for m in range(k):
-        prev_rev = phi[m - 1::-1]  # order-m predictor, reversed (unused at m = 0)
         lags = t_rev[t.size - 1 - m: t.size - 1]  # sigma(m), ..., sigma(1)
+        head = phi[:m]  # the order-m predictor
         if len(x):  # with no rows, only the predictor runs
-            mu = (rhs[:, m] - np.vecdot(x[:, :m], lags)) / v
+            mu = (rhs[:, m] - _dot(x[:, :m], lags)) / v
             if m:
-                x[:, :m] -= mu[:, None] * prev_rev
+                x[:, :m] -= mu[:, None] * head[::-1]
             x[:, m] = mu
         if m + 1 < t.size:
-            km = (t[m + 1] - np.dot(phi[:m], lags)) / v
+            km = (sigma[m + 1] - float(_dot(head, lags))) / v
             kappa[m] = km
             if m:
-                np.multiply(phi[:m], km, out=scaled[:m])
-                np.subtract(phi[:m], scaled[m - 1::-1], out=phi[:m])
+                np.multiply(head, km, out=scaled[:m])
+                np.subtract(head, scaled[m - 1::-1], out=head)
             phi[m] = km
             v = v * (1.0 - km * km)
-            _check_variance(v, m + 1, variance_floor)
+            if not (v > 0.0 and v >= variance_floor):
+                _check_variance(v, m + 1, variance_floor)
     return phi, v, kappa, x
 
 

@@ -271,6 +271,26 @@ def _reference_check_variance(v: float, order: int, variance_floor: float) -> No
             f"floor {variance_floor:.3e} at order {order}")
 
 
+# the longest dot product OpenBLAS sums on one thread; longer ones it sums in
+# two halves on two threads
+_ONE_THREAD_TERMS = 10_000
+
+
+def reference_fixed_order_dot(a: np.ndarray, b: np.ndarray):
+    """a . b summed in one order whatever the BLAS thread count: up to
+    ``_ONE_THREAD_TERMS`` terms one ``np.dot``; past that the first ceil(n/2)
+    terms and the other floor(n/2) terms each summed by this same rule, the
+    first half's sum added to 0.0 and then the second half's sum added to
+    that.  Up to 2 * ``_ONE_THREAD_TERMS`` + 1 terms this is OpenBLAS's
+    order on two threads."""
+    n = a.size
+    if n <= _ONE_THREAD_TERMS:
+        return np.dot(a, b)
+    first = n - n // 2
+    total = 0.0 + reference_fixed_order_dot(a[:first], b[:first])
+    return total + reference_fixed_order_dot(a[first:], b[first:])
+
+
 def reference_levinson_durbin(acvf_prefix, variance_floor: float = 0.0):
     """The Yule-Walker Levinson-Durbin loop on its own: (phi, v, kappa)."""
     t = np.asarray(acvf_prefix, dtype=float)
@@ -280,7 +300,7 @@ def reference_levinson_durbin(acvf_prefix, variance_floor: float = 0.0):
     phi = np.zeros(k)
     kappa = np.zeros(k)
     for m in range(k):
-        num = t[m + 1] - (np.dot(phi[:m], t[m:0:-1]) if m else 0.0)
+        num = t[m + 1] - (reference_fixed_order_dot(phi[:m], t[m:0:-1]) if m else 0.0)
         km = num / v
         kappa[m] = km
         if m:
@@ -302,12 +322,12 @@ def reference_solve_toeplitz(first_row, rhs, variance_floor: float = 0.0) -> np.
     x = np.zeros(k)
     for m in range(k):
         prev_rev = phi[m - 1::-1].copy() if m else None
-        mu = (b[m] - (np.dot(x[:m], t[m:0:-1]) if m else 0.0)) / v
+        mu = (b[m] - (reference_fixed_order_dot(x[:m], t[m:0:-1]) if m else 0.0)) / v
         if m:
             x[:m] -= mu * prev_rev
         x[m] = mu
         if m < k - 1:
-            num = t[m + 1] - (np.dot(phi[:m], t[m:0:-1]) if m else 0.0)
+            num = t[m + 1] - (reference_fixed_order_dot(phi[:m], t[m:0:-1]) if m else 0.0)
             km = num / v
             if m:
                 phi[:m] -= km * prev_rev

@@ -1,10 +1,16 @@
 import functools
+import hashlib
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import longpred
 from longpred.cli import _FIGURE2_D_GRID, _FIGURE2_K_GRID
 from longpred.errors import IllConditionedError, NotPositiveDefiniteError
 from longpred.fit import (_VARIANCE_FLOOR_REL, closed_form_log_inflation, levinson_durbin,
@@ -286,6 +292,7 @@ def test_levinson_kernel_bitwise_matches_reference_loops(name, k):
     (np.array([1.0, 0.5, 0.9, 0.2]), 0.5),            # floor at order 2
     (np.array([1.0, 1.2, 0.3]), 0.0),                 # not PD at order 1
     (np.array([-1.0, 0.5, 0.1]), 0.0),                # not PD at order 0
+    (np.array([1.0, np.nan, 0.2]), 0.0),              # NaN variance at order 1
 ])
 def test_levinson_kernel_fails_like_reference_loops(g, floor):
     want = _outcome(reference_levinson_durbin, g, floor)
@@ -358,19 +365,89 @@ def test_yule_walker_bitwise_at_the_benchmark_order(d):
                     reference_levinson_durbin(seq.prefix(k), _VARIANCE_FLOOR_REL))
 
 
-# (median, worst) relative error of phi at k = 1024 against 60 digits;
-# measured: d = 0.1 2.6e-14, 6.0e-14; 0.3 7.2e-14, 4.9e-13; 0.45 3.4e-12, 3.7e-11
-FIT_PHI_BOUNDS = {0.1: (1e-13, 2.5e-13), 0.3: (3e-13, 2e-12), 0.45: (1.5e-11, 1.5e-10)}
+def _python_at_blas_threads(threads: int, code: str, *args: str) -> None:
+    """Run ``code`` in a fresh interpreter whose OpenBLAS uses ``threads``
+    threads (set before numpy loads); fail with its stderr if it fails."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": str(Path(longpred.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+_DOT_ORDER_CHECK = """
+import numpy as np
+from longpred.fit import _dot
+rng = np.random.default_rng(2007)
+for n in (10_000, 10_001, 12_345, 16_383, 20_000):
+    for offset in (0, 1, 5):
+        a = rng.standard_normal(n + 5)[offset: offset + n]
+        b = rng.standard_normal(n + 5)[5 - offset: 5 - offset + n]
+        rows = rng.standard_normal((3, n + 5))[:, offset: offset + n]
+        for got, want in [(_dot(a, b), np.dot(a, b)), (_dot(rows, b), np.vecdot(rows, b)),
+                          (_dot(0.0 * a, -np.abs(b)), np.dot(0.0 * a, -np.abs(b)))]:
+            assert np.array_equal(got, want), (n, offset, got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (n, offset)
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS runs one thread per CPU at most; this needs two")
+def test_fixed_order_dot_is_the_two_thread_blas_order():
+    # the goldens were recorded with OpenBLAS on two threads; the Levinson
+    # kernel's own summation order must be that one at the lengths around
+    # the threading threshold, or a numpy/OpenBLAS update moved the threshold
+    # or the split
+    _python_at_blas_threads(2, _DOT_ORDER_CHECK)
+
+
+_THREAD_FREE_OUTPUTS = """
+import sys
+from pathlib import Path
+from longpred.cli import main
+from longpred.fit import projection_weights_at
+from longpred.process import ProcessModel, acvf
+out = Path(sys.argv[1])
+assert main(["fit", "--d", "0.45", "--k", "16384", "--out", str(out)]) == 0
+seq = acvf(ProcessModel.frac_noise(0.3), 12007)
+ws = projection_weights_at(seq, 12000, (1, 2, 7))
+(out / "weights.bin").write_bytes(b"".join(w.weights.tobytes() for w in ws))
+"""
+
+
+def test_fit_and_projection_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # fit --k 16384 and a k = 12000 projection sum dots of more than 10^4
+    # terms, which OpenBLAS splits across threads
+    runs = {n: tmp_path / f"threads_{n}" for n in (1, 2)}
+    for n, out in runs.items():
+        _python_at_blas_threads(n, _THREAD_FREE_OUTPUTS, str(out))
+    for name in ("fitted_ar.csv", "weights.bin"):
+        assert (runs[1] / name).read_bytes() == (runs[2] / name).read_bytes(), name
+    # the bytes the goldens were recorded with, on two threads
+    assert hashlib.sha256((runs[1] / "fitted_ar.csv").read_bytes()).hexdigest() == \
+        "6c082f44f38817a089aca82577bd898ae610b8dba66ca3707143f73d9c920e21"
+
+
+# (median, worst) relative error of phi against 60 digits, by (d, k); measured:
+# k = 1024: d = 0.1 2.6e-14, 6.0e-14; 0.3 7.2e-14, 4.9e-13; 0.45 3.4e-12, 3.7e-11
+# k = 16384 (fit --k 16384): d = 0.1 4.3e-13, 9.6e-13; 0.3 1.3e-12, 1.3e-11;
+# 0.45 3.6e-10, 4.4e-9 (at j = 9311)
+FIT_PHI_BOUNDS = {
+    (0.1, 1024): (1e-13, 2.5e-13), (0.3, 1024): (3e-13, 2e-12),
+    (0.45, 1024): (1.5e-11, 1.5e-10),
+    (0.1, 16384): (1.5e-12, 3e-12), (0.3, 16384): (4e-12, 4e-11),
+    (0.45, 16384): (1e-9, 1.5e-8),
+}
 
 
 @pytest.mark.parametrize("d", D_VALUES)
 def test_fit_phi_matches_60_digit_reference(d):
-    k = 1024
-    phi = yule_walker(acvf(ProcessModel.frac_noise(d), k), k).phi
-    rel = np.array([float(abs((Decimal(float(p)) - r) / r))
-                    for p, r in zip(phi, decimal_fit_phi(d, k))])
-    median_bound, worst_bound = FIT_PHI_BOUNDS[d]
-    assert np.median(rel) <= median_bound and rel.max() <= worst_bound
+    for k in (1024, 16384):
+        phi = yule_walker(acvf(ProcessModel.frac_noise(d), k), k).phi
+        rel = np.array([float(abs((Decimal(float(p)) - r) / r))
+                        for p, r in zip(phi, decimal_fit_phi(d, k))])
+        median_bound, worst_bound = FIT_PHI_BOUNDS[d, k]
+        assert np.median(rel) <= median_bound and rel.max() <= worst_bound, k
 
 
 def test_horizons_without_one_skip_the_order_k_variance_check():
