@@ -30,8 +30,8 @@ length asked for, and return it as an immutable :class:`CoefSeq`.  For the
 fractional kind the one-term recursions are the production path: O(1) per
 term, no cancellation, exact sign propagation.  The closed-form
 Gamma-ratio expressions are kept as independent oracles in the test suite.
-The ARMA moving-average series, the FARIMA filter and the AR inversion of a
-generic moving average share one power-series division, ``_rational_series``:
+Every generic model's MA series, a finite list's too, and its AR inversion,
+and the FARIMA filter share one power-series division, ``_rational_series``:
 its terms sit in a reversed buffer, so each term's lag sum is one unit-stride
 dot, and a first-order denominator's tail is one ``np.cumprod``.
 Every lag autocorrelation sum_m b_m b_{m+s}, of an MA series, of the FARIMA
@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CertificationError, ModelError, NumericError
+from .errors import CertificationError, ModelError
 
 __all__ = [
     "ProcessModel",
@@ -160,10 +160,8 @@ class ProcessModel:
     def arma(cls, ar: Sequence[float] = (), ma: Sequence[float] = (),
              noise_variance: float = 1.0) -> "ProcessModel":
         """Short-memory ARMA comparison model, the generic MA with filter theta/phi."""
-        num, den = _arma_filter(ar, ma)
-        # + 0.0: a zero theta expands to +0, as the series division writes it
         return cls(kind=GENERIC_MA, noise_variance=noise_variance,
-                   ma_filter=(tuple(t + 0.0 for t in num), den))
+                   ma_filter=_arma_filter(ar, ma))
 
     # -- helpers -----------------------------------------------------------
 
@@ -224,13 +222,8 @@ def _rational_series(num: Sequence[float], den: Sequence[float], n: int) -> np.n
 def _ma_series(ma_filter: tuple[tuple[float, ...], tuple[float, ...]],
                n: int) -> np.ndarray:
     """MA coefficients b_0..b_n of a generic model's filter ``(num, den)``."""
-    num, den = ma_filter
-    if len(den) == 1:  # finite list: a copy that keeps its signed zeros
-        b = np.zeros(n + 1)
-        b[: min(n + 1, len(num))] = num[: n + 1]
-        return b
-    b = _rational_series(num, den, n)
-    b += 0.0  # writes the exact zeros of an underflowed tail as +0, not -0
+    b = _rational_series(*ma_filter, n)
+    b += 0.0  # writes every exact zero, given or underflowed, as +0, not -0
     return b
 
 
@@ -259,8 +252,7 @@ def _certified_rational_series(num: Sequence[float], den: Sequence[float],
     as ``_geometric_envelope`` estimates it, is below ``tol``."""
     den_t = np.trim_zeros(np.asarray(den, dtype=float), "b")
     if den_t.size <= 1:
-        coeffs = np.asarray(num, dtype=float).copy()
-        return coeffs, 0.0
+        return np.array(num, dtype=float), 0.0
     r = _envelope_rate(den_t)
     n = max(64, 4 * (len(num) + len(den)))
     while n <= _SERIES_MAX_TERMS:
@@ -378,16 +370,7 @@ def _frac(d: float, noise_variance: float, kind: str, n: int) -> np.ndarray:
         lg = math.lgamma
         first = noise_variance * math.exp(lg(1.0 - 2.0 * d) - lg(1.0 - d) - lg(1.0 - d))
         ratios = (j + d) / (j + 1.0 - d)
-    v = np.cumprod(np.concatenate([[first], ratios]))
-    if kind == AR:
-        ok = v[0] == 1.0 and np.all(v[1:] < 0.0)
-    elif kind == MA:
-        ok = v[0] == 1.0 and np.all(v[1:] > 0.0)
-    else:
-        ok = np.all(v > 0.0)
-    if not ok:  # pragma: no cover - would flag a recursion defect
-        raise NumericError(f"fractional-noise {kind} sequence violated its sign structure")
-    return v
+    return np.cumprod(np.concatenate([[first], ratios]))
 
 
 def _psi_series(model: ProcessModel, kind: str, tol: float) -> tuple[np.ndarray, float]:

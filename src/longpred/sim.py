@@ -342,6 +342,8 @@ def empirical_mses(plan: SimulationPlan, weights) -> list[McEstimate]:
     built; MA truncation simulates each distinct length once and scores all
     its rows in one block.
     """
+    if plan.replications < 30:  # McEstimate's floor, checked before any draw
+        raise ValueError("reported estimates need at least 30 replications")
     weights = tuple(weights)
     by_length: dict[int, list[int]] = {}
     for i, w in enumerate(weights):

@@ -28,6 +28,8 @@ def _transform(vals, lo, hi, out_lo, out_hi, log):
 
 
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
+    if hi == lo:
+        return [lo]
     if log:
         d0, d1 = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
         decades = [10.0 ** e for e in range(d0, d1 + 1) if lo <= 10.0 ** e <= hi]
@@ -36,8 +38,6 @@ def _ticks(lo: float, hi: float, log: bool) -> list[float]:
         # fewer than two whole decades inside the range: geometric ticks
         return [10.0 ** (math.log10(lo) + f * (math.log10(hi) - math.log10(lo)) / 4)
                 for f in range(5)]
-    if hi == lo:
-        return [lo]
     return [lo + f * (hi - lo) / 5 for f in range(6)]
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,25 @@ def test_figure2_flags(tmp_path):
         if d >= 0.4 and k > 20:
             assert row[3] == "true"
     assert (out / "figure2.svg").exists()
+
+
+def _x_tick_labels(svg):
+    # x tick labels sit 18 px below the plot area, centred on their ticks
+    from longpred.svgplot import _H, _MB
+    return re.findall(rf'<text x="[0-9.]+" y="{_H - _MB + 18}" text-anchor="middle">'
+                      r"([^<]*)</text>", svg)
+
+
+@pytest.mark.parametrize("command, grid, label", [
+    ("figure2", "d_grid = 0.3,0.45\nk_grid = 8\n", "8"),  # log x axis
+    ("figure1", "d_grid = 0.3\n", "0.3"),                 # linear x axis
+], ids=("figure2_log_k", "figure1_linear_d"))
+def test_single_valued_x_axis_gets_one_tick(tmp_path, command, grid, label):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(grid)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfgfile, "--out", out, "--svg"]) == 0
+    assert _x_tick_labels((out / f"{command}.svg").read_text()) == [label]
 
 
 def test_figure3_default_cell_and_ordering(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from longpred import process
 from longpred.cli import main
-from longpred.errors import ModelError
+from longpred.errors import CertificationError, ModelError
 from longpred.process import (ACVF, AR, DEFAULT_ACVF_TOL, MA, ProcessModel, _ma_series,
                               acvf, ar_coeffs, ma_coeffs)
 from longpred.special import log_gamma_diff
@@ -357,11 +357,12 @@ def test_generic_ar_inversion_bitwise_matches_reference_loop(name):
 
 
 def test_ma_series_zero_signs():
-    # coeffs_ma.csv writes a finite list's -0 as given and an ARMA theta's as +0
+    # the one series division writes a -0 of a finite list or an ARMA theta
+    # as +0, so coeffs_ma.csv writes it unsigned
     finite = ma_coeffs(ProcessModel.generic_ma((1.0, -0.0, 0.5)), 4).prefix(4)
     arma = ma_coeffs(ProcessModel.arma(ma=(-0.0, 0.5)), 4).prefix(4)
     assert np.array_equal(finite, [1.0, 0.0, 0.5, 0.0, 0.0])
-    assert np.array_equal(np.signbit(finite), [False, True, False, False, False])
+    assert np.array_equal(np.signbit(finite), [False, False, False, False, False])
     assert np.array_equal(arma, finite) and not np.any(np.signbit(arma))
 
 
@@ -483,6 +484,31 @@ def test_arma_near_unit_root_commands_succeed(tmp_path, args):
         comments, _, rows = read_csv(out / "coeffs_acvf.csv")
         tol = float(next(c for c in comments if c.startswith("certified_tol:")).split()[1])
         assert 0.0 < tol <= 1e-10 and len(rows) == 4097
+
+
+# closer to the unit root the MA series outruns 2^21 terms: at 0.999999 the
+# block test still estimates the tail (about 0.0153 sigma(0)), at 0.9999999
+# the series has not decayed enough for any estimate
+UNCERTIFIED_ARMA = [(0.999999, "0.0153"), (0.9999999, None)]
+
+
+@pytest.mark.parametrize("phi, bound", UNCERTIFIED_ARMA)
+def test_arma_acvf_fails_typed_past_the_term_cap(phi, bound):
+    with pytest.raises(CertificationError, match="within 2097152 terms") as info:
+        acvf(ProcessModel.arma(ar=(phi,)), 10)
+    got = info.value.achieved_bound
+    assert got is None if bound is None else f"{got:.3g}" == bound
+
+
+@pytest.mark.parametrize("phi, bound", UNCERTIFIED_ARMA)
+def test_arma_coeffs_command_exits_2_past_the_term_cap(tmp_path, capsys, phi, bound):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"kind = arma\nar = {phi!r}\n")
+    assert main(["coeffs", "--n", "10", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line.startswith("longpred: numeric certification failure: ")
+    assert line.endswith("terms" if bound is None else f"terms; achieved_bound {bound}")
 
 
 # -- FARIMA ------------------------------------------------------------------

@@ -159,6 +159,25 @@ def test_empirical_mses_ma_truncation_simulates_each_length_once(monkeypatch):
     assert lengths == [9, 7]
 
 
+@pytest.mark.parametrize("method", (CIRCULANT_EMBEDDING, MA_TRUNCATION))
+def test_empirical_mses_rejects_too_few_replications_before_drawing(method, monkeypatch):
+    # McEstimate needs 30 replications; a 20-rep plan fails before any draw
+    def spy(*args):
+        raise AssertionError("a sampler pass ran")
+
+    monkeypatch.setattr(sim, "_circulant_pass", spy)
+    monkeypatch.setattr(sim, "simulate", spy)
+    model = ProcessModel.arma(ar=(0.5,))
+    plan = SimulationPlan(model, length=1, replications=20, seed=5, method=method)
+    with pytest.raises(ValueError, match="at least 30 replications"):
+        empirical_mses(plan, _horizon_weights(model, 6, (1,)))
+
+
+def test_empirical_mses_of_no_weights_is_empty():
+    assert empirical_mses(SimulationPlan(ProcessModel.frac_noise(0.3), length=1,
+                                         replications=30, seed=5), []) == []
+
+
 @pytest.mark.parametrize("workers", (1, 3))
 def test_empirical_mses_temporaries_stay_within_the_block_budget(workers, monkeypatch):
     # the scorer keeps the squared errors and one budget of row blocks; the
@@ -307,6 +326,19 @@ def test_ma_truncation_matches_circulant_on_arma_cell():
     analytic = mse_of_weights(seq, ma_coeffs(model, h - 1), w).total
     assert abs(ce.mean - analytic) <= 3.0 * ce.std_error
     assert abs(ma.mean - analytic) <= 3.0 * ma.std_error
+
+
+def test_ma_truncation_exact_zero_tail_simulates_as_the_finite_list():
+    # ar = 0 leaves an infinite filter whose series is exactly zero past
+    # b_1: the tail bound reads 0 there, so the order is the floor of 64 and
+    # the rows are the finite list's, bit for bit
+    plans = [SimulationPlan(model, length=10, replications=50, seed=3, method=MA_TRUNCATION)
+             for model in (ProcessModel.arma(ar=(0.0,), ma=(0.5,)),
+                           ProcessModel.generic_ma((1.0, 0.5)))]
+    assert plans[0].model.finite_ma_support is None
+    assert sim._ma_tail_sq_bound(plans[0].model, 64) == 0.0
+    assert [sim._ma_truncation_order(p) for p in plans] == [64, 64]
+    assert np.array_equal(simulate(plans[0]), simulate(plans[1]))
 
 
 def test_ma_truncation_rejects_long_memory_at_default_tolerance():
