@@ -11,7 +11,9 @@ Subcommands::
     montecarlo  analytic vs simulated errors with z-scores
 
 Each subcommand takes ``--config PATH``, ``--out DIR`` and only the flags it
-reads (see its ``--help``); any other flag exits 1.
+reads (see its ``--help``); any other flag exits 1.  ``main`` parses with one
+argument tree per process, built on its first call; ``build_parser`` returns
+a new tree each time.
 
 Every command is deterministic given its configuration and seed: re-running
 with the same numpy/OpenBLAS build and BLAS thread count writes
@@ -23,6 +25,7 @@ configuration, 2 numeric certification failure (its stderr line ends with
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -74,6 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
                     else {"type": _PARSERS[key]})
             q.add_argument(f"--{key}", help=_FLAG_HELP[key], **kind)
     return p
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main's one tree per process: parse_args keeps nothing between calls
+    return build_parser()
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -296,8 +305,7 @@ _COMMANDS = {name: handler for name, _, _, handler in _SUBCOMMANDS}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         written = _COMMANDS[args.command](cfg)

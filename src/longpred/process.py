@@ -205,12 +205,17 @@ def _rational_series(num: Sequence[float], den: Sequence[float], n: int) -> np.n
     den = np.asarray(den, dtype=float)
     p = den.size - 1
     head = min(num.size, n + 1)
+    stop = head if p <= 1 else n + 1
     rev = np.zeros(n + 1)
-    for j in range(head if p <= 1 else n + 1):
-        i, top = n - j, min(j, p)
-        if top >= 1:
-            rev[i] = -np.dot(den[1:top + 1], rev[i + 1:i + 1 + top])
-        if j < num.size:
+    dot, lags = np.dot, den[1:]
+    for j in range(stop):
+        i = n - j
+        if j >= p:
+            if p:
+                rev[i] = -dot(lags, rev[i + 1:i + 1 + p])
+        elif j:  # c_1..c_{p-1} reach back to c_0 only
+            rev[i] = -dot(lags[:j], rev[i + 1:i + 1 + j])
+        if j < head:
             rev[i] += num[j]
     if p == 1 and head <= n:
         tail = rev[n + 1 - head::-1]  # c_{head-1}, then c_head..c_n

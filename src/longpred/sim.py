@@ -314,18 +314,22 @@ def simulate(plan: SimulationPlan) -> np.ndarray:
     return out
 
 
-def _squared_errors(paths: np.ndarray, weights: PredictorWeights) -> np.ndarray:
-    """Squared error of forecasting X_{k+h} from (X_1..X_k), row by row."""
+def _squared_errors(paths: np.ndarray, weights: PredictorWeights,
+                    noise_variance: float) -> np.ndarray:
+    """Squared error of forecasting X_{k+h} from (X_1..X_k), row by row, in units
+    of ``noise_variance``, so that neither it nor its squared deviation from the
+    mean overflows or underflows at a variance far from 1."""
     k, h = weights.k, weights.h
     preds = paths[:, :k][:, ::-1] @ weights.weights
-    return (paths[:, k + h - 1] - preds) ** 2
+    return ((paths[:, k + h - 1] - preds) / math.sqrt(noise_variance)) ** 2
 
 
-def _estimate(errs: np.ndarray) -> McEstimate:
-    """Sample mean of one predictor's squared errors with its standard error."""
+def _estimate(errs: np.ndarray, noise_variance: float) -> McEstimate:
+    """Sample mean of one predictor's squared errors in units of
+    ``noise_variance`` with its standard error, both scaled back."""
     r = errs.size
-    return McEstimate(mean=float(np.mean(errs)),
-                      std_error=float(np.std(errs, ddof=1) / math.sqrt(r)),
+    return McEstimate(mean=float(np.mean(errs)) * noise_variance,
+                      std_error=float(np.std(errs, ddof=1) / math.sqrt(r)) * noise_variance,
                       replications=r)
 
 
@@ -352,14 +356,15 @@ def empirical_mses(plan: SimulationPlan, weights) -> list[McEstimate]:
         return []
     errs = np.empty((len(weights), plan.replications))
     groups = list(by_length.values())
+    s2 = plan.model.noise_variance
 
     def score(i: int, lo: int, paths: np.ndarray) -> None:
         for j in groups[i]:
-            errs[j, lo:lo + len(paths)] = _squared_errors(paths, weights[j])
+            errs[j, lo:lo + len(paths)] = _squared_errors(paths, weights[j], s2)
 
     if plan.method == MA_TRUNCATION:
         for i, n in enumerate(by_length):
             score(i, 0, simulate(replace(plan, length=n)))
     else:
         _circulant_pass(plan.model, list(by_length), plan.replications, plan.seed, score)
-    return [_estimate(e) for e in errs]
+    return [_estimate(e, s2) for e in errs]

@@ -8,8 +8,9 @@ forms.  A later section holds routes that only tests call: a general
 Toeplitz solve and a scorer of one weight vector on given paths, both thin
 entries to production kernels, the spectral-contrast MSE, the closed-form
 fractional-noise fit, the direct truncation excess, decay-rate diagnostics
-and a reader for the CSVs the commands write.  The last section computes
-references to 60 digits with the standard library's ``decimal``.
+and a reader for the CSVs the commands write.  Later sections compute
+references to 60 digits with the standard library's ``decimal``, and proven
+normwise bounds on a computed Toeplitz solve against those references.
 """
 
 from __future__ import annotations
@@ -485,10 +486,11 @@ def solve_toeplitz(first_row, rhs, variance_floor: float = 0.0) -> np.ndarray:
     return _levinson(t, variance_floor, b.reshape(-1, t.size))[3].reshape(b.shape)
 
 
-def empirical_mse(paths: np.ndarray, weights) -> sim.McEstimate:
+def empirical_mse(paths: np.ndarray, weights, noise_variance: float = 1.0) -> sim.McEstimate:
     """Monte-Carlo squared prediction error of one weight vector on the rows
     of ``paths``, scored by the production helpers as a whole array: the
-    reference ``sim.empirical_mses`` matches bit for bit.
+    reference ``sim.empirical_mses`` matches bit for bit when given the
+    model's ``noise_variance``.
 
     Each row forecasts X_{k+h} from (X_1..X_k); columns after k + h are not
     read.
@@ -496,7 +498,7 @@ def empirical_mse(paths: np.ndarray, weights) -> sim.McEstimate:
     n = paths.shape[1]
     if n < weights.k + weights.h:
         raise ValueError(f"path length {n} too short for k + h = {weights.k + weights.h}")
-    return sim._estimate(sim._squared_errors(paths, weights))
+    return sim._estimate(sim._squared_errors(paths, weights, noise_variance), noise_variance)
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[str], list[list[str]]]:
@@ -816,6 +818,73 @@ def decimal_truncation_excess(d: float, k: int) -> Decimal:
         for s in range(1, k + 1):
             total += 2 * sigma[s] * sum(a[j] * a[j + s] for j in range(k + 1 - s))
         return total - 1
+
+
+def decimal_mse_of_weights(sigma: list[Decimal], h: int, w) -> Decimal:
+    """Exact h-step MSE of the float weights ``w`` over the k = len(w) last
+    observations, sigma(0) - 2 sum_j w_j sigma(h - 1 + j) + w' T_k w, to 60
+    significant digits from the 60-digit autocovariances ``sigma``."""
+    k = len(w)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = [Decimal(float(v)) for v in w]
+        quad = sigma[0] * sum(v * v for v in x)
+        for s in range(1, k):
+            quad += 2 * sigma[s] * sum(x[j] * x[j + s] for j in range(k - s))
+        return sigma[0] - 2 * sum(v * g for v, g in zip(x, sigma[h:h + k])) + quad
+
+
+# -- proven normwise bounds on a computed Toeplitz solve
+
+
+def frac_noise_min_eigenvalue(d: float, noise_variance: float = 1.0) -> float:
+    """Lower bound on every eigenvalue of T_k for fractional noise, at any k.
+
+    Each eigenvalue is at least 2 pi ess inf f (Grenander & Szego), and the
+    spectral density f(l) = s2 / (2 pi) |2 sin(l / 2)|^(-2d) is least at
+    l = pi, so lambda_min(T_k) >= s2 2^(-2d); the factor shaves the rounding
+    of the power.
+    """
+    return noise_variance * 2.0 ** (-2.0 * d) * (1.0 - 4.0 * np.finfo(float).eps)
+
+
+def _as_longdouble(values) -> np.ndarray:
+    """Decimals (or floats) to np.longdouble, each as a float plus the float
+    nearest its remainder, so only the final longdouble rounding is lost."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        hi = [float(v) for v in values]
+        lo = [float(Decimal(v) - Decimal(h)) for v, h in zip(values, hi)]
+    return np.array(hi, dtype=np.longdouble) + np.array(lo, dtype=np.longdouble)
+
+
+def toeplitz_solve_bounds(first_row, rhs, w, lam_min: float) -> tuple[float, float]:
+    """(weight bound, MSE bound) for a computed solution ``w`` of T w* = rhs,
+    T the symmetric Toeplitz matrix with first row ``first_row`` and every
+    eigenvalue at least ``lam_min``; pass the exact row and rhs (60-digit
+    Decimals) to bound the distance to the exact solution.
+
+    The residual r = T w - rhs is taken in np.longdouble, and its rounding,
+    at most gamma_{k+2} (|T||w| + |rhs|) per entry (k products, the sum's
+    last subtraction and the input rounding), is added to its norm.  Then
+    ||w - w*||_2 = ||T^-1 r||_2 <= ||r||_2 / lam_min, and since the
+    projection MSE is variational, MSE(w) - MSE(w*) = r' T^-1 r <=
+    ||r||_2^2 / lam_min.
+    """
+    k = len(w)
+    row = _as_longdouble(first_row)
+    g = _as_longdouble(rhs)
+    x = np.asarray(w, dtype=float).astype(np.longdouble)
+    if row.size != k or g.size != k:
+        raise ValueError("first_row, rhs and w must have one length")
+    lags = np.concatenate([row[:0:-1], row])  # sigma(|t - (k - 1)|), t = 0..2k-2
+    r = np.convolve(lags, x, "valid") - g
+    size = np.convolve(np.abs(lags), np.abs(x), "valid") + np.abs(g)
+    u = float(np.finfo(np.longdouble).eps) / 2.0
+    gamma = (k + 2) * u / (1.0 - (k + 2) * u)
+    slack = gamma * (1.0 + gamma) * float(np.sqrt(np.sum(size * size)))
+    rho = float(np.sqrt(np.sum(r * r))) + slack
+    return rho / lam_min, rho * rho / lam_min
 
 
 # -- the CSV writer as it was written cell by cell, kept as a byte reference

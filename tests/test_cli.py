@@ -1,8 +1,14 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import longpred
+from longpred import cli
 from longpred.cli import _COMMANDS, _config_from_args, build_parser, main
 from longpred.config import load_config, parse_config_file
 from longpred.errors import ConfigError
@@ -550,3 +556,108 @@ def test_farima_model_through_cli(tmp_path):
     assert run(["coeffs", "--config", cfgfile, "--out", out]) == 0
     comments, _, _ = read_csv(out / "coeffs_ma.csv")
     assert any("kind=farima" in c for c in comments)
+
+
+@pytest.mark.parametrize("noise_variance", (1e-300, 1e300))
+def test_montecarlo_statistics_at_extreme_noise_variances(tmp_path, noise_variance):
+    # residuals are scored in units of sqrt(noise_variance), so their squares
+    # and squared deviations stay finite and nonzero; the z-scores are those
+    # of the unit-variance run up to rounding
+    cfgfile = tmp_path / "c.cfg"
+    zs = []
+    for s2 in (1.0, noise_variance):
+        out = tmp_path / f"o{s2:g}"
+        cfgfile.write_text(f"noise_variance = {s2!r}\nreps = 400\n")
+        assert run(["montecarlo", "--k", "10", "--config", cfgfile, "--out", out]) == 0
+        arr = rows_as_floats(out / "montecarlo.csv", ["mc_mean", "mc_stderr", "z"])
+        assert np.all(np.isfinite(arr)) and np.all(arr[:, 1] > 0.0)
+        assert np.all(np.abs(arr[:, 2]) <= 5.0)
+        zs.append(arr[:, 2])
+    assert np.allclose(zs[1], zs[0], rtol=1e-9, atol=1e-12)
+
+
+def test_every_csv_a_command_writes_has_one_cell_pattern(tmp_path, monkeypatch):
+    # write_csv formats a file's rows with the first row's template, so a row
+    # that put a float where the first row has none would be written with
+    # repr digits under %s; every command, both samplers and every optional
+    # output must keep one length and float/non-float pattern per file
+    write_csv = cli.write_csv
+    patterns = {}
+
+    def recording(path, schema, comments, columns, rows):
+        rows = [tuple(row) for row in rows]
+        patterns[path] = {tuple(isinstance(v, float) for v in row) for row in rows}
+        return write_csv(path, schema, comments, columns, rows)
+
+    monkeypatch.setattr(cli, "write_csv", recording)
+    runs = {
+        "coeffs": (["coeffs", "--n", "20"], ""),
+        "coeffs_arma": (["coeffs", "--n", "20"], "kind = arma\nar = 0.5\n"),
+        "fit": (["fit", "--k", "8"], ""),
+        "figure1": (["figure1", "--svg"], "d_grid = 0.1,0.3\n"),
+        "figure2": (["figure2", "--svg"], "d_grid = 0.3,0.45\nk_grid = 8,16\n"),
+        "figure3": (["figure3", "--svg", "--k", "10"], "h_max = 4\n"),
+        "rates": (["rates"], "d_grid = 0.3\nk_grid = 8,16,32,64,128\n"),
+        "montecarlo": (["montecarlo", "--k", "5", "--reps", "30"],
+                       "h_grid = 1,3\ndump_paths = true\n"),
+        "montecarlo_ma": (["montecarlo", "--k", "5", "--reps", "30"],
+                          "kind = arma\nar = 0.5\nh_grid = 1,3\ndump_paths = true\n"
+                          "sim_method = ma_truncation\n"),
+    }
+    for name, (argv, config) in runs.items():
+        cfgfile = tmp_path / f"{name}.cfg"
+        cfgfile.write_text(config)
+        assert run([*argv, "--config", cfgfile, "--out", tmp_path / name]) == 0, name
+    written = {path.relative_to(tmp_path).as_posix() for path in patterns}
+    assert {"montecarlo/paths.csv", "montecarlo_ma/paths.csv", "rates/rates.csv",
+            "figure3/figure3_mse.csv", "coeffs_arma/coeffs_acvf.csv"} <= written
+    for path, seen in patterns.items():
+        assert len(seen) == 1, (path, seen)
+
+
+def _call(argv):
+    """Exit code of one ``main`` call, including argparse's exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _with_out(argv, out):
+    return argv if argv == ["--help"] else [*argv, "--out", str(out)]
+
+
+def _outputs(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+
+
+def test_main_calls_in_one_process_match_calls_made_alone(tmp_path, capsys, monkeypatch):
+    # main parses with one tree per process; each call in a row must exit
+    # and write as it does in a fresh interpreter, whatever came before it
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to it
+    calls = [
+        (["figure3", "--svg", "--k", "10"], 0),
+        (["figure3", "--k", "10"], 0),
+        (["figure3", "--bogus"], 1),
+        (["--help"], 0),
+        (["coeffs", "--n", "20"], 0),
+    ]
+    src = str(Path(longpred.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for i, (argv, want) in enumerate(calls):
+        here, alone = tmp_path / f"here{i}", tmp_path / f"alone{i}"
+        code = _call(_with_out(argv, here))
+        text = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "longpred.cli", *_with_out(argv, alone)],
+                              env=env, capture_output=True, text=True, check=False)
+        assert code == proc.returncode == want, argv
+        assert _outputs(here) == _outputs(alone), argv
+        assert text.out.replace(str(here), "") == proc.stdout.replace(str(alone), "")
+        assert text.err == proc.stderr
+    assert (tmp_path / "here0" / "figure3.svg").exists()
+    assert not (tmp_path / "here1" / "figure3.svg").exists()
+    assert not (tmp_path / "here2").exists()
+    # the public builder still gives a new tree; main's is built once
+    assert build_parser() is not build_parser()
+    assert cli._parser() is cli._parser()

@@ -12,9 +12,10 @@ from longpred.predict import truncated_wk_weights_at
 from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 
 from _oracles import (brute_truncation_excess, decimal_fitted_ar_excess, decimal_frac_noise,
-                      decimal_projection, decimal_truncation_excess, dense_quadratic_form,
-                      fitted_ar_mse, reference_quadratic_form, same_bits,
-                      spectral_contrast_mse, tail_cross_sum, truncated_one_step_excess)
+                      decimal_mse_of_weights, decimal_projection, decimal_truncation_excess,
+                      dense_quadratic_form, fitted_ar_mse, frac_noise_min_eigenvalue,
+                      reference_quadratic_form, same_bits, spectral_contrast_mse,
+                      tail_cross_sum, toeplitz_solve_bounds, truncated_one_step_excess)
 
 
 def test_quadratic_form_against_dense():
@@ -328,6 +329,24 @@ def test_projection_mse_matches_60_digit_reference(d, k):
     for w in projection_weights_at(g, k, (1, 2, 5)):
         ratio = mse_of_weights(g, b, w).total / g[0]
         assert abs(ratio - float(decimal_projection(d, k, w.h))) <= k * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("d", (0.1, 0.3, 0.45, 0.49))
+@pytest.mark.parametrize("k", (16, 64, 128))
+def test_solve_bound_covers_the_projection_mse_excess(d, k):
+    # the projection MSE is variational: the exact MSE of the computed
+    # weights exceeds the 60-digit optimum by r' T^-1 r <= ||r||^2 / lambda_min;
+    # measured, the bound is 1.5-37 times that excess
+    _, _, sigma = decimal_frac_noise(d, k + 5)
+    g = acvf(ProcessModel.frac_noise(d), k + 5)
+    for w in projection_weights_at(g, k, (1, 2, 5)):
+        _, bound = toeplitz_solve_bounds(sigma[:k], sigma[w.h:w.h + k], w.weights,
+                                         frac_noise_min_eigenvalue(d))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            excess = float(decimal_mse_of_weights(sigma, w.h, w.weights)
+                           - decimal_projection(d, k, w.h) * sigma[0])
+        assert 0.0 < excess <= bound <= 64 * excess, w.h
 
 
 # relative error of the projection excess (figure3's `excess` column) in

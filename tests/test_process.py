@@ -511,6 +511,42 @@ def test_arma_coeffs_command_exits_2_past_the_term_cap(tmp_path, capsys, phi, bo
     assert line.endswith("terms" if bound is None else f"terms; achieved_bound {bound}")
 
 
+def _coeffs_failure(tmp_path, capsys, config):
+    """Exit code and stderr line of ``coeffs --n 10`` on a config file."""
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(config)
+    code = main(["coeffs", "--n", "10", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err.strip()
+
+
+def test_farima_acvf_fails_typed_when_the_filter_tail_is_too_heavy(tmp_path, capsys,
+                                                                   monkeypatch):
+    # an L1 filter tail of 1e-3, patched in, leaves the autocovariance short of
+    # acvf_tol; the error carries the bound reached
+    series = process._certified_rational_series
+    monkeypatch.setattr(process, "_certified_rational_series",
+                        lambda num, den, tol: (series(num, den, tol)[0], 1e-3))
+    with pytest.raises(CertificationError, match="FARIMA autocovariance") as info:
+        acvf(ProcessModel.farima(0.3, ar=(0.5,)), 10)
+    bound = info.value.achieved_bound
+    assert DEFAULT_ACVF_TOL < bound < 1.0
+    code, line = _coeffs_failure(tmp_path, capsys, "kind = farima\nd = 0.3\nar = 0.5\n")
+    assert code == 2 and line.startswith("longpred: numeric certification failure: ")
+    assert line.endswith(f"below 1e-10; achieved_bound {bound:.3g}")
+
+
+def test_rational_series_fails_typed_past_its_term_cap(tmp_path, capsys, monkeypatch):
+    # ar = 0.99 decays too slowly to show its geometric envelope within 128
+    # terms; no tail estimate exists, so the error has no bound
+    monkeypatch.setattr(process, "_SERIES_MAX_TERMS", 128)
+    with pytest.raises(CertificationError, match="within 128 terms") as info:
+        ma_coeffs(ProcessModel.farima(0.3, ar=(0.99,)), 10)
+    assert info.value.achieved_bound is None
+    code, line = _coeffs_failure(tmp_path, capsys, "kind = farima\nd = 0.3\nar = 0.99\n")
+    assert code == 2 and line.startswith("longpred: numeric certification failure: ")
+    assert line.endswith("within 128 terms")
+
+
 # -- FARIMA ------------------------------------------------------------------
 
 def test_farima_reduces_to_fractional_noise():

@@ -7,11 +7,12 @@ import pytest
 
 from _oracles import empirical_mse, per_row_paths, reference_power_tail_sq_bound, same_bits
 from longpred import sim
-from longpred.errors import CertificationError
+from longpred.cli import main
+from longpred.errors import CertificationError, NumericError
 from longpred.fit import projection_weights_at
 from longpred.mse import mse_of_weights
 from longpred.predict import PredictorWeights, truncated_wk_weights_at
-from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
+from longpred.process import ACVF, CoefSeq, ProcessModel, acvf, ar_coeffs, ma_coeffs
 from longpred.sim import (CIRCULANT_EMBEDDING, MA_TRUNCATION, SimulationPlan, empirical_mses,
                           simulate)
 
@@ -266,6 +267,47 @@ def test_ma_truncation_order_near_unit_root_arma(length, order):
     plan = SimulationPlan(ProcessModel.arma(ar=(0.9,)), length=length,
                           replications=30, seed=1, method=MA_TRUNCATION)
     assert sim._ma_truncation_order(plan) == order
+
+
+def _montecarlo_failure(tmp_path, capsys, config):
+    """Exit code and stderr line of ``montecarlo --k 10`` on a config file."""
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(config)
+    code = main(["montecarlo", "--k", "10", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err.strip()
+
+
+def test_circulant_embedding_fails_typed_on_a_negative_eigenvalue(tmp_path, capsys,
+                                                                  monkeypatch):
+    # sigma = (1, 0.9, 0, ...), patched in, embeds into a circulant whose
+    # eigenvalues 1 + 1.8 cos(2 pi j / m) reach 1 - 1.8
+    monkeypatch.setattr(sim, "acvf", lambda model, n: CoefSeq(
+        model, ACVF, np.concatenate([[1.0, 0.9], np.zeros(n - 1)])))
+    with pytest.raises(NumericError, match="eigenvalue -8.000e-01"):
+        sim._circulant_spectrum(ProcessModel.white_noise(), 3)
+    code, line = _montecarlo_failure(tmp_path, capsys, "reps = 30\n")
+    assert code == 2 and line.startswith("longpred: numeric certification failure: ")
+    assert line.endswith("beyond the nonnegativity tolerance")
+
+
+def test_ma_truncation_fails_typed_when_no_prefix_shows_an_envelope(tmp_path, capsys,
+                                                                    monkeypatch):
+    # an MA series flat at 1e-170, patched in: its squares underflow, so the
+    # block estimate sees no tail, and it never decays, so no prefix shows a
+    # geometric envelope; with no bound at any order the error has none
+    monkeypatch.setattr(sim, "_ma_series", lambda ma_filter, n: np.full(n + 1, 1e-170))
+    monkeypatch.setattr(sim, "_MAX_MA_ORDER", 256)
+    model = ProcessModel.arma(ar=(0.5,))
+    assert sim._ma_tail_sq_bound(model, 64) is None
+    plan = SimulationPlan(model, length=11, replications=30, seed=1, method=MA_TRUNCATION)
+    with pytest.raises(CertificationError, match="within 256 terms") as info:
+        sim._ma_truncation_order(plan)
+    assert info.value.achieved_bound is None
+    code, line = _montecarlo_failure(
+        tmp_path, capsys, "kind = arma\nar = 0.5\nsim_method = ma_truncation\nreps = 30\n")
+    assert code == 2 and line.startswith("longpred: numeric certification failure: ")
+    assert line.endswith("within 256 terms")
 
 
 def test_white_noise_sample_covariance():
