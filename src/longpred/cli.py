@@ -114,14 +114,13 @@ def cmd_fit(cfg: RunConfig) -> list[Path]:
     model = cfg.model()
     out = cfg.out_dir()
     fit = yule_walker(acvf(model, cfg.k, tol=cfg.acvf_tol), cfg.k)
-    rows = [(0, 0.0, 1.0), *zip(range(1, cfg.k + 1), fit.phi.tolist(), fit.a_fit[1:].tolist())]
-    path = write_csv(
+    rows = zip(range(cfg.k + 1), [0.0, *fit.phi.tolist()], fit.a_fit.tolist())
+    return [write_csv(
         out / "fitted_ar.csv", "longpred/fitted-ar v1",
         [f"model: {model.describe()}", f"k: {cfg.k}",
          f"innovation_variance: {fit.innovation_variance:.17g}",
          "phi_0 is identically 0; a_fit_0 is the leading operator 1"],
-        ["j", "phi", "a_fit"], rows)
-    return [path]
+        ["j", "phi", "a_fit"], rows)]
 
 
 def _write_svg(path: Path, svg: str) -> Path:
@@ -138,8 +137,7 @@ def cmd_figure1(cfg: RunConfig) -> list[Path]:
                          ["d", "constant"], rows)]
     if cfg.svg:
         svg = line_chart([("constant", [r[0] for r in rows], [r[1] for r in rows])],
-                         title="Truncation-excess constant",
-                         xlabel="d", ylabel="constant")
+                         title="Truncation-excess constant", xlabel="d", ylabel="constant")
         written.append(_write_svg(out / "figure1.svg", svg))
     return written
 
@@ -202,8 +200,7 @@ def cmd_figure3(cfg: RunConfig) -> list[Path]:
         svg = line_chart([("mmse", hs, [r[1] for r in rows]),
                           ("tpmse", hs, [r[2] for r in rows]),
                           ("llspe", hs, [r[3] for r in rows])],
-                         title=f"h-step prediction error (k={k})",
-                         xlabel="h", ylabel="MSE")
+                         title=f"h-step prediction error (k={k})", xlabel="h", ylabel="MSE")
         written.append(_write_svg(out / "figure3.svg", svg))
     return written
 
@@ -283,10 +280,9 @@ def cmd_montecarlo(cfg: RunConfig) -> list[Path]:
         paths = simulate(plan)
         written.append(write_csv(
             out / "paths.csv", "longpred/paths v1",
-            [f"model: {model.describe()}", f"seed: {cfg.seed}",
-             "one replication per row"],
+            [f"model: {model.describe()}", f"seed: {cfg.seed}", "one replication per row"],
             [f"x{t + 1}" for t in range(paths.shape[1])],
-            (tuple(float(v) for v in row) for row in paths)))
+            (row.tolist() for row in paths)))
     return written
 
 

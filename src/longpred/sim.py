@@ -22,7 +22,8 @@ of an embedding of length m reads the first 2m normals of its stream, so one
 draw at the longest embedding holds every shorter one as a prefix.
 Circulant embedding cuts the rows into contiguous ranges on block boundaries
 and runs them on min(CPUs, blocks) threads; numpy releases the GIL while it
-draws normals and runs FFTs.  Each range draws a row's normals once and, per
+draws normals and runs FFTs, but the scorer's ``paths @ w`` holds it on a
+block of 500 rows or fewer.  Each range draws a row's normals once and, per
 embedding length, transforms its blocks in place and hands each block's
 paths to a visitor: :func:`simulate` copies them out, :func:`empirical_mses`
 scores them, so it never builds an array of paths.  The threads share one
@@ -119,9 +120,8 @@ class McEstimate:
 def _streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
     """For r = start..stop-1, one Philox generator re-keyed to the start of
     stream (seed, r): bit-identical to a fresh ``Philox(key=[seed, r])``."""
-    key = np.array([seed, 0], dtype=np.uint64)
-    zero = np.zeros(4, dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
+    key, zero = [seed, 0], [0, 0, 0, 0]  # Python ints: the state setter reads them fastest
+    bitgen = np.random.Philox(key=0)  # re-keyed before each yield
     rng = np.random.Generator(bitgen)
     state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
              "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -159,17 +159,16 @@ def _circulant_rows(lengths: list[int], amps: list[np.ndarray], seed: int, start
     Each row draws 2 m_max normals from stream (seed, r), once.  Embedding i,
     of length m = ``amps[i].size``, reads the first m as real parts and the
     next m as imaginary parts, so every embedding gets exactly the normals a
-    draw at its own length would.  Per embedding the block is scaled by the
-    amplitudes, transformed in place in a contiguous buffer, and its paths
-    of length ``lengths[i]`` are handed to ``visit(i, first_row, paths)``.
+    draw at its own length would.  Per embedding both halves are scaled by the
+    amplitudes into a contiguous complex buffer, transformed in place, and the
+    paths of length ``lengths[i]`` are handed to ``visit(i, first_row, paths)``.
     """
     for lo, block in _drawn_blocks(seed, start, stop, normals):
         for i, amp in enumerate(amps):
             m = amp.size
             zb = z[:len(block) * m].reshape(len(block), m)
-            zb.real = block[:, :m]
-            zb.imag = block[:, m:2 * m]
-            zb *= amp
+            np.multiply(block[:, :m], amp, out=zb.real)
+            np.multiply(block[:, m:2 * m], amp, out=zb.imag)
             np.fft.fft(zb, axis=1, out=zb)
             visit(i, lo, zb.real[:, :lengths[i]])
 

@@ -242,6 +242,21 @@ def per_row_paths(plan) -> np.ndarray:
     return out
 
 
+def reference_circulant_rows(lengths, amps, seed, start, stop, normals, z, visit) -> None:
+    """``sim._circulant_rows`` with each embedding's input assembled by copying
+    the real parts, copying the imaginary parts, then one complex-by-real
+    product with the amplitudes."""
+    for lo, block in sim._drawn_blocks(seed, start, stop, normals):
+        for i, amp in enumerate(amps):
+            m = amp.size
+            zb = z[:len(block) * m].reshape(len(block), m)
+            zb.real = block[:, :m]
+            zb.imag = block[:, m:2 * m]
+            zb *= amp
+            np.fft.fft(zb, axis=1, out=zb)
+            visit(i, lo, zb.real[:, :lengths[i]])
+
+
 def reference_power_tail_sq_bound(model: ProcessModel, order: int) -> float:
     """The MA sampler's power-law tail bound on sum_{m > order} b_m^2 for
     fractional noise and FARIMA, one branch per kind, written out apart from

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -55,3 +57,43 @@ def test_a_list_row_is_written_as_its_tuple(tmp_path):
     rows = [[0, 0.1], (1, 0.2)]
     got = write_csv(tmp_path / "got.csv", *args, rows).read_bytes()
     assert got == reference_write_csv(tmp_path / "want.csv", *args, rows).read_bytes()
+
+
+def test_writer_streams_rows_without_a_file_image(tmp_path):
+    # 200,000 rows make a 5 MB file; holding its lines, its text or its
+    # bytes would take tens of MB, one row at a time takes a few kB
+    args = ("longpred/test v1", ["a comment"], ["j", "value"])
+
+    def rows():
+        return ((j, j / 7) for j in range(200_000))
+
+    tracemalloc.start()
+    try:
+        got = write_csv(tmp_path / "got.csv", *args, rows())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert got.read_bytes() == reference_write_csv(tmp_path / "want.csv", *args,
+                                                   rows()).read_bytes()
+
+
+def test_a_rejected_row_leaves_no_file(tmp_path):
+    # 1000 rows fill more than the write buffer, so part of the file is on disk
+    path = tmp_path / "x.csv"
+    rows = [(j, j / 7) for j in range(1000)] + [(1000,)]
+    with pytest.raises(ValueError, match="first row's"):
+        write_csv(path, "longpred/test v1", [], ["j", "value"], rows)
+    assert not path.exists()
+
+
+def test_an_error_raised_by_the_rows_leaves_no_file(tmp_path):
+    path = tmp_path / "x.csv"
+
+    def rows():
+        yield from ((j, j / 7) for j in range(1000))
+        raise RuntimeError("the row source failed")
+
+    with pytest.raises(RuntimeError, match="the row source failed"):
+        write_csv(path, "longpred/test v1", [], ["j", "value"], rows())
+    assert not path.exists()

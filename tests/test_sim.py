@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import empirical_mse, per_row_paths, reference_power_tail_sq_bound, same_bits
+from _oracles import (empirical_mse, per_row_paths, reference_circulant_rows,
+                      reference_power_tail_sq_bound, same_bits)
 from longpred import sim
 from longpred.cli import main
 from longpred.errors import CertificationError, NumericError
@@ -49,6 +50,19 @@ def test_replication_streams_do_not_depend_on_batch_shape():
     full = simulate(SimulationPlan(model, length=8, replications=6, seed=5))
     one = simulate(SimulationPlan(model, length=8, replications=1, seed=5))
     assert np.array_equal(full[0], one[0])
+
+
+@pytest.mark.parametrize("start, stop", ((0, 3), (2 ** 20, 2 ** 20 + 2)))
+def test_streams_match_fresh_philox_at_the_largest_seed(start, stop):
+    # the re-keyed state holds the key as Python ints; 2^64 - 1 must reach
+    # Philox as its own uint64, as a fresh generator's uint64 key does
+    seed = 2 ** 64 - 1
+    drawn = [rng.standard_normal(9) for rng in sim._streams(seed, start, stop)]
+    assert len(drawn) == stop - start
+    for r, got in zip(range(start, stop), drawn):
+        key = np.array([seed, r], dtype=np.uint64)
+        assert np.array_equal(got, np.random.Generator(np.random.Philox(key=key))
+                              .standard_normal(9))
 
 
 @pytest.mark.parametrize("n", (1, 2, 51, 221))
@@ -142,6 +156,30 @@ def test_empirical_mses_match_per_length_simulations(model, k, horizons, reps, b
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_circulant_assembly_matches_copy_copy_product_at_zero_amplitudes(workers,
+                                                                         monkeypatch):
+    # scaling each half of a row's normals into the buffer differs from
+    # copying both halves and multiplying by the real amplitudes only in the
+    # sign of a zero product; a third of the amplitudes is set to exactly 0
+    spectrum = sim._circulant_spectrum
+
+    def with_zeros(model, n):
+        lam = spectrum(model, n)
+        lam[::3] = 0.0
+        return lam
+
+    monkeypatch.setattr(sim, "_circulant_spectrum", with_zeros)
+    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    model = ProcessModel.frac_noise(0.3)
+    weights = _horizon_weights(model, 20, (20, 1, 5))
+    plan = SimulationPlan(model, length=51, replications=200, seed=2 ** 63 + 7)
+    paths, estimates = simulate(plan), empirical_mses(plan, weights)
+    monkeypatch.setattr(sim, "_circulant_rows", reference_circulant_rows)
+    assert same_bits(paths, simulate(plan))
+    assert estimates == empirical_mses(plan, weights)
 
 
 def test_empirical_mses_ma_truncation_simulates_each_length_once(monkeypatch):
