@@ -123,46 +123,43 @@ def cmd_fit(cfg: RunConfig) -> list[Path]:
         ["j", "phi", "a_fit"], rows)]
 
 
-def _write_svg(path: Path, svg: str) -> Path:
-    path.write_text(svg, encoding="utf-8", newline="\n")
-    return path
+def _chart(cfg: RunConfig, path: Path, series, **labels) -> list[Path]:
+    """[path] after writing the line chart of ``series`` there if ``svg`` is
+    set, else []."""
+    if not cfg.svg:
+        return []
+    path.write_text(line_chart(series, **labels), encoding="utf-8", newline="\n")
+    return [path]
 
 
 def cmd_figure1(cfg: RunConfig) -> list[Path]:
     out = cfg.out_dir()
     grid = cfg.d_grid or tuple(np.linspace(0.01, 0.49, 50))
     rows = [(float(d), asymptotics.truncation_constant(d)) for d in grid]
-    written = [write_csv(out / "figure1.csv", "longpred/figure1 v1",
-                         ["columns: memory parameter, truncation-excess constant"],
-                         ["d", "constant"], rows)]
-    if cfg.svg:
-        svg = line_chart([("constant", [r[0] for r in rows], [r[1] for r in rows])],
-                         title="Truncation-excess constant", xlabel="d", ylabel="constant")
-        written.append(_write_svg(out / "figure1.svg", svg))
-    return written
+    return [write_csv(out / "figure1.csv", "longpred/figure1 v1",
+                      ["columns: memory parameter, truncation-excess constant"],
+                      ["d", "constant"], rows),
+            *_chart(cfg, out / "figure1.svg",
+                    [("constant", [r[0] for r in rows], [r[1] for r in rows])],
+                    title="Truncation-excess constant", xlabel="d", ylabel="constant")]
 
 
 def cmd_figure2(cfg: RunConfig) -> list[Path]:
     out = cfg.out_dir()
     d_grid = cfg.d_grid or _FIGURE2_D_GRID
     k_grid = cfg.k_grid or _FIGURE2_K_GRID
-    rows = []
+    rows, series = [], []
     for d in d_grid:
-        for k in k_grid:
-            r = asymptotics.improvement_ratio(d, k)
-            rows.append((float(d), int(k), r, "true" if r >= 0.5 else "false"))
-    written = [write_csv(out / "figure2.csv", "longpred/figure2 v1",
-                         ["columns: d, k, improvement ratio, ratio >= 1/2 flag"],
-                         ["d", "k", "r", "r_ge_half"], rows)]
-    if cfg.svg:
-        series = []
-        for d in d_grid:
-            pts = [(row[1], row[2]) for row in rows if row[0] == float(d)]
-            series.append((f"d={d:g}", [p[0] for p in pts], [p[1] for p in pts]))
-        svg = line_chart(series, title="Improvement ratio of AR(k) over truncation",
-                         xlabel="k", ylabel="r", logx=True)
-        written.append(_write_svg(out / "figure2.svg", svg))
-    return written
+        ratios = [asymptotics.improvement_ratio(d, k) for k in k_grid]
+        rows.extend((float(d), k, r, "true" if r >= 0.5 else "false")
+                    for k, r in zip(k_grid, ratios))
+        series.append((f"d={d:g}", k_grid, ratios))
+    return [write_csv(out / "figure2.csv", "longpred/figure2 v1",
+                      ["columns: d, k, improvement ratio, ratio >= 1/2 flag"],
+                      ["d", "k", "r", "r_ge_half"], rows),
+            *_chart(cfg, out / "figure2.svg", series,
+                    title="Improvement ratio of AR(k) over truncation",
+                    xlabel="k", ylabel="r", logx=True)]
 
 
 def _sequences(cfg: RunConfig, model: ProcessModel, h_max: int):
@@ -190,27 +187,19 @@ def cmd_figure3(cfg: RunConfig) -> list[Path]:
         ll = mse.mse_of_weights(g, b, proj)
         rows.append((h, mm.total, tp.total, ll.total))
         reports.extend([mm, tp, ll])
-    written = [write_csv(out / "figure3.csv", "longpred/figure3 v1",
-                         [f"model: {model.describe()}", f"k: {k}",
-                          "columns: horizon, infinite-past MSE, truncated MSE, projection MSE"],
-                         ["h", "mmse", "tpmse", "llspe"], rows)]
-    written.append(_write_reports(out / "figure3_mse.csv", model.describe(), reports))
-    if cfg.svg:
-        hs = [r[0] for r in rows]
-        svg = line_chart([("mmse", hs, [r[1] for r in rows]),
-                          ("tpmse", hs, [r[2] for r in rows]),
-                          ("llspe", hs, [r[3] for r in rows])],
-                         title=f"h-step prediction error (k={k})", xlabel="h", ylabel="MSE")
-        written.append(_write_svg(out / "figure3.svg", svg))
-    return written
-
-
-def _write_reports(path: Path, model_desc: str, reports) -> Path:
-    return write_csv(
-        path, "longpred/mse-report v1", [f"model: {model_desc}"],
-        ["method", "k", "h", "total", "floor", "excess", "certified_tol"],
-        [(r.method, r.k if r.k is not None else "", r.h, r.total, r.floor,
-          r.excess, r.certified_tol) for r in reports])
+    return [write_csv(out / "figure3.csv", "longpred/figure3 v1",
+                      [f"model: {model.describe()}", f"k: {k}",
+                       "columns: horizon, infinite-past MSE, truncated MSE, projection MSE"],
+                      ["h", "mmse", "tpmse", "llspe"], rows),
+            write_csv(out / "figure3_mse.csv", "longpred/mse-report v1",
+                      [f"model: {model.describe()}"],
+                      ["method", "k", "h", "total", "floor", "excess", "certified_tol"],
+                      [(r.method, r.k if r.k is not None else "", r.h, r.total, r.floor,
+                        r.excess, r.certified_tol) for r in reports]),
+            *_chart(cfg, out / "figure3.svg",
+                    [(name, hs, [r[col] for r in rows])
+                     for col, name in enumerate(("mmse", "tpmse", "llspe"), 1)],
+                    title=f"h-step prediction error (k={k})", xlabel="h", ylabel="MSE")]
 
 
 def cmd_rates(cfg: RunConfig) -> list[Path]:

@@ -30,10 +30,11 @@ length asked for, and return it as an immutable :class:`CoefSeq`.  For the
 fractional kind the one-term recursions are the production path: O(1) per
 term, no cancellation, exact sign propagation.  The closed-form
 Gamma-ratio expressions are kept as independent oracles in the test suite.
-Every generic model's MA series, a finite list's too, and its AR inversion,
-and the FARIMA filter share one power-series division, ``_rational_series``:
-its terms sit in a reversed buffer, so each term's lag sum is one unit-stride
-dot, and a first-order denominator's tail is one ``np.cumprod``.
+Every generic model's MA series (a finite list's too) and its AR series
+den/num, and the FARIMA filter, share one power-series division,
+``_rational_series``: its terms sit in a reversed buffer, so each term's lag
+sum is one unit-stride dot, and a first-order denominator's tail is one
+``np.cumprod``.
 Every lag autocorrelation sum_m b_m b_{m+s}, of an MA series, of the FARIMA
 filter or of predictor weights (``mse``), is taken by ``_lag_products``: one
 ``np.correlate``, or one dot per lag when few lags of a long series are
@@ -416,16 +417,6 @@ def _farima(model: ProcessModel, kind: str, n: int, tol: float) -> tuple[np.ndar
     return out, _filter_tail_tol(psi, psi_tail, sig_f[0], out[0], tol, "FARIMA")
 
 
-def _generic_series(model: ProcessModel, kind: str, n: int) -> np.ndarray:
-    """MA or AR coefficients 0..n of a generic model: the power series of
-    num/den, or its inversion."""
-    if kind == MA:
-        return _ma_series(model.ma_filter, n)
-    support = model.finite_ma_support
-    b = _ma_series(model.ma_filter, n if support is None else support)
-    return _rational_series((1.0,), b, n)
-
-
 def _generic_acvf(model: ProcessModel, n: int, tol: float) -> tuple[np.ndarray, float]:
     """Autocovariances 0..n of a generic model and their tail estimate."""
     s2 = model.noise_variance
@@ -470,8 +461,10 @@ def _sequence(model: ProcessModel, kind: str, n: int, tol: float) -> CoefSeq:
         values, certified = _farima(model, kind, n, tol)
     elif kind == ACVF:
         values, certified = _generic_acvf(model, n, tol)
-    else:
-        values, certified = _generic_series(model, kind, n), 0.0
+    elif kind == MA:
+        values, certified = _ma_series(model.ma_filter, n), 0.0
+    else:  # den/num, as FARIMA's filter: exact past lag p of a pure AR(p)
+        values, certified = _rational_series(*model.ma_filter[::-1], n), 0.0
     return CoefSeq(model, kind, values, certified)
 
 

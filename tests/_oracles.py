@@ -9,8 +9,9 @@ Toeplitz solve and a scorer of one weight vector on given paths, both thin
 entries to production kernels, the spectral-contrast MSE, the closed-form
 fractional-noise fit, the direct truncation excess, decay-rate diagnostics
 and a reader for the CSVs the commands write.  Later sections compute
-references to 60 digits with the standard library's ``decimal``, and proven
-normwise bounds on a computed Toeplitz solve against those references.
+references to 60 digits with the standard library's ``decimal``, exact
+power series of rational filters with ``fractions``, and proven normwise
+bounds on a computed Toeplitz solve against the 60-digit references.
 """
 
 from __future__ import annotations
@@ -364,16 +365,6 @@ def reference_truncated_wk_weights(a: np.ndarray, k: int, h: int) -> np.ndarray:
             w -= a[j] * stack[g - j]
         stack[g] = w
     return stack[h].copy()
-
-
-def reference_ma_inversion(b: np.ndarray, q: int, n: int) -> np.ndarray:
-    """a_0..a_n of 1/b(z) by the generic-model loop, -dot at every lag."""
-    a = np.empty(n + 1)
-    a[0] = 1.0
-    for j in range(1, n + 1):
-        top = min(j, q)
-        a[j] = -np.dot(b[1: top + 1], a[j - 1:: -1][:top]) if top >= 1 else 0.0
-    return a
 
 
 def reference_rational_series(num, den, n: int) -> np.ndarray:
@@ -847,6 +838,21 @@ def decimal_mse_of_weights(sigma: list[Decimal], h: int, w) -> Decimal:
         for s in range(1, k):
             quad += 2 * sigma[s] * sum(x[j] * x[j + s] for j in range(k - s))
         return sigma[0] - 2 * sum(v * g for v, g in zip(x, sigma[h:h + k])) + quad
+
+
+# -- exact rational references
+
+
+def fraction_rational_series(num, den, n: int) -> list[Fraction]:
+    """c_0..c_n of num(z)/den(z) exactly, den_0 = 1, taken at the exact
+    binary values of the float coefficients."""
+    num = [Fraction(float(v)) for v in num]
+    den = [Fraction(float(v)) for v in den]
+    c = []
+    for j in range(n + 1):
+        v = num[j] if j < len(num) else Fraction(0)
+        c.append(v - sum(den[i] * c[j - i] for i in range(1, min(j, len(den) - 1) + 1)))
+    return c
 
 
 # -- proven normwise bounds on a computed Toeplitz solve

@@ -59,3 +59,6 @@ def test_arma_coeffs_bytes_match_the_reference_writer(tmp_path, monkeypatch):
     ma = [float(row[1]) for row in read_csv(tmp_path / "out" / "coeffs_ma.csv")[2]]
     acvf = [float(row[1]) for row in read_csv(tmp_path / "out" / "coeffs_acvf.csv")[2]]
     assert 0.0 < min(ma) < 1e-100 and acvf[-1] == 0.0
+    # a_j = 1 - 0.9 z exactly: unsigned zeros past lag 1
+    ar = [row[1] for row in read_csv(tmp_path / "out" / "coeffs_ar.csv")[2]]
+    assert [float(v) for v in ar[:2]] == [1.0, -0.9] and set(ar[2:]) == {"0"}

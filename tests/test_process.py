@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from longpred.special import log_gamma_diff
 
 from _oracles import (arma_acvf_brute, brute_orthogonality_sum, decimal_frac_noise,
                       decimal_log_gamma, decimal_pi, read_csv, reference_block_ratio_acvf,
-                      reference_dot_rational_series, reference_filtered_core,
-                      reference_lag_products, reference_ma_inversion,
+                      fraction_rational_series, reference_dot_rational_series,
+                      reference_filtered_core, reference_lag_products,
                       reference_rational_series, same_bits, verify_decay)
 
 D_VALUES = (0.05, 0.25, 0.45)
@@ -334,26 +335,54 @@ def test_generic_inversion_round_trip():
     assert np.max(np.abs(conv[1:])) < 1e-12
 
 
-# (model, indices j whose AR coefficient is -0, or None)
+# (model, indices j whose AR coefficient is 0 or None, and whether those are -0)
 INVERSION_MODELS = {
-    "arma_0.9": (ProcessModel.arma(ar=(0.9,)), slice(2, None)),
-    "arma_2_1": (ProcessModel.arma(ar=(0.5, -0.2), ma=(0.4,)), None),
-    "finite_ma_1_0_0.5": (ProcessModel.generic_ma((1.0, 0.0, 0.5)), slice(1, None, 2)),
-    "white_noise": (ProcessModel.white_noise(), None),
+    "arma_0.9": (ProcessModel.arma(ar=(0.9,)), slice(2, None), False),
+    "arma_2_1": (ProcessModel.arma(ar=(0.5, -0.2), ma=(0.4,)), None, None),
+    "finite_ma_1_0_0.5": (ProcessModel.generic_ma((1.0, 0.0, 0.5)), slice(1, None, 2), True),
+    "white_noise": (ProcessModel.white_noise(), slice(1, None), False),
 }
 
 
 @pytest.mark.parametrize("name", sorted(INVERSION_MODELS))
 def test_generic_ar_inversion_bitwise_matches_reference_loop(name):
-    model, negative_zeros = INVERSION_MODELS[name]
+    # a_j is the one series division of den/num, FARIMA's AR orientation
+    model, zeros, negative = INVERSION_MODELS[name]
     n = 300
-    b = _ma_series(model.ma_filter, n)
-    support = model.finite_ma_support
-    want = reference_ma_inversion(b, support if support is not None else n, n)
+    num, den = model.ma_filter
     got = ar_coeffs(model, n).prefix(n)
-    assert same_bits(got, want)
-    if negative_zeros is not None:  # the -0 rows that coeffs_ar.csv writes
-        assert np.all(got[negative_zeros] == 0.0) and np.all(np.signbit(got[negative_zeros]))
+    assert same_bits(got, reference_dot_rational_series(den, num, n))
+    if zeros is not None:  # the zero rows coeffs_ar.csv writes
+        assert np.all(got[zeros] == 0.0) and np.all(np.signbit(got[zeros]) == negative)
+
+
+EXACT_AR_MODELS = {
+    "arma_1_1": ProcessModel.arma(ar=(0.9,), ma=(0.3,)),
+    "arma_2_1": ProcessModel.arma(ar=(0.5, -0.2), ma=(0.4,)),
+    "ar_2": ProcessModel.arma(ar=(1.2, -0.5)),
+    "ar_3": ProcessModel.arma(ar=(0.3, 0.2, 0.1)),
+    "ma_1": ProcessModel.arma(ma=(0.5,)),
+    # 1 - q(z) with q >= 0: every a_j sums terms of one sign, whereas a
+    # complex-root MA's a_j cross zero and lose relative accuracy there
+    "finite_ma_4": ProcessModel.generic_ma((1.0, -0.2, -0.1, -0.05, -0.2)),
+    "white_noise": ProcessModel.white_noise(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_AR_MODELS))
+def test_generic_ar_coeffs_match_exact_rational_division(name):
+    # within 8 eps of the exact den/num where a_j != 0, and +0 where a_j = 0:
+    # past lag p of a pure AR(p) too
+    model = EXACT_AR_MODELS[name]
+    n = 300
+    num, den = model.ma_filter
+    got = ar_coeffs(model, n).prefix(n).tolist()
+    eps = float(np.finfo(float).eps)
+    for j, (value, exact) in enumerate(zip(got, fraction_rational_series(den, num, n))):
+        if exact == 0:
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, (j, value)
+        else:
+            assert abs(Fraction(value) / exact - 1) <= 8 * eps, (j, value, float(exact))
 
 
 def test_ma_series_zero_signs():
@@ -426,11 +455,12 @@ def test_series_division_bits_constant_and_higher_order_den(den):
                                    ProcessModel.generic_ma((1.0, 0.2, -0.1, 0.05, 0.2))),
                          ids=("arma_0.9", "finite_ma_4"))
 def test_series_division_bits_ar_inversions(model):
-    # the AR inversion 1/b(z) of a 4097-term ARMA prefix and of an order-4 MA
+    # the AR series den/num: a two-term numerator over a constant
+    # denominator, and 1 over an order-4 MA polynomial
     n = 4096
-    b = _ma_series(model.ma_filter, n if model.finite_ma_support is None else 4)
-    got = process._rational_series((1.0,), b, n)
-    assert same_bits(got, reference_dot_rational_series((1.0,), b, n))
+    num, den = model.ma_filter
+    got = process._rational_series(den, num, n)
+    assert same_bits(got, reference_dot_rational_series(den, num, n))
 
 
 def test_arma_stream_matches_textbook_acvf():
