@@ -274,15 +274,15 @@ def _certified_rational_series(num: Sequence[float], den: Sequence[float],
         f"within {_SERIES_MAX_TERMS} terms")
 
 
-def _stuck_rational_tail(den: Sequence[float], b: np.ndarray, start: int) -> bool:
-    """Whether every square of the series prefix ``b`` from ``start`` on
+def _stuck_rational_tail(den: Sequence[float], b: np.ndarray) -> bool:
+    """Whether every square of the second half of the series prefix ``b``
     underflows while ``b`` does not end in len(den) exact zeros.
 
     Squares underflow from some index L on, and the values reach their floor
     by about 2L < b.size: exact zeros, or subnormals the recursion rounds back
     to (ar = 0.9 sticks at 2.5e-323), which never pass a block-ratio test.
     """
-    return not np.any(b[start:] ** 2) and bool(np.any(b[-len(den):]))
+    return not np.any(b[(b.size - 1) // 2:] ** 2) and bool(np.any(b[-len(den):]))
 
 
 def _lag_products(b: np.ndarray, s2: float, n: int) -> np.ndarray:
@@ -434,7 +434,7 @@ def _generic_acvf(model: ProcessModel, n: int, tol: float) -> tuple[np.ndarray, 
         if tail_sq is not None and s2 * tail_sq <= tol * sigma0:
             out = _lag_products(b, s2, n)
             return out, s2 * tail_sq / out[0]
-        if tail_sq is None and _stuck_rational_tail(den, b, m // 2):
+        if tail_sq is None and _stuck_rational_tail(den, b):
             # no longer prefix passes the block test: estimate from the
             # filter's root modulus instead
             psi, psi_tail = _psi_series(model, ACVF, tol)

@@ -11,7 +11,7 @@ Two samplers are available.  Circulant embedding is the default and exact:
 the length-n covariance is embedded into a 2(n-1)-circulant whose FFT gives
 the sampling spectrum.  Moving-average truncation runs only when a plan
 asks for it; its order rests on a tail bound that FARIMA and infinite
-rational filters only estimate.
+rational filters only estimate, the latter as the ARMA autocovariance does.
 
 Randomness is counter-based: each replication draws from its own Philox
 stream keyed by (seed, replication index), so row r depends only on
@@ -48,8 +48,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CertificationError, NumericError
 from .predict import PredictorWeights
-from .process import (FARIMA, FRAC_NOISE, ProcessModel, _envelope_rate, _geometric_envelope,
-                      _ma_series, _stuck_rational_tail, acvf, ma_coeffs)
+from .process import (DEFAULT_ACVF_TOL, FARIMA, FRAC_NOISE, MA, ProcessModel, _ma_series,
+                      _psi_series, _stuck_rational_tail, _tail_sq_bound, acvf, ma_coeffs)
 
 __all__ = [
     "CIRCULANT_EMBEDDING",
@@ -77,9 +77,9 @@ class SimulationPlan:
     """Reproducible description of a batch of Gaussian sample paths.
 
     ``ma_cov_tol`` bounds the MA-truncation sampler's covariance error
-    relative to sigma(0), by an estimate for FARIMA and infinite rational
-    filters (:func:`_ma_tail_sq_bound`); a tolerance no order meets raises
-    a :class:`~longpred.errors.CertificationError`.
+    relative to sigma(0), by an estimate for FARIMA and, as for the ARMA
+    autocovariance, for infinite rational filters (:func:`_ma_tail_sq_bound`);
+    a tolerance no order meets raises a :class:`~longpred.errors.CertificationError`.
     """
 
     model: ProcessModel
@@ -225,7 +225,8 @@ def _circulant_spectrum(model: ProcessModel, n: int) -> np.ndarray:
 
 def _ma_tail_sq_bound(model: ProcessModel, order: int) -> float | None:
     """Bound on sum_{m > order} b_m^2, or None: proven for a finite MA and
-    fractional noise, extrapolated from the computed b_m otherwise."""
+    fractional noise, estimated for FARIMA, and for an infinite rational
+    filter by the estimates the ARMA autocovariance certifies its tail with."""
     support = model.finite_ma_support
     if support is not None:
         return 0.0 if order >= support else None
@@ -241,28 +242,14 @@ def _ma_tail_sq_bound(model: ProcessModel, order: int) -> float | None:
             j = np.arange(half, order + 1, dtype=float)
             c = float(np.max(np.abs(b[half:]) * j ** (1.0 - d)))
         return c * c * order ** (2.0 * d - 1.0) / (1.0 - 2.0 * d)
-    # infinite generic series: a geometric estimate from two blocks
-    den = model.ma_filter[1]
-    b = _ma_series(model.ma_filter, 2 * order)
-    s1 = float(np.sum(b[order // 2: order] ** 2))
-    s2 = float(np.sum(b[order: 2 * order] ** 2))
-    if s2 == 0.0 and np.all(b[order:] == 0.0):
-        return 0.0
-    if s1 > 0.0 and s2 < 0.7 * s1:
-        q = s2 / s1
-        return s2 / (1.0 - q)
-    if not _stuck_rational_tail(den, b, order // 2):
-        return None
-    # the filter's geometric envelope |b_m| <= peak r^-m, read off the
-    # shortest prefix that shows it
-    r = _envelope_rate(den)
-    n = 64
-    while n <= 2 * order:
-        peak = _geometric_envelope(b[:n + 1], r)
-        if peak is not None:
-            return peak * peak * r ** (-2.0 * (order + 1)) / (1.0 - r ** -2.0)
-        n *= 2
-    return None
+    # the block estimate, or, once the squares underflow, the L1 tail T of the
+    # filter expansion: sum_{m > order} b_m^2 <= T^2 when that stops by b_order
+    b = _ma_series(model.ma_filter, order)
+    tail_sq = _tail_sq_bound(b)
+    if tail_sq is not None or not _stuck_rational_tail(model.ma_filter[1], b):
+        return tail_sq
+    psi, psi_tail = _psi_series(model, MA, DEFAULT_ACVF_TOL)
+    return psi_tail ** 2 if psi.size <= order + 1 else None
 
 
 def _ma_truncation_order(plan: SimulationPlan) -> int:

@@ -301,9 +301,36 @@ def test_power_tail_bound_matches_per_kind_reference(model):
 @pytest.mark.parametrize("length, order", [(51, 204), (2001, 8004)])
 def test_ma_truncation_order_near_unit_root_arma(length, order):
     # at 204 the block test certifies; at 8004 the squared tail underflows and
-    # the root-modulus envelope certifies the first order tried
+    # the filter expansion's L1 tail certifies the first order tried
     plan = SimulationPlan(ProcessModel.arma(ar=(0.9,)), length=length,
                           replications=30, seed=1, method=MA_TRUNCATION)
+    assert sim._ma_truncation_order(plan) == order
+
+
+_ORDER_CELLS = [(length, tol) for length in (5, 13, 51, 2001) for tol in (1e-6, 1e-10)]
+# (ar, ma): MA-truncation order at each of _ORDER_CELLS
+_ORDER_TABLE = {
+    ((0.5,), ()): (64, 64, 64, 64, 204, 204, 8004, 8004),
+    ((0.5,), (0.3,)): (64, 64, 64, 64, 204, 204, 8004, 8004),
+    ((0.9,), ()): (128, 128, 128, 128, 204, 204, 8004, 8004),
+    ((0.9,), (0.3,)): (128, 128, 128, 128, 204, 204, 8004, 8004),
+    ((0.99,), ()): (1024, 2048, 1024, 2048, 816, 1632, 8004, 8004),
+    ((0.99,), (0.3,)): (1024, 2048, 1024, 2048, 816, 1632, 8004, 8004),
+    ((-0.9,), ()): (128, 128, 128, 128, 204, 204, 8004, 8004),
+    ((-0.9,), (0.3,)): (128, 128, 128, 128, 204, 204, 8004, 8004),
+    # complex roots: the block estimate from b_0..b_64 reads 1.13e-6 sigma(0),
+    # above 1e-6, where the true tail past 64 is 6.1e-7 sigma(0)
+    ((1.6, -0.8), ()): (128, 128, 128, 128, 204, 204, 8004, 8004),
+    ((0.5, -0.2), (0.4,)): (64, 64, 64, 64, 204, 204, 8004, 8004),
+}
+
+
+@pytest.mark.parametrize("ar, ma, length, tol, order", [
+    (ar, ma, length, tol, order) for (ar, ma), orders in _ORDER_TABLE.items()
+    for (length, tol), order in zip(_ORDER_CELLS, orders, strict=True)], ids=str)
+def test_ma_truncation_order_table(ar, ma, length, tol, order):
+    plan = SimulationPlan(ProcessModel.arma(ar=ar, ma=ma), length=length, replications=30,
+                          seed=1, method=MA_TRUNCATION, ma_cov_tol=tol)
     assert sim._ma_truncation_order(plan) == order
 
 
@@ -329,12 +356,14 @@ def test_circulant_embedding_fails_typed_on_a_negative_eigenvalue(tmp_path, caps
     assert line.endswith("beyond the nonnegativity tolerance")
 
 
-def test_ma_truncation_fails_typed_when_no_prefix_shows_an_envelope(tmp_path, capsys,
-                                                                    monkeypatch):
-    # an MA series flat at 1e-170, patched in: its squares underflow, so the
-    # block estimate sees no tail, and it never decays, so no prefix shows a
-    # geometric envelope; with no bound at any order the error has none
+def test_ma_truncation_fails_typed_when_the_filter_expansion_outruns_every_order(
+        tmp_path, capsys, monkeypatch):
+    # an MA series flat at 1e-170 and a filter expansion of 300 terms, both
+    # patched in: the squares underflow, so the block estimate sees no tail,
+    # and the expansion stops past every order tried, so it bounds none; with
+    # no bound at any order the error has none
     monkeypatch.setattr(sim, "_ma_series", lambda ma_filter, n: np.full(n + 1, 1e-170))
+    monkeypatch.setattr(sim, "_psi_series", lambda model, kind, tol: (np.zeros(300), 0.0))
     monkeypatch.setattr(sim, "_MAX_MA_ORDER", 256)
     model = ProcessModel.arma(ar=(0.5,))
     assert sim._ma_tail_sq_bound(model, 64) is None
