@@ -39,7 +39,7 @@ from .errors import ConfigError, ModelError, NumericError
 from .fit import projection_weights_at, yule_walker
 from .predict import TRUNCATED_WK, truncated_wk_weights_at
 from .process import ProcessModel, acvf, ar_coeffs, ma_coeffs
-from .sim import SimulationPlan, empirical_mses, simulate
+from .sim import SimulationPlan, empirical_mses
 from .svgplot import line_chart
 
 __all__ = ["main", "build_parser"]
@@ -253,8 +253,10 @@ def cmd_montecarlo(cfg: RunConfig) -> list[Path]:
                           seed=cfg.seed, method=cfg.sim_method, ma_cov_tol=cfg.ma_cov_tol)
     weights = [w for pair in zip(truncated_wk_weights_at(a, k, h_grid),
                                  projection_weights_at(g, k, h_grid)) for w in pair]
+    # the dump is the first horizon's rows, copied by the scoring pass
+    paths = np.empty((cfg.reps, plan.length)) if cfg.dump_paths else None
     rows = []
-    for w, est in zip(weights, empirical_mses(plan, weights)):
+    for w, est in zip(weights, empirical_mses(plan, weights, paths)):
         analytic = mse.mse_of_weights(g, b, w)
         z = (est.mean - analytic.total) / est.std_error
         rows.append((w.method, cfg.d if model.d is not None else "",
@@ -265,8 +267,7 @@ def cmd_montecarlo(cfg: RunConfig) -> list[Path]:
                           f"sim_method: {cfg.sim_method}"],
                          ["method", "d", "k", "h", "mc_mean", "mc_stderr",
                           "analytic_total", "z"], rows)]
-    if cfg.dump_paths:
-        paths = simulate(plan)
+    if paths is not None:
         written.append(write_csv(
             out / "paths.csv", "longpred/paths v1",
             [f"model: {model.describe()}", f"seed: {cfg.seed}", "one replication per row"],

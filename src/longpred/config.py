@@ -23,8 +23,8 @@ Documented keys:
     out             output directory
     svg             true | false, also emit SVG charts
     acvf_tol        bound on the dropped autocovariance series tail, relative to sigma(0)
-    sim_method      circulant_embedding | ma_truncation
-    ma_cov_tol      MA sampler's covariance error bound (estimated for FARIMA/ARMA)
+    sim_method      circulant_embedding | ma_truncation (generic_ma / arma / white_noise)
+    ma_cov_tol      MA sampler's covariance error bound (estimated for ARMA)
     dump_paths      true | false, dump simulated paths from montecarlo
 
 Each key may appear once in a file.  ``_KINDS`` lists the model keys each
@@ -137,6 +137,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive and finite")
         if self.sim_method not in (CIRCULANT_EMBEDDING, MA_TRUNCATION):
             raise ConfigError(f"unknown sim_method {self.sim_method!r}")
+        if self.sim_method == MA_TRUNCATION and "d" in _KINDS[self.kind]:
+            raise ConfigError(f"{MA_TRUNCATION} samples short-memory kinds only, not {self.kind}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in 64 bits")
         for name, hi, want in (("d_grid", 0.5, "lie strictly inside (0, 1/2)"),

@@ -7,11 +7,14 @@ the paths; :func:`empirical_mses` scores many weight vectors, each on paths
 of its own length k + h, with the same bits as scoring it on the rows of a
 :func:`simulate` at that length.
 
-Two samplers are available.  Circulant embedding is the default and exact:
-the length-n covariance is embedded into a 2(n-1)-circulant whose FFT gives
-the sampling spectrum.  Moving-average truncation runs only when a plan
-asks for it; its order rests on a tail bound that FARIMA and infinite
-rational filters only estimate, the latter as the ARMA autocovariance does.
+Two samplers are available.  Circulant embedding is the default and exact
+for every model: the length-n covariance is embedded into a 2(n-1)-circulant
+whose FFT gives the sampling spectrum, and an embedding with a negative
+eigenvalue is doubled until it has none (Wood & Chan 1994; fractional noise
+never needs it, Craigmile 2003).  Moving-average truncation runs only when a
+plan asks for it, and only on short-memory models; its order rests on a tail
+bound that infinite rational filters only estimate, as the ARMA
+autocovariance does.
 
 Randomness is counter-based: each replication draws from its own Philox
 stream keyed by (seed, replication index), so row r depends only on
@@ -26,10 +29,10 @@ draws normals and runs FFTs, but the scorer's ``paths @ w`` holds it on a
 block of 500 rows or fewer.  Each range draws a row's normals once and, per
 embedding length, transforms its blocks in place and hands each block's
 paths to a visitor: :func:`simulate` copies them out, :func:`empirical_mses`
-scores them, so it never builds an array of paths.  The threads share one
-temporary-memory budget and write into buffers the calling thread allocated,
-so temporaries stay bounded and the output does not depend on the number of
-threads.  MA truncation stays on the calling thread: its rows are short, so
+scores them and copies out only one length's paths a caller asks for.  The
+threads share one temporary-memory budget and write into buffers the calling
+thread allocated, so temporaries stay bounded and the output does not depend
+on the number of threads.  MA truncation stays on the calling thread: its rows are short, so
 time under the GIL dominates and threads slowed it down.  It fills row
 blocks of at most ``_BLOCK_BYTES``, one draw of n + order normals per row,
 and filters each block with one ``np.vecdot`` over its sliding windows: one
@@ -48,8 +51,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CertificationError, NumericError
 from .predict import PredictorWeights
-from .process import (DEFAULT_ACVF_TOL, FARIMA, FRAC_NOISE, MA, ProcessModel, _ma_series,
-                      _psi_series, _stuck_rational_tail, _tail_sq_bound, acvf, ma_coeffs)
+from .process import (DEFAULT_ACVF_TOL, MA, ProcessModel, _ma_series, _psi_series,
+                      _stuck_rational_tail, _tail_sq_bound, acvf, ma_coeffs)
 
 __all__ = [
     "CIRCULANT_EMBEDDING",
@@ -64,6 +67,7 @@ CIRCULANT_EMBEDDING = "circulant_embedding"
 MA_TRUNCATION = "ma_truncation"
 
 _EIGENVALUE_TOL_REL = 1e-10
+_MAX_EMBEDDING = 1 << 21
 _MAX_MA_ORDER = 1 << 21
 # complex temporaries of all circulant-embedding blocks in flight, split
 # evenly across the threads; the normals each block is assembled from take
@@ -77,9 +81,9 @@ class SimulationPlan:
     """Reproducible description of a batch of Gaussian sample paths.
 
     ``ma_cov_tol`` bounds the MA-truncation sampler's covariance error
-    relative to sigma(0), by an estimate for FARIMA and, as for the ARMA
-    autocovariance, for infinite rational filters (:func:`_ma_tail_sq_bound`);
-    a tolerance no order meets raises a :class:`~longpred.errors.CertificationError`.
+    relative to sigma(0), by an estimate for infinite rational filters
+    (:func:`_ma_tail_sq_bound`); a tolerance no order meets raises a
+    ``CertificationError``, and a model with a memory parameter ``ValueError``.
     """
 
     model: ProcessModel
@@ -94,6 +98,8 @@ class SimulationPlan:
             raise ValueError("length and replications must be >= 1")
         if self.method not in (CIRCULANT_EMBEDDING, MA_TRUNCATION):
             raise ValueError(f"unknown simulation method {self.method!r}")
+        if self.method == MA_TRUNCATION and self.model.d is not None:
+            raise ValueError(f"{MA_TRUNCATION} samples short-memory models only")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         if not 0.0 < self.ma_cov_tol < math.inf:
@@ -180,10 +186,7 @@ def _circulant_pass(model: ProcessModel, lengths: list[int], reps: int, seed: in
     exact paths of length ``lengths[i]`` of each row block, from worker
     threads; blocks are disjoint row ranges.
     """
-    amps = []
-    for n in lengths:
-        m = max(2 * n - 2, 1)  # n = 1 embeds into the 1-circulant (sigma(0))
-        amps.append(np.sqrt(_circulant_spectrum(model, n) / m))
+    amps = [np.sqrt(lam / lam.size) for lam in (_circulant_spectrum(model, n) for n in lengths)]
 
     # one thread per CPU, at most one per block of the whole budget; the
     # threads then split the budget, and each takes a run of whole blocks
@@ -212,36 +215,27 @@ def _circulant_pass(model: ProcessModel, lengths: list[int], reps: int, seed: in
 
 
 def _circulant_spectrum(model: ProcessModel, n: int) -> np.ndarray:
-    g = np.asarray(acvf(model, n - 1).prefix(n - 1))
-    c = np.concatenate([g, g[n - 2: 0: -1]])
-    lam = np.fft.fft(c).real
-    floor = -_EIGENVALUE_TOL_REL * g[0]
-    if np.min(lam) < floor:
-        raise NumericError(
-            f"circulant embedding produced eigenvalue {np.min(lam):.3e}, "
-            "beyond the nonnegativity tolerance")
-    return np.maximum(lam, 0.0)
+    """Eigenvalues, those within tolerance of 0 set to 0, of the first nonnegative
+    circulant of sigma(0..half), half = (n - 1) 2^j (Wood & Chan 1994)."""
+    half = n - 1
+    while True:
+        g = np.asarray(acvf(model, half).prefix(half))
+        lam = np.fft.fft(np.concatenate([g, g[half - 1: 0: -1]])).real
+        if np.min(lam) >= -_EIGENVALUE_TOL_REL * g[0]:
+            return np.maximum(lam, 0.0)
+        if half == 0 or 4 * half > _MAX_EMBEDDING:  # the 1-circulant cannot grow
+            raise NumericError(f"circulant embedding of length {2 * half} produced eigenvalue "
+                               f"{np.min(lam):.3e}, beyond the nonnegativity tolerance")
+        half *= 2
 
 
 def _ma_tail_sq_bound(model: ProcessModel, order: int) -> float | None:
-    """Bound on sum_{m > order} b_m^2, or None: proven for a finite MA and
-    fractional noise, estimated for FARIMA, and for an infinite rational
-    filter by the estimates the ARMA autocovariance certifies its tail with."""
+    """Bound on sum_{m > order} b_m^2 of a short-memory model, or None: proven
+    for a finite MA, and for an infinite rational filter by the estimates the
+    ARMA autocovariance certifies its tail with."""
     support = model.finite_ma_support
     if support is not None:
         return 0.0 if order >= support else None
-    if model.kind in (FRAC_NOISE, FARIMA):
-        # |b_m| <= c m^(d-1) past order: fractional noise's b_m m^(1-d) rises
-        # to 1/Gamma(d); FARIMA's c is the largest on [order/2, order]
-        d = model.d
-        if model.kind == FRAC_NOISE:
-            c = 1.0 / math.gamma(d)
-        else:
-            half = order // 2
-            b = ma_coeffs(model, order).prefix(order)
-            j = np.arange(half, order + 1, dtype=float)
-            c = float(np.max(np.abs(b[half:]) * j ** (1.0 - d)))
-        return c * c * order ** (2.0 * d - 1.0) / (1.0 - 2.0 * d)
     # the block estimate, or, once the squares underflow, the L1 tail T of the
     # filter expansion: sum_{m > order} b_m^2 <= T^2 when that stops by b_order
     b = _ma_series(model.ma_filter, order)
@@ -319,7 +313,8 @@ def _estimate(errs: np.ndarray, noise_variance: float) -> McEstimate:
                       replications=r)
 
 
-def empirical_mses(plan: SimulationPlan, weights) -> list[McEstimate]:
+def empirical_mses(plan: SimulationPlan, weights,
+                   paths_out: np.ndarray | None = None) -> list[McEstimate]:
     """Monte-Carlo squared prediction error of each weight vector, in order,
     on the plan's replications at length k + h (``plan.length`` is not read).
 
@@ -328,9 +323,11 @@ def empirical_mses(plan: SimulationPlan, weights) -> list[McEstimate]:
     over the rows of ``simulate(replace(plan, length=k + h))``.  Both
     samplers hand the paths of each distinct length to one scoring visitor.
     The circulant sampler draws each row's normals once for every length
-    and scores every weight vector on row blocks, so no array of paths is
-    built; MA truncation simulates each distinct length once and scores all
-    its rows in one block.
+    and scores every weight vector on row blocks, so it builds no array of
+    paths but ``paths_out``; MA truncation simulates each distinct length
+    once and scores all its rows in one block.  ``paths_out``, of shape
+    (replications, n) for a length n = k + h of the weights (another n raises
+    ``ValueError``), receives the rows that length is scored on.
     """
     if plan.replications < 30:  # McEstimate's floor, checked before any draw
         raise ValueError("reported estimates need at least 30 replications")
@@ -341,16 +338,19 @@ def empirical_mses(plan: SimulationPlan, weights) -> list[McEstimate]:
     if not weights:
         return []
     errs = np.empty((len(weights), plan.replications))
-    groups = list(by_length.values())
+    lengths, groups = list(by_length), list(by_length.values())
+    kept = -1 if paths_out is None else lengths.index(paths_out.shape[1])
     s2 = plan.model.noise_variance
 
     def score(i: int, lo: int, paths: np.ndarray) -> None:
+        if i == kept:
+            paths_out[lo:lo + len(paths)] = paths
         for j in groups[i]:
             errs[j, lo:lo + len(paths)] = _squared_errors(paths, weights[j], s2)
 
     if plan.method == MA_TRUNCATION:
-        for i, n in enumerate(by_length):
+        for i, n in enumerate(lengths):
             score(i, 0, simulate(replace(plan, length=n)))
     else:
-        _circulant_pass(plan.model, list(by_length), plan.replications, plan.seed, score)
+        _circulant_pass(plan.model, lengths, plan.replications, plan.seed, score)
     return [_estimate(e, s2) for e in errs]

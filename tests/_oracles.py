@@ -10,8 +10,9 @@ entries to production kernels, the spectral-contrast MSE, the closed-form
 fractional-noise fit, the direct truncation excess, decay-rate diagnostics
 and a reader for the CSVs the commands write.  Later sections compute
 references to 60 digits with the standard library's ``decimal``, exact
-power series of rational filters with ``fractions``, and proven normwise
-bounds on a computed Toeplitz solve against the 60-digit references.
+power series and autocovariances of rational filters with ``fractions``,
+and proven normwise bounds on a computed Toeplitz solve against the
+60-digit references.
 """
 
 from __future__ import annotations
@@ -205,13 +206,27 @@ def arma_acvf_brute(phi: float, theta: float, n: int, s2: float = 1.0) -> np.nda
     return out
 
 
+def reference_circulant_spectrum(model: ProcessModel, half: int) -> np.ndarray | None:
+    """Eigenvalues of the circulant of sigma(0..half), of length 2 half (1 for
+    half = 0), with those within 1e-10 sigma(0) below zero set to 0, or None
+    where one is lower: at half = n - 1, the minimal embedding the sampler
+    took before it grew embeddings."""
+    g = np.asarray(acvf(model, half).prefix(half))
+    lam = np.fft.fft(np.concatenate([g, g[half - 1: 0: -1]])).real
+    if np.min(lam) < -1e-10 * g[0]:
+        return None
+    return np.maximum(lam, 0.0)
+
+
 def per_row_paths(plan) -> np.ndarray:
     """Sample paths of a ``SimulationPlan`` drawn one replication at a time.
 
     Row r draws from a freshly constructed ``Philox(key=[seed, r])``
     generator; circulant embedding takes one single-row FFT per
-    replication, MA truncation one ``np.convolve`` at the order the sampler
-    computes for the plan.  The production sampler must match it bit for bit.
+    replication, of the first of the embeddings of sigma(0..(n - 1) 2^j),
+    j = 0, 1, ..., that is nonnegative; MA truncation one ``np.convolve`` at
+    the order the sampler computes for the plan.  The production sampler
+    must match it bit for bit.
     """
     n, reps = plan.length, plan.replications
     out = np.empty((reps, n))
@@ -221,13 +236,15 @@ def per_row_paths(plan) -> np.ndarray:
         return np.random.Generator(np.random.Philox(key=key))
 
     if plan.method == "circulant_embedding":
-        g = np.asarray(acvf(plan.model, n - 1).prefix(n - 1))
         if n == 1:
+            sigma0 = acvf(plan.model, 0)[0]
             for r in range(reps):
-                out[r, 0] = math.sqrt(g[0]) * stream(r).standard_normal()
+                out[r, 0] = math.sqrt(sigma0) * stream(r).standard_normal()
             return out
-        m = 2 * n - 2
-        lam = np.maximum(np.fft.fft(np.concatenate([g, g[n - 2: 0: -1]])).real, 0.0)
+        half = n - 1
+        while (lam := reference_circulant_spectrum(plan.model, half)) is None:
+            half *= 2
+        m = 2 * half
         amp = np.sqrt(lam / m)
         for r in range(reps):
             rng = stream(r)
@@ -256,23 +273,6 @@ def reference_circulant_rows(lengths, amps, seed, start, stop, normals, z, visit
             zb *= amp
             np.fft.fft(zb, axis=1, out=zb)
             visit(i, lo, zb.real[:, :lengths[i]])
-
-
-def reference_power_tail_sq_bound(model: ProcessModel, order: int) -> float:
-    """The MA sampler's power-law tail bound on sum_{m > order} b_m^2 for
-    fractional noise and FARIMA, one branch per kind, written out apart from
-    ``sim._ma_tail_sq_bound``."""
-    if model.kind == "frac_noise":
-        d = model.d
-        c = 1.0 / math.gamma(d)
-        return c * c * order ** (2.0 * d - 1.0) / (1.0 - 2.0 * d)
-    assert model.kind == "farima"
-    d = model.d
-    b = ma_coeffs(model, order).prefix(order)
-    half = order // 2
-    j = np.arange(half, order + 1, dtype=float)
-    c = float(np.max(np.abs(b[half:]) * j ** (1.0 - d)))
-    return c * c * order ** (2.0 * d - 1.0) / (1.0 - 2.0 * d)
 
 
 # -- bitwise references: Levinson loops and series divisions written out apart
@@ -853,6 +853,41 @@ def fraction_rational_series(num, den, n: int) -> list[Fraction]:
         v = num[j] if j < len(num) else Fraction(0)
         c.append(v - sum(den[i] * c[j - i] for i in range(1, min(j, len(den) - 1) + 1)))
     return c
+
+
+def fraction_arma_acvf(model: ProcessModel, n: int) -> list[Fraction]:
+    """sigma(0)..sigma(n) of a generic model (ARMA, finite MA, white noise)
+    exactly, at the exact binary values of its float coefficients.
+
+    With den = (1, -phi_1, .., -phi_p), num = (1, theta_1, .., theta_q) and
+    psi = num/den, Brockwell & Davis (1991, section 3.3) give
+    sum_i den_i sigma(k - i) = s2 sum_{j=k..q} num_j psi_{j-k} for every
+    k >= 0, with sigma(-l) = sigma(l).  The equations k = 0..p are solved for
+    sigma(0..p) by exact elimination; the rest run as a recursion.
+    """
+    num, den = ([Fraction(float(v)) for v in c] for c in model.ma_filter)
+    p, s2 = len(den) - 1, Fraction(model.noise_variance)
+    psi = fraction_rational_series(*model.ma_filter, len(num) - 1)
+    rhs = [s2 * sum((num[j] * psi[j - k] for j in range(k, len(num))), Fraction(0))
+           for k in range(max(n, p) + 1)]
+    # the p + 1 equations in sigma(0..p), eliminated in place, then solved back
+    rows = [[Fraction(0)] * (p + 1) + [rhs[k]] for k in range(p + 1)]
+    for k in range(p + 1):
+        for i in range(p + 1):
+            rows[k][abs(k - i)] += den[i]
+    for c in range(p + 1):
+        pivot = next(r for r in range(c, p + 1) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(c + 1, p + 1):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    sigma = [Fraction(0)] * (p + 1)
+    for c in range(p, -1, -1):
+        sigma[c] = (rows[c][p + 1] - sum(rows[c][i] * sigma[i] for i in range(c + 1, p + 1))) \
+            / rows[c][c]
+    for k in range(p + 1, n + 1):
+        sigma.append(rhs[k] - sum(den[i] * sigma[k - i] for i in range(1, p + 1)))
+    return sigma[:n + 1]
 
 
 # -- proven normwise bounds on a computed Toeplitz solve

@@ -156,7 +156,7 @@ def test_montecarlo_z_scores(tmp_path):
 def test_montecarlo_keys_each_row_stream_once(tmp_path, monkeypatch):
     # one draw per row serves every horizon: a circulant run keys each
     # row's stream once and builds no array of paths
-    from longpred import cli, sim
+    from longpred import sim
     keyed, simulated = [], []
     streams = sim._streams
 
@@ -165,7 +165,7 @@ def test_montecarlo_keys_each_row_stream_once(tmp_path, monkeypatch):
         return streams(seed, start, stop)
 
     monkeypatch.setattr(sim, "_streams", counted)
-    monkeypatch.setattr(cli, "simulate", simulated.append)
+    monkeypatch.setattr(sim, "simulate", simulated.append)
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text("h_grid = 5,1,2\nreps = 60\nk = 10\n")
     assert run(["montecarlo", "--config", cfgfile, "--out", tmp_path / "o"]) == 0
@@ -173,42 +173,102 @@ def test_montecarlo_keys_each_row_stream_once(tmp_path, monkeypatch):
     assert simulated == []
 
 
-def test_montecarlo_dump_paths_simulates_first_horizon_once(tmp_path, monkeypatch):
-    from longpred import cli
-    calls = []
-    simulate = cli.simulate
+def _dump_draws(tmp_path, monkeypatch, config):
+    """Rows keyed and lengths simulated by ``montecarlo`` without and with
+    ``dump_paths`` (h = 2, 1 at k = 10, 60 replications, seed 7), the dumped
+    paths and the dump's plan."""
+    from longpred import sim
+    from longpred.sim import SimulationPlan
+    keyed, simulated = [], []
+    streams, simulate = sim._streams, sim.simulate
 
-    def counted(plan):
-        calls.append(plan)
+    def counted_streams(seed, start, stop):
+        keyed.extend(range(start, stop))
+        return streams(seed, start, stop)
+
+    def counted_simulate(plan):
+        simulated.append(plan.length)
         return simulate(plan)
 
-    monkeypatch.setattr(cli, "simulate", counted)
+    monkeypatch.setattr(sim, "_streams", counted_streams)
+    monkeypatch.setattr(sim, "simulate", counted_simulate)
     cfgfile = tmp_path / "c.cfg"
-    cfgfile.write_text("h_grid = 2,1\nreps = 60\nk = 10\nseed = 7\n")
     plain, dumped = tmp_path / "plain", tmp_path / "dumped"
-    assert run(["montecarlo", "--config", cfgfile, "--out", plain]) == 0
-    assert calls == []
-    with open(cfgfile, "a") as f:
-        f.write("dump_paths = true\n")
-    assert run(["montecarlo", "--config", cfgfile, "--out", dumped]) == 0
-    assert [plan.length for plan in calls] == [12]
-    # the dump is the first horizon's paths, drawn one row at a time as
-    # before, and leaves the estimates' bytes alone
-    _, arr = rows_as_floats(dumped / "paths.csv")
-    assert np.array_equal(arr, per_row_paths(calls[0]))
+    draws = []
+    for out, dump in ((plain, ""), (dumped, "dump_paths = true\n")):
+        cfgfile.write_text(config + "h_grid = 2,1\nreps = 60\nk = 10\nseed = 7\n" + dump)
+        keyed.clear()
+        simulated.clear()
+        assert run(["montecarlo", "--config", cfgfile, "--out", out]) == 0
+        draws.append((sorted(keyed), simulated[:]))
+    # the dump leaves the estimates' bytes alone
     assert (plain / "montecarlo.csv").read_bytes() == (dumped / "montecarlo.csv").read_bytes()
+    cfg = load_config(cfgfile)
+    plan = SimulationPlan(cfg.model(), length=12, replications=60, seed=7, method=cfg.sim_method)
+    return draws, rows_as_floats(dumped / "paths.csv")[1], plan
+
+
+def test_montecarlo_dump_paths_simulates_first_horizon_once(tmp_path, monkeypatch):
+    # the dump is copied from the scoring pass: each row's stream is keyed
+    # once, dump or not, and no array of paths is simulated for it; the dump
+    # is the first horizon's paths, drawn one row at a time as before
+    draws, paths, plan = _dump_draws(tmp_path, monkeypatch, "")
+    assert draws == [(list(range(60)), [])] * 2
+    assert np.array_equal(paths, per_row_paths(plan))
+
+
+def test_montecarlo_dump_paths_ma_truncation_simulates_each_length_once(tmp_path,
+                                                                        monkeypatch):
+    # MA truncation dumps the array it simulated for the first horizon
+    draws, paths, plan = _dump_draws(
+        tmp_path, monkeypatch, "kind = arma\nar = 0.5\nsim_method = ma_truncation\n")
+    assert draws == [(sorted(list(range(60)) * 2), [12, 11])] * 2
+    assert np.array_equal(paths, per_row_paths(plan))
 
 
 def test_montecarlo_certification_exit_code(tmp_path, capsys):
+    # near a unit root the MA series' tail outruns every order up to the cap
     cfgfile = tmp_path / "c.cfg"
-    cfgfile.write_text("sim_method = ma_truncation\nreps = 30\nk = 5\n")
-    assert run(["montecarlo", "--config", cfgfile, "--out", tmp_path / "o",
-                "--d", "0.3"]) == 2
+    cfgfile.write_text("kind = arma\nar = 0.999999\nsim_method = ma_truncation\n"
+                       "reps = 30\nk = 5\n")
+    assert run(["montecarlo", "--config", cfgfile, "--out", tmp_path / "o"]) == 2
     line = capsys.readouterr().err.strip()
     assert line.startswith("longpred: numeric certification failure: ")
     # the bound reached, above the 1e-6 requested, ends the line
     _, sep, bound = line.rpartition("; achieved_bound ")
     assert sep and float(bound) > 1e-6
+
+
+@pytest.mark.parametrize("config", ("", "kind = farima\nd = 0.2\nar = 0.5\n"),
+                         ids=("frac_noise", "farima"))
+def test_montecarlo_refuses_ma_truncation_for_long_memory(tmp_path, capsys, monkeypatch,
+                                                          config):
+    # exit 1 from the configuration, before any sequence or draw
+    from longpred import sim
+
+    def spy(*args):
+        raise AssertionError("a sequence or a draw was computed")
+
+    monkeypatch.setattr(cli, "_sequences", spy)
+    monkeypatch.setattr(sim, "_streams", spy)
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(config + "sim_method = ma_truncation\nreps = 30\n")
+    assert run(["montecarlo", "--config", cfgfile, "--out", tmp_path / "o"]) == 1
+    assert "short-memory kinds only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, k", [("kind = farima\nd = 0.3\nar = 0.9\n", 10),
+                                       ("kind = farima\nd = 0.45\nma = 0.9\n", 50),
+                                       ("kind = arma\nar = 1.2,-0.5\n", 2)],
+                         ids=("farima_ar0.9", "farima_ma0.9", "ar2"))
+def test_montecarlo_samples_models_whose_minimal_embedding_fails(tmp_path, config, k):
+    # the 2(n - 1) circulant of each has a negative eigenvalue; the grown
+    # embedding samples it at the default 2000 replications
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(config)
+    assert run(["montecarlo", "--k", k, "--config", cfgfile, "--out", tmp_path / "o"]) == 0
+    z = rows_as_floats(tmp_path / "o" / "montecarlo.csv", ["z"])
+    assert len(z) == 2 and np.all(np.abs(z) <= 5.0)
 
 
 def test_montecarlo_path_dump(tmp_path):
@@ -407,7 +467,7 @@ def test_config_rejects_bad_values(tmp_path):
     for text in ("acvf_tol = 0\n", "acvf_tol = -1\n", "acvf_tol = nan\n",
                  "acvf_tol = inf\n", "ma_cov_tol = 0\n", "ma_cov_tol = nan\n",
                  "ma_cov_tol = inf\n"):
-        cfgfile.write_text("sim_method = ma_truncation\n" + text)
+        cfgfile.write_text("kind = arma\nar = 0.5\nsim_method = ma_truncation\n" + text)
         assert main(["montecarlo", "--k", "20", "--reps", "200", "--config", str(cfgfile),
                      "--out", str(tmp_path / "o")]) == 1
     # values the file parser or RunConfig rejects

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import (empirical_mse, per_row_paths, reference_circulant_rows,
-                      reference_power_tail_sq_bound, same_bits)
+                      reference_circulant_spectrum, same_bits)
 from longpred import sim
 from longpred.cli import main
 from longpred.errors import CertificationError, NumericError
@@ -182,6 +182,71 @@ def test_circulant_assembly_matches_copy_copy_product_at_zero_amplitudes(workers
     assert estimates == empirical_mses(plan, weights)
 
 
+# model_zoo's and mc_many_short's models (d from 0.05 to 0.45, FARIMA(1, d, 1)
+# with |ar|, |ma| <= 0.5, ARMA ar = 0.9, a finite MA of four small thetas,
+# white noise), more filters, and those whose minimal embedding fails at a length tried
+_SPECTRUM_MODELS = {
+    **{f"frac_noise_{d}": ProcessModel.frac_noise(d) for d in (0.05, 0.3, 0.45, 0.49)},
+    "farima_0.05_ar0.5_ma-0.5": ProcessModel.farima(0.05, ar=(0.5,), ma=(-0.5,)),
+    "farima_0.45_ar-0.5_ma0.5": ProcessModel.farima(0.45, ar=(-0.5,), ma=(0.5,)),
+    "farima_0.45_ar0.5_ma0.5": ProcessModel.farima(0.45, ar=(0.5,), ma=(0.5,)),
+    "arma_0.9": ProcessModel.arma(ar=(0.9,)),
+    "finite_ma": ProcessModel.generic_ma((1.0, 0.2311, -0.1822, 0.0935, -0.2399)),
+    "white_noise": ProcessModel.white_noise(),
+    "farima_0.3_ar0.9": ProcessModel.farima(0.3, ar=(0.9,)),
+    "farima_0.45_ma0.9": ProcessModel.farima(0.45, ma=(0.9,)),
+    "farima_0.2_ar0.5_ma0.3": ProcessModel.farima(0.2, ar=(0.5,), ma=(0.3,)),
+    "arma_1.2_-0.5": ProcessModel.arma(ar=(1.2, -0.5)),
+}
+_GROWN = {"farima_0.45_ar0.5_ma0.5", "farima_0.3_ar0.9", "farima_0.45_ma0.9",
+          "farima_0.2_ar0.5_ma0.3", "arma_1.2_-0.5"}
+
+
+@pytest.mark.parametrize("name", _SPECTRUM_MODELS)
+def test_circulant_spectrum_is_the_minimal_one_wherever_that_passes(name):
+    # where the 2(n - 1) embedding is nonnegative its spectrum keeps its bits;
+    # elsewhere the embedding doubles to the first nonnegative length
+    model, grown = _SPECTRUM_MODELS[name], 0
+    for n in (1, 2, 3, 5, 11, 21, 26, 51, 201, 205, 210, 220):
+        got = sim._circulant_spectrum(model, n)
+        want = reference_circulant_spectrum(model, n - 1)
+        if want is not None:
+            assert same_bits(got, want), n
+            continue
+        grown += 1
+        half = got.size // 2
+        assert half // (n - 1) in (2, 4, 8, 16, 32, 64) and half % (n - 1) == 0, n
+        assert reference_circulant_spectrum(model, half // 2) is None, n
+        assert same_bits(got, reference_circulant_spectrum(model, half)), n
+    assert (grown > 0) == (name in _GROWN)
+
+
+@pytest.mark.parametrize("model, n, m", [(ProcessModel.farima(0.3, ar=(0.9,)), 11, 80),
+                                         (ProcessModel.arma(ar=(1.2, -0.5)), 3, 16)])
+@pytest.mark.parametrize("workers", (1, 2))
+def test_grown_embedding_matches_per_row_oracle(model, n, m, workers, monkeypatch):
+    # 700 rows of the grown embedding run as two row ranges on two workers
+    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    assert sim._circulant_spectrum(model, n).size == m
+    plan = SimulationPlan(model, length=n, replications=700, seed=2 ** 63 + 5)
+    assert np.array_equal(simulate(plan), per_row_paths(plan))
+
+
+@pytest.mark.parametrize("workers", (1, 3))
+def test_a_grown_length_keeps_the_other_lengths_estimates(workers, monkeypatch):
+    # k + h = 26 embeds at its minimal length 50; k + h = 21 grows from 40 to
+    # 80, so each row draws 160 normals, and the length-26 embedding reads
+    # the first 100 of them, as a plan of that length alone does
+    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    model = ProcessModel.farima(0.3, ar=(0.9,))
+    assert [sim._circulant_spectrum(model, n).size for n in (26, 21)] == [50, 80]
+    weights = _horizon_weights(model, 20, (6, 1))
+    plan = SimulationPlan(model, length=1, replications=300, seed=2 ** 63 + 13)
+    got = empirical_mses(plan, weights)
+    assert got[:2] == empirical_mses(plan, weights[:2])
+    assert got == _per_length(plan, weights)
+
+
 def test_empirical_mses_ma_truncation_simulates_each_length_once(monkeypatch):
     model = ProcessModel.arma(ar=(0.5,), ma=(0.3,))
     weights = _horizon_weights(model, 6, (3, 1))
@@ -215,6 +280,14 @@ def test_empirical_mses_rejects_too_few_replications_before_drawing(method, monk
 def test_empirical_mses_of_no_weights_is_empty():
     assert empirical_mses(SimulationPlan(ProcessModel.frac_noise(0.3), length=1,
                                          replications=30, seed=5), []) == []
+
+
+def test_empirical_mses_keeps_only_a_scored_length():
+    # the kept paths must be one of the lengths scored; checked before any draw
+    model = ProcessModel.frac_noise(0.3)
+    plan = SimulationPlan(model, length=1, replications=30, seed=5)
+    with pytest.raises(ValueError):
+        empirical_mses(plan, _horizon_weights(model, 6, (1,)), np.empty((30, 9)))
 
 
 @pytest.mark.parametrize("workers", (1, 3))
@@ -289,15 +362,6 @@ def test_ma_truncation_temporaries_stay_within_the_block_budget():
     assert peak - out.nbytes <= 1.25 * sim._BLOCK_BYTES
 
 
-@pytest.mark.parametrize("model", (ProcessModel.frac_noise(0.1), ProcessModel.frac_noise(0.3),
-                                   ProcessModel.frac_noise(0.45),
-                                   ProcessModel.farima(0.1, ar=(0.5,), ma=(0.3,))))
-def test_power_tail_bound_matches_per_kind_reference(model):
-    for order in (64 << i for i in range(8)):  # 64 .. 8192
-        got = sim._ma_tail_sq_bound(model, order)
-        assert same_bits(got, reference_power_tail_sq_bound(model, order)), order
-
-
 @pytest.mark.parametrize("length, order", [(51, 204), (2001, 8004)])
 def test_ma_truncation_order_near_unit_root_arma(length, order):
     # at 204 the block test certifies; at 8004 the squared tail underflows and
@@ -345,11 +409,13 @@ def _montecarlo_failure(tmp_path, capsys, config):
 
 def test_circulant_embedding_fails_typed_on_a_negative_eigenvalue(tmp_path, capsys,
                                                                   monkeypatch):
-    # sigma = (1, 0.9, 0, ...), patched in, embeds into a circulant whose
-    # eigenvalues 1 + 1.8 cos(2 pi j / m) reach 1 - 1.8
+    # sigma = (1, 0.9, 0, ...), patched in, embeds into circulants whose
+    # eigenvalues 1 + 1.8 cos(2 pi j / m) reach 1 - 1.8 at every even m, so
+    # the embedding grows to the cap, 16 here, and fails there
     monkeypatch.setattr(sim, "acvf", lambda model, n: CoefSeq(
         model, ACVF, np.concatenate([[1.0, 0.9], np.zeros(n - 1)])))
-    with pytest.raises(NumericError, match="eigenvalue -8.000e-01"):
+    monkeypatch.setattr(sim, "_MAX_EMBEDDING", 16)
+    with pytest.raises(NumericError, match="length 16 produced eigenvalue -8.000e-01"):
         sim._circulant_spectrum(ProcessModel.white_noise(), 3)
     code, line = _montecarlo_failure(tmp_path, capsys, "reps = 30\n")
     assert code == 2 and line.startswith("longpred: numeric certification failure: ")
@@ -451,40 +517,30 @@ def test_ma_truncation_exact_zero_tail_simulates_as_the_finite_list():
 
 
 def test_ma_truncation_rejects_long_memory_at_default_tolerance():
-    # power-law tails cannot be certified at 1e-6 sigma(0) within resource
-    # limits; construction must fail loudly instead of sampling quietly
-    plan = SimulationPlan(ProcessModel.frac_noise(0.3), length=8,
-                          replications=4, seed=3, method=MA_TRUNCATION)
-    with pytest.raises(CertificationError):
-        simulate(plan)
-
-
-def test_ma_truncation_long_memory_loose_tolerance():
-    # at small d and a documented loose tolerance the sampler certifies and
-    # matches the exact sampler within Monte-Carlo error
-    d = 0.1
-    model = ProcessModel.frac_noise(d)
-    k, h, reps = 10, 1, 3000
-    w = truncated_wk_weights_at(ar_coeffs(model, k + h - 1), k, (h,))[0]
-    ce = empirical_mse(simulate(SimulationPlan(model, length=k + h, replications=reps,
-                                               seed=19)), w)
-    ma = empirical_mse(simulate(SimulationPlan(model, length=k + h, replications=reps,
-                                               seed=23, method=MA_TRUNCATION,
-                                               ma_cov_tol=1e-4)), w)
-    assert abs(ce.mean - ma.mean) <= 3.0 * np.hypot(ce.std_error, ma.std_error)
+    # a power-law tail has no certified truncation order at the default
+    # tolerance within resource limits, and circulant embedding samples long
+    # memory exactly: a plan refuses the pair, at any tolerance
+    for model in (ProcessModel.frac_noise(0.3), ProcessModel.farima(0.1, ar=(0.5,), ma=(0.3,))):
+        for tol in (1e-6, 1e-2):
+            with pytest.raises(ValueError, match="short-memory models only"):
+                SimulationPlan(model, length=8, replications=4, seed=3,
+                               method=MA_TRUNCATION, ma_cov_tol=tol)
 
 
 def test_farima_analytic_mse_validated_by_ma_sampler():
-    # the MA-truncation sampler uses only the moving-average stream, so it
-    # cross-checks the filtered-core autocovariance path end to end
+    # paths filtered from the moving-average stream alone, truncated at 1024
+    # terms (a covariance error of about 2e-4 sigma(0), far below the standard
+    # error), cross-check the filtered-core autocovariance path end to end
     model = ProcessModel.farima(0.1, ar=(0.5,), ma=(0.3,))
-    k, h, reps = 15, 2, 3000
+    k, h, reps, order = 15, 2, 3000, 1024
     seq = acvf(model, k + h)
     w = projection_weights_at(seq, k, (h,))[0]
     analytic = mse_of_weights(seq, ma_coeffs(model, h - 1), w).total
-    est = empirical_mse(simulate(SimulationPlan(model, length=k + h, replications=reps,
-                                                seed=61, method=MA_TRUNCATION,
-                                                ma_cov_tol=1e-4)), w)
+    b = np.asarray(ma_coeffs(model, order).prefix(order))
+    rng = np.random.default_rng(61)
+    paths = np.array([np.convolve(rng.standard_normal(k + h + order), b, "valid")
+                      for _ in range(reps)])
+    est = empirical_mse(paths, w)
     assert abs(est.mean - analytic) <= 3.0 * est.std_error
 
 
