@@ -19,32 +19,33 @@ autocovariance does.
 Randomness is counter-based: each replication draws from its own Philox
 stream keyed by (seed, replication index), so row r depends only on
 (seed, r) and results are reproducible regardless of execution order and of
-how the rows are split.  Both samplers fill their row blocks through one
-loop, :func:`_drawn_blocks`, which re-keys one bit generator per row.  A row
-of an embedding of length m reads the first 2m normals of its stream, so one
-draw at the longest embedding holds every shorter one as a prefix.
-Circulant embedding cuts the rows into contiguous ranges on block boundaries
-and runs them on min(CPUs, blocks) threads; numpy releases the GIL while it
-draws normals and runs FFTs, but the scorer's ``paths @ w`` holds it on a
-block of 500 rows or fewer.  Each range draws a row's normals once and, per
-embedding length, transforms its blocks in place and hands each block's
-paths to a visitor: :func:`simulate` copies them out, :func:`empirical_mses`
-scores them and copies out only one length's paths a caller asks for.  The
-threads share one temporary-memory budget and write into buffers the calling
-thread allocated, so temporaries stay bounded and the output does not depend
-on the number of threads.  MA truncation stays on the calling thread: its rows are short, so
-time under the GIL dominates and threads slowed it down.  It fills row
-blocks of at most ``_BLOCK_BYTES``, one draw of n + order normals per row,
-and filters each block with one ``np.vecdot`` over its sliding windows: one
-dot per output, as ``np.convolve`` takes.
+how the rows are split.  Both samplers run through one driver,
+:func:`_row_pass`: min(CPUs, blocks) threads each take the next row block
+from one shared hand-out, draw its rows from one bit generator re-keyed per
+row, and hand the block to the sampler.  numpy releases the GIL while it
+draws normals, runs FFTs and takes dots, but the scorer's ``paths @ w`` holds
+it on a block of 500 rows or fewer.  The threads share one temporary-memory
+budget and write into buffers the calling thread allocated, so temporaries
+stay bounded and no output depends on which thread takes which block.
+
+A row of an embedding of length m reads the first 2m normals of its stream,
+so one draw at the longest embedding holds every shorter one as a prefix.
+Per embedding length, the circulant sampler transforms each block in place
+and hands its paths to a visitor: :func:`simulate` copies them out,
+:func:`empirical_mses` scores them and copies out only one length's paths a
+caller asks for.  MA truncation draws n + order normals per row and filters
+each block with one ``np.vecdot`` over its sliding windows: one dot per
+output, as ``np.convolve`` takes.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -69,10 +70,9 @@ MA_TRUNCATION = "ma_truncation"
 _EIGENVALUE_TOL_REL = 1e-10
 _MAX_EMBEDDING = 1 << 21
 _MAX_MA_ORDER = 1 << 21
-# complex temporaries of all circulant-embedding blocks in flight, split
-# evenly across the threads; the normals each block is assembled from take
-# as much again; the normals of one MA-truncation row block take at most
-# this much, or one row where a row takes more
+# normals of all row blocks in flight, split evenly across the threads, or
+# one row per thread where a row takes more; circulant embedding's complex
+# temporaries take as much again
 _BLOCK_BYTES = 1 << 20
 
 
@@ -137,46 +137,66 @@ def _streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def _drawn_blocks(seed: int, start: int, stop: int,
-                  normals: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(first_row, block)`` for rows start..stop-1, ``len(normals)`` at a
-    time; ``block`` is a view of ``normals`` whose row for r is drawn from (seed, r)."""
-    streams = _streams(seed, start, stop)
-    for lo in range(start, stop, len(normals)):
-        block = normals[:min(len(normals), stop - lo)]
-        for row, rng in zip(block, streams):
-            rng.standard_normal(out=row)
-        yield lo, block
-
-
 def _worker_count() -> int:
-    """CPUs this process may run on; the circulant sampler uses as many
-    threads, but never more than it has row blocks."""
+    """CPUs this process may run on; both samplers use as many threads, but
+    never more than they have row blocks."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         return os.cpu_count() or 1
 
 
-def _circulant_rows(lengths: list[int], amps: list[np.ndarray], seed: int, start: int,
-                    stop: int, normals: np.ndarray, z: np.ndarray, visit) -> None:
-    """Run rows start..stop-1 of the circulant sampler in the caller's buffers.
+def _row_pass(seed: int, reps: int, width: int, scratch: int, run) -> None:
+    """Call ``run(first_row, block, buf)`` on the row blocks of replications
+    0..reps-1 from min(CPUs, blocks) threads, each taking the next block start
+    from one shared hand-out; ``block`` holds ``width`` normals per row from
+    stream (seed, r), and ``buf`` is the thread's own ``scratch`` complex
+    values per block row.  The threads split one budget of normals."""
+    row_bytes = 8 * width
+    workers = min(_worker_count(), -(-reps // max(1, _BLOCK_BYTES // row_bytes)))
+    block = min(reps, max(1, _BLOCK_BYTES // workers // row_bytes))
+    starts, lock = iter(range(0, reps, block)), threading.Lock()
 
-    Each row draws 2 m_max normals from stream (seed, r), once.  Embedding i,
-    of length m = ``amps[i].size``, reads the first m as real parts and the
-    next m as imaginary parts, so every embedding gets exactly the normals a
-    draw at its own length would.  Per embedding both halves are scaled by the
-    amplitudes into a contiguous complex buffer, transformed in place, and the
-    paths of length ``lengths[i]`` are handed to ``visit(i, first_row, paths)``.
+    def work(normals: np.ndarray, buf: np.ndarray) -> None:
+        while True:
+            with lock:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            rows = normals[:min(block, reps - lo)]
+            for row, rng in zip(rows, _streams(seed, lo, lo + len(rows))):
+                rng.standard_normal(out=row)
+            run(lo, rows, buf)
+
+    # imported here: concurrent.futures pulls in logging, about 5 ms and
+    # 0.6 MB that commands which never simulate should not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    # buffers come from the calling thread: allocations made in the workers
+    # would land in per-thread malloc arenas and raise peak RSS
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(work, [np.empty((block, width)) for _ in range(workers)],
+                      [np.empty(block * scratch, dtype=complex) for _ in range(workers)]))
+
+
+def _circulant_block(lengths: list[int], amps: list[np.ndarray], visit, lo: int,
+                     block: np.ndarray, z: np.ndarray) -> None:
+    """Transform one row block of the circulant sampler in the buffer ``z``.
+
+    Each row holds 2 m_max normals.  Embedding i, of length m =
+    ``amps[i].size``, reads the first m as real parts and the next m as
+    imaginary parts, so every embedding gets exactly the normals a draw at its
+    own length would.  Per embedding both halves are scaled by the amplitudes
+    into a contiguous complex buffer, transformed in place, and the paths of
+    length ``lengths[i]`` are handed to ``visit(i, lo, paths)``.
     """
-    for lo, block in _drawn_blocks(seed, start, stop, normals):
-        for i, amp in enumerate(amps):
-            m = amp.size
-            zb = z[:len(block) * m].reshape(len(block), m)
-            np.multiply(block[:, :m], amp, out=zb.real)
-            np.multiply(block[:, m:2 * m], amp, out=zb.imag)
-            np.fft.fft(zb, axis=1, out=zb)
-            visit(i, lo, zb.real[:, :lengths[i]])
+    for i, amp in enumerate(amps):
+        m = amp.size
+        zb = z[:len(block) * m].reshape(len(block), m)
+        np.multiply(block[:, :m], amp, out=zb.real)
+        np.multiply(block[:, m:2 * m], amp, out=zb.imag)
+        np.fft.fft(zb, axis=1, out=zb)
+        visit(i, lo, zb.real[:, :lengths[i]])
 
 
 def _circulant_pass(model: ProcessModel, lengths: list[int], reps: int, seed: int,
@@ -184,34 +204,11 @@ def _circulant_pass(model: ProcessModel, lengths: list[int], reps: int, seed: in
     """Run replications 0..reps-1 through the circulant embedding of every
     length in ``lengths``, calling ``visit(i, first_row, paths)`` with the
     exact paths of length ``lengths[i]`` of each row block, from worker
-    threads; blocks are disjoint row ranges.
+    threads.
     """
     amps = [np.sqrt(lam / lam.size) for lam in (_circulant_spectrum(model, n) for n in lengths)]
-
-    # one thread per CPU, at most one per block of the whole budget; the
-    # threads then split the budget, and each takes a run of whole blocks
     m_max = max(amp.size for amp in amps)
-    row_bytes = 16 * m_max
-    workers = min(_worker_count(), -(-reps // max(1, _BLOCK_BYTES // row_bytes)))
-    block = max(1, _BLOCK_BYTES // workers // row_bytes)
-    blocks = -(-reps // block)
-    cuts = [min(reps, block * (i * blocks // workers)) for i in range(workers + 1)]
-    # imported here: concurrent.futures pulls in logging, about 5 ms and
-    # 0.6 MB that commands which never simulate should not pay
-    from concurrent.futures import ThreadPoolExecutor
-
-    futures = []
-    with ThreadPoolExecutor(workers) as pool:
-        for start, stop in zip(cuts, cuts[1:]):
-            # buffers come from the calling thread: allocations made in the
-            # workers would land in per-thread malloc arenas and raise peak RSS
-            rows = min(block, stop - start)
-            normals = np.empty((rows, 2 * m_max))
-            z = np.empty(rows * m_max, dtype=complex)
-            futures.append(pool.submit(_circulant_rows, lengths, amps, seed, start,
-                                       stop, normals, z, visit))
-    for future in futures:
-        future.result()
+    _row_pass(seed, reps, 2 * m_max, m_max, partial(_circulant_block, lengths, amps, visit))
 
 
 def _circulant_spectrum(model: ProcessModel, n: int) -> np.ndarray:
@@ -279,18 +276,18 @@ def simulate(plan: SimulationPlan) -> np.ndarray:
 
         _circulant_pass(plan.model, [n], reps, plan.seed, store)
         return out
-    # MA truncation stays serial: its rows are short, so the work under the
-    # GIL dominates and threads made model_zoo's MA-truncation ops slower
     order = _ma_truncation_order(plan)
     b_rev = ma_coeffs(plan.model, order).prefix(order)[::-1].copy()
     scale = math.sqrt(plan.model.noise_variance)
-    rows = min(reps, max(1, _BLOCK_BYTES // (8 * (n + order))))
-    for lo, block in _drawn_blocks(plan.seed, 0, reps, np.empty((rows, n + order))):
+
+    def convolve(lo: int, block: np.ndarray, _: np.ndarray) -> None:
         block *= scale
         # one ddot per output, as np.convolve(eps, b, "valid") takes; a
         # negative-stride b[::-1] would skip BLAS and move the bits
         np.vecdot(sliding_window_view(block, order + 1, axis=1), b_rev,
                   out=out[lo:lo + len(block)])
+
+    _row_pass(plan.seed, reps, n + order, 0, convolve)
     return out
 
 

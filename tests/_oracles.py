@@ -260,19 +260,18 @@ def per_row_paths(plan) -> np.ndarray:
     return out
 
 
-def reference_circulant_rows(lengths, amps, seed, start, stop, normals, z, visit) -> None:
-    """``sim._circulant_rows`` with each embedding's input assembled by copying
-    the real parts, copying the imaginary parts, then one complex-by-real
-    product with the amplitudes."""
-    for lo, block in sim._drawn_blocks(seed, start, stop, normals):
-        for i, amp in enumerate(amps):
-            m = amp.size
-            zb = z[:len(block) * m].reshape(len(block), m)
-            zb.real = block[:, :m]
-            zb.imag = block[:, m:2 * m]
-            zb *= amp
-            np.fft.fft(zb, axis=1, out=zb)
-            visit(i, lo, zb.real[:, :lengths[i]])
+def reference_circulant_block(lengths, amps, visit, lo, block, z) -> None:
+    """``sim._circulant_block`` with each embedding's input assembled by
+    copying the real parts, copying the imaginary parts, then one
+    complex-by-real product with the amplitudes."""
+    for i, amp in enumerate(amps):
+        m = amp.size
+        zb = z[:len(block) * m].reshape(len(block), m)
+        zb.real = block[:, :m]
+        zb.imag = block[:, m:2 * m]
+        zb *= amp
+        np.fft.fft(zb, axis=1, out=zb)
+        visit(i, lo, zb.real[:, :lengths[i]])
 
 
 # -- bitwise references: Levinson loops and series divisions written out apart
@@ -838,6 +837,41 @@ def decimal_mse_of_weights(sigma: list[Decimal], h: int, w) -> Decimal:
         for s in range(1, k):
             quad += 2 * sigma[s] * sum(x[j] * x[j + s] for j in range(k - s))
         return sigma[0] - 2 * sum(v * g for v, g in zip(x, sigma[h:h + k])) + quad
+
+
+def decimal_farima_acvf(model: ProcessModel, n: int) -> list[Decimal]:
+    """sigma(0..n) of a FARIMA model with at most one AR coefficient to 60
+    significant digits, at the exact binary values of d and the coefficients.
+
+    X is the ARMA filter psi = num/den applied to fractional noise F, so
+    sigma_X(s) = s2 sum_u sigma_F(s - u) r_psi(u), with sigma_F from
+    :func:`decimal_frac_noise` and r_psi the filter's exact lag products
+    (:func:`fraction_arma_acvf` at unit noise).  With den = 1 - phi z,
+    r_psi(u) = r_psi(q) phi^(u - q) for u >= q, and sigma_F(0) bounds every
+    |sigma_F|, so the terms with |u| > U add at most
+    2 s2 sigma_F(0) |r_psi(q)| |phi|^(U + 1 - q) / (1 - |phi|); the sum is
+    cut at the first U >= q where that is below 1e-40.
+    """
+    num, den = model.ma_filter
+    assert len(den) <= 2, "the tail bound needs a first-order denominator"
+    q, phi = len(num) - 1, (abs(Fraction(den[1])) if len(den) == 2 else Fraction(0))
+    arma = ProcessModel.arma(ar=[-c for c in den[1:]], ma=num[1:])
+    s2 = Fraction(model.noise_variance)
+    r_q = abs(fraction_arma_acvf(arma, q)[q])
+    sigma_f0 = Fraction(decimal_frac_noise(model.d, 0)[2][0])
+    u_max = q
+    while 2 * s2 * sigma_f0 * r_q * phi ** (u_max + 1 - q) / (1 - phi) >= Fraction(1, 10 ** 40):
+        u_max += 1
+    r_psi = fraction_arma_acvf(arma, u_max)
+    _, _, sigma_f = decimal_frac_noise(model.d, n + u_max)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r = [Decimal(v.numerator) / Decimal(v.denominator) for v in r_psi]
+        scale = Decimal(model.noise_variance)
+        return [scale * (sigma_f[s] * r[0]
+                         + sum(r[u] * (sigma_f[abs(s - u)] + sigma_f[s + u])
+                               for u in range(1, u_max + 1)))
+                for s in range(n + 1)]
 
 
 # -- exact rational references

@@ -13,8 +13,8 @@ from longpred.process import (ACVF, AR, DEFAULT_ACVF_TOL, MA, ProcessModel, _ma_
                               acvf, ar_coeffs, ma_coeffs)
 from longpred.special import log_gamma_diff
 
-from _oracles import (arma_acvf_brute, brute_orthogonality_sum, decimal_frac_noise,
-                      decimal_log_gamma, decimal_pi, read_csv, reference_block_ratio_acvf,
+from _oracles import (arma_acvf_brute, brute_orthogonality_sum, decimal_farima_acvf,
+                      decimal_frac_noise, decimal_log_gamma, decimal_pi, read_csv, reference_block_ratio_acvf,
                       fraction_arma_acvf, fraction_rational_series, reference_dot_rational_series,
                       reference_filtered_core, reference_lag_products,
                       reference_rational_series, same_bits, verify_decay)
@@ -482,6 +482,39 @@ def test_generic_acvf_within_two_eps_of_exact_equations(model, n):
     eps_sigma0 = Fraction(np.finfo(float).eps) * exact[0]
     got = acvf(model, n).prefix(n)
     assert max(abs(Fraction(float(v)) - e) for v, e in zip(got, exact)) <= 2 * eps_sigma0
+
+
+def test_decimal_farima_acvf_satisfies_the_filter_identity():
+    # (1 - phi B) X = (1 + theta B) F, so filtering sigma_X by the AR operator
+    # on both sides gives sigma_F filtered by the MA operator on both sides
+    d, phi, theta, n = 0.3, 0.5, 0.3, 40
+    x = decimal_farima_acvf(ProcessModel.farima(d, ar=(phi,), ma=(theta,)), n + 1)
+    _, _, f = decimal_frac_noise(d, n + 1)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        p, t = Decimal(phi), Decimal(theta)
+        for s in range(1, n + 1):
+            lhs = (1 + p * p) * x[s] - p * (x[s - 1] + x[s + 1])
+            rhs = (1 + t * t) * f[s] + t * (f[s - 1] + f[s + 1])
+            assert abs(lhs - rhs) <= Decimal("1e-39") * f[0], s
+
+
+@pytest.mark.parametrize("d, ar, ma", [(0.3, 0.5, 0.3), (0.45, -0.5, 0.5), (0.05, 0.5, -0.5)])
+def test_farima_acvf_within_lag_growing_eps_of_60_digit_reference(d, ar, ma):
+    # every lag j <= 300 within (16 + j) eps sigma(0) / 2, the fractional core's
+    # rounding growth; measured at most 0.08, 0.38 and 0.05 (16 + j) eps (4.7,
+    # 33 and 0.8 eps of sigma(0) at worst), far above each certified_tol, which
+    # bounds only the truncated series.  The last two filters cancel to 1, so
+    # those models are fractional noise.
+    n = 300
+    model = ProcessModel.farima(d, ar=(ar,), ma=(ma,))
+    exact = decimal_farima_acvf(model, n)
+    seq = acvf(model, n)
+    errs = np.array([float(abs(Decimal(float(v)) - e) / exact[0])
+                     for v, e in zip(seq.prefix(n), exact)])
+    print(f"FARIMA({d}; ar {ar}, ma {ma}): largest error {errs.max() / EPS:.2f} eps sigma(0), "
+          f"certified_tol {seq.certified_tol:.3g}")
+    assert np.all(errs <= (16 + np.arange(n + 1)) * EPS / 2)
 
 
 @pytest.mark.one_blas_thread

@@ -1,11 +1,13 @@
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from _oracles import (empirical_mse, per_row_paths, reference_circulant_rows,
+from _oracles import (empirical_mse, per_row_paths, reference_circulant_block,
                       reference_circulant_spectrum, same_bits)
 from longpred import sim
 from longpred.cli import main
@@ -78,9 +80,9 @@ def test_circulant_matches_per_row_oracle(n):
 @pytest.mark.parametrize("reps", (700, 10))
 @pytest.mark.parametrize("workers", (1, 2, 3))
 def test_circulant_bytes_do_not_depend_on_worker_count(workers, reps, n, monkeypatch):
-    # with 3 workers, 700 replications run 3 row ranges of 49-row blocks at
-    # n = 221 and 2 ranges at n = 51; the other cells fit in one block, so
-    # they run one range whatever the worker count
+    # with 3 workers, 700 replications run in fifteen 49-row blocks on three
+    # threads at n = 221 and in three blocks on two threads at n = 51; the
+    # other cells fit in one block, so they run one thread whatever the count
     monkeypatch.setattr(sim, "_worker_count", lambda: workers)
     plan = SimulationPlan(ProcessModel.frac_noise(0.3), length=n,
                           replications=reps, seed=2 ** 63 + 5)
@@ -139,7 +141,7 @@ def _per_length(plan, weights):
 def test_empirical_mses_match_per_length_simulations(model, k, horizons, reps, block_rows,
                                                      workers, monkeypatch):
     # 7-row blocks at the longest embedding leave a short last block (one
-    # worker) or 2-row blocks over three uneven row ranges (three workers)
+    # worker) or 2-row blocks that three threads take in turn (three workers)
     monkeypatch.setattr(sim, "_worker_count", lambda: workers)
     if block_rows is not None:
         monkeypatch.setattr(sim, "_BLOCK_BYTES",
@@ -177,7 +179,7 @@ def test_circulant_assembly_matches_copy_copy_product_at_zero_amplitudes(workers
     weights = _horizon_weights(model, 20, (20, 1, 5))
     plan = SimulationPlan(model, length=51, replications=200, seed=2 ** 63 + 7)
     paths, estimates = simulate(plan), empirical_mses(plan, weights)
-    monkeypatch.setattr(sim, "_circulant_rows", reference_circulant_rows)
+    monkeypatch.setattr(sim, "_circulant_block", reference_circulant_block)
     assert same_bits(paths, simulate(plan))
     assert estimates == empirical_mses(plan, weights)
 
@@ -225,8 +227,10 @@ def test_circulant_spectrum_is_the_minimal_one_wherever_that_passes(name):
                                          (ProcessModel.arma(ar=(1.2, -0.5)), 3, 16)])
 @pytest.mark.parametrize("workers", (1, 2))
 def test_grown_embedding_matches_per_row_oracle(model, n, m, workers, monkeypatch):
-    # 700 rows of the grown embedding run as two row ranges on two workers
+    # 700 rows of the grown embedding run in 100-row budgets, blocks that two
+    # workers take in turn
     monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 100 * 16 * m)
     assert sim._circulant_spectrum(model, n).size == m
     plan = SimulationPlan(model, length=n, replications=700, seed=2 ** 63 + 5)
     assert np.array_equal(simulate(plan), per_row_paths(plan))
@@ -245,6 +249,107 @@ def test_a_grown_length_keeps_the_other_lengths_estimates(workers, monkeypatch):
     got = empirical_mses(plan, weights)
     assert got[:2] == empirical_mses(plan, weights[:2])
     assert got == _per_length(plan, weights)
+
+
+_MA_MODELS = ("arma_0.9", "finite_ma", "white_noise")  # model_zoo's MA-truncation models
+
+
+@pytest.mark.parametrize("name", _MA_MODELS)
+@pytest.mark.parametrize("budget", (None, 1))
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_ma_bytes_do_not_depend_on_worker_count(name, budget, workers, monkeypatch):
+    # 2000 rows of length 13 take two or three budgets; a 1-byte budget runs
+    # one row per block
+    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    if budget is not None:
+        monkeypatch.setattr(sim, "_BLOCK_BYTES", budget)
+    plan = SimulationPlan(_SPECTRUM_MODELS[name], length=13, replications=2000, seed=2 ** 63 + 5,
+                          method=MA_TRUNCATION)
+    assert np.array_equal(simulate(plan), per_row_paths(plan))
+
+
+@pytest.mark.parametrize("name", _MA_MODELS)
+@pytest.mark.parametrize("budget", (None, 1))
+@pytest.mark.parametrize("workers", (1, 2))
+def test_ma_empirical_mses_match_per_row_paths(name, budget, workers, monkeypatch):
+    # 700 rows of length up to 40 take two budgets; threads write disjoint
+    # slices of the simulated paths, and switching threads often would
+    # expose a lost or misplaced block
+    model = _SPECTRUM_MODELS[name]
+    weights = _horizon_weights(model, 20, (20, 1, 5))
+    plan = SimulationPlan(model, length=1, replications=700, seed=2 ** 63 + 11,
+                          method=MA_TRUNCATION)
+    expected = [empirical_mse(per_row_paths(replace(plan, length=w.k + w.h)), w)
+                for w in weights]
+    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    if budget is not None:
+        monkeypatch.setattr(sim, "_BLOCK_BYTES", budget)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = empirical_mses(plan, weights)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+
+@pytest.mark.parametrize("workers", (2, 3))
+def test_row_pass_hands_out_every_block_start_once(workers, monkeypatch):
+    # a 6-row budget of 4-normal rows makes 2- or 3-row blocks; each thread
+    # waits on its first block until every thread holds one, so all of them
+    # take blocks from the hand-out at once
+    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 6 * 8 * 4)
+    seed, reps, block = 2 ** 63 + 3, 100, 6 // workers
+    taken, lock, first = [], threading.Lock(), threading.local()
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def run(lo, rows, _):
+        with lock:
+            taken.append((lo, rows.copy(), threading.get_ident()))
+        if not getattr(first, "taken", False):
+            first.taken = True
+            barrier.wait()
+
+    sim._row_pass(seed, reps, 4, 0, run)
+    assert sorted(lo for lo, _, _ in taken) == list(range(0, reps, block))
+    assert len({ident for _, _, ident in taken}) == workers
+    for lo, rows, _ in taken:
+        assert len(rows) == min(block, reps - lo)
+        for r, row in enumerate(rows, start=lo):
+            key = np.array([seed, r], dtype=np.uint64)
+            assert np.array_equal(row, np.random.Generator(np.random.Philox(key=key))
+                                  .standard_normal(4))
+
+
+@pytest.mark.parametrize("method, model", [(CIRCULANT_EMBEDDING, ProcessModel.frac_noise(0.3)),
+                                           (MA_TRUNCATION, ProcessModel.arma(ar=(0.9,)))])
+@pytest.mark.parametrize("workers", (2, 3))
+def test_a_stalled_worker_keeps_the_one_worker_bits(method, model, workers, monkeypatch):
+    # the thread that takes the first block sleeps 20 ms before drawing it,
+    # while the others take the rest of the one-row blocks
+    weights = _horizon_weights(model, 10, (5, 1))
+    plan = SimulationPlan(model, length=15, replications=200, seed=2 ** 63 + 17,
+                          method=method)
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(sim, "_worker_count", lambda: 1)
+    paths, estimates = simulate(plan), empirical_mses(plan, weights)
+    streams, stalled, lock = sim._streams, [], threading.Lock()
+
+    def stall_first(seed, start, stop):
+        with lock:
+            first = not stalled
+            stalled.append(start)
+        if first:
+            time.sleep(0.02)
+        return streams(seed, start, stop)
+
+    monkeypatch.setattr(sim, "_streams", stall_first)
+    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    assert np.array_equal(simulate(plan), paths)
+    assert len(stalled) == plan.replications
+    stalled.clear()
+    assert empirical_mses(plan, weights) == estimates
 
 
 def test_empirical_mses_ma_truncation_simulates_each_length_once(monkeypatch):
@@ -346,20 +451,23 @@ def test_ma_block_bits_match_per_row_oracle_past_blas_split(monkeypatch):
     assert np.array_equal(simulate(plan), per_row_paths(plan))
 
 
-def test_ma_truncation_temporaries_stay_within_the_block_budget():
-    # the normals of all rows at once would take more than 2.5 budgets
+def test_ma_truncation_temporaries_stay_within_the_block_budget(monkeypatch):
+    # the normals of all rows at once would take more than 2.5 budgets; the
+    # threads split one budget
     plan = SimulationPlan(ProcessModel.arma(ar=(0.5,), ma=(0.3,)), length=64,
                           replications=1200, seed=3, method=MA_TRUNCATION)
     order = sim._ma_truncation_order(plan)
     assert 8 * plan.replications * (plan.length + order) > 2.5 * sim._BLOCK_BYTES
-    simulate(plan)  # warm caches outside the traced region
-    tracemalloc.start()
-    try:
-        out = simulate(plan)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - out.nbytes <= 1.25 * sim._BLOCK_BYTES
+    for workers in (1, 2):
+        monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+        simulate(plan)  # warm caches outside the traced region
+        tracemalloc.start()
+        try:
+            out = simulate(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 1.25 * sim._BLOCK_BYTES, workers
 
 
 @pytest.mark.parametrize("length, order", [(51, 204), (2001, 8004)])
