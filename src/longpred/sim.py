@@ -20,13 +20,17 @@ Randomness is counter-based: each replication draws from its own Philox
 stream keyed by (seed, replication index), so row r depends only on
 (seed, r) and results are reproducible regardless of execution order and of
 how the rows are split.  Both samplers run through one driver,
-:func:`_row_pass`: min(CPUs, blocks) threads each take the next row block
-from one shared hand-out, draw its rows from one bit generator re-keyed per
-row, and hand the block to the sampler.  numpy releases the GIL while it
-draws normals, runs FFTs and takes dots, but the scorer's ``paths @ w`` holds
-it on a block of 500 rows or fewer.  The threads share one temporary-memory
-budget and write into buffers the calling thread allocated, so temporaries
-stay bounded and no output depends on which thread takes which block.
+:func:`_row_pass`: each of its workers takes the next row block from one
+shared hand-out, draws its rows from one bit generator re-keyed per row, and
+hands the block to the sampler.  Rows of fewer than ``_THREADED_WIDTH``
+normals run on the calling thread alone: each draw releases the GIL and
+takes it back, so two threads drawing short rows pass it to and fro on every
+row and run slower than one.  Wider rows run on min(CPUs, blocks) threads;
+numpy releases the GIL while it draws normals, runs FFTs and takes dots, but
+the scorer's ``paths @ w`` holds it on a block of 500 rows or fewer.  The
+workers share one temporary-memory budget and write into buffers the
+calling thread allocated, so temporaries stay bounded and no output depends
+on how many workers run or which takes which block.
 
 A row of an embedding of length m reads the first 2m normals of its stream,
 so one draw at the longest embedding holds every shorter one as a prefix.
@@ -70,10 +74,14 @@ MA_TRUNCATION = "ma_truncation"
 _EIGENVALUE_TOL_REL = 1e-10
 _MAX_EMBEDDING = 1 << 21
 _MAX_MA_ORDER = 1 << 21
-# normals of all row blocks in flight, split evenly across the threads, or
-# one row per thread where a row takes more; circulant embedding's complex
-# temporaries take as much again
+# normals of all row blocks in flight, split evenly across the workers (the
+# calling thread alone keeps all of it), or one row per worker where a row
+# takes more; circulant embedding's complex temporaries take as much again
 _BLOCK_BYTES = 1 << 20
+# rows of fewer normals run on the calling thread: at 2000 rows on a 2-core
+# host, two threads lost to one on rows of up to 445 normals on either
+# sampler, were even from 460 to 485 and won from 490 on
+_THREADED_WIDTH = 490
 
 
 @dataclass(frozen=True)
@@ -137,9 +145,12 @@ def _streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on; both samplers use as many threads, but
-    never more than they have row blocks."""
+def _worker_count(width: int) -> int:
+    """Threads for rows of ``width`` normals: 1, the calling thread, below
+    ``_THREADED_WIDTH``, else the CPUs this process may run on; both samplers
+    use as many, but never more than they have row blocks."""
+    if width < _THREADED_WIDTH:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
@@ -147,13 +158,15 @@ def _worker_count() -> int:
 
 
 def _row_pass(seed: int, reps: int, width: int, scratch: int, run) -> None:
-    """Call ``run(first_row, block, buf)`` on the row blocks of replications
-    0..reps-1 from min(CPUs, blocks) threads, each taking the next block start
-    from one shared hand-out; ``block`` holds ``width`` normals per row from
-    stream (seed, r), and ``buf`` is the thread's own ``scratch`` complex
-    values per block row.  The threads split one budget of normals."""
+    """Call ``run(first_row, block, buf)`` on every row block of replications
+    0..reps-1.  Workers take the next block start from one shared hand-out:
+    the calling thread alone when :func:`_worker_count` gives one or the rows
+    fit one block, else that many threads, at most one per block.  ``block``
+    holds ``width`` normals per row from stream (seed, r), and ``buf`` is the
+    worker's own ``scratch`` complex values per block row.  The workers split
+    one budget of normals; an exception raised in ``run`` reaches the caller."""
     row_bytes = 8 * width
-    workers = min(_worker_count(), -(-reps // max(1, _BLOCK_BYTES // row_bytes)))
+    workers = min(_worker_count(width), -(-reps // max(1, _BLOCK_BYTES // row_bytes)))
     block = min(reps, max(1, _BLOCK_BYTES // workers // row_bytes))
     starts, lock = iter(range(0, reps, block)), threading.Lock()
 
@@ -168,8 +181,11 @@ def _row_pass(seed: int, reps: int, width: int, scratch: int, run) -> None:
                 rng.standard_normal(out=row)
             run(lo, rows, buf)
 
+    if workers == 1:  # no pool, so no thread starts
+        work(np.empty((block, width)), np.empty(block * scratch, dtype=complex))
+        return
     # imported here: concurrent.futures pulls in logging, about 5 ms and
-    # 0.6 MB that commands which never simulate should not pay
+    # 0.6 MB that commands which never run threads should not pay
     from concurrent.futures import ThreadPoolExecutor
 
     # buffers come from the calling thread: allocations made in the workers
@@ -203,8 +219,8 @@ def _circulant_pass(model: ProcessModel, lengths: list[int], reps: int, seed: in
                     visit) -> None:
     """Run replications 0..reps-1 through the circulant embedding of every
     length in ``lengths``, calling ``visit(i, first_row, paths)`` with the
-    exact paths of length ``lengths[i]`` of each row block, from worker
-    threads.
+    exact paths of length ``lengths[i]`` of each row block, from
+    :func:`_row_pass`'s workers.
     """
     amps = [np.sqrt(lam / lam.size) for lam in (_circulant_spectrum(model, n) for n in lengths)]
     m_max = max(amp.size for amp in amps)

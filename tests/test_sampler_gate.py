@@ -12,6 +12,7 @@ has mean 0 and variance 1 (the empirical standard error would track the
 skewed mean and bias z low).  Each column of 200 z_a values must keep its
 mean, its variance and its share of |z_a| > 3 inside bounds set around the
 values the circulant sampler gives today; two wrong models must fail it.
+MA truncation meets the same bounds on its three model_zoo models.
 """
 
 import math
@@ -23,7 +24,7 @@ from longpred.fit import projection_weights_at
 from longpred.mse import mse_of_weights
 from longpred.predict import truncated_wk_weights_at
 from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
-from longpred.sim import SimulationPlan, empirical_mses
+from longpred.sim import CIRCULANT_EMBEDDING, MA_TRUNCATION, SimulationPlan, empirical_mses
 
 K, HORIZONS, REPS = 50, (1, 5), 400
 SEEDS = range(200)
@@ -32,7 +33,11 @@ COLUMNS = ("truncated_wk h=1", "truncated_wk h=5", "projection h=1", "projection
 # Measured over the seven models below: column means -0.051..0.020, variances
 # 0.765..1.153, shares of |z_a| > 3 at most 0.010 (2 of 200 seeds).  The
 # standard error of a column mean over 200 seeds is about 0.07 and of a
-# variance about 0.1, so each bound sits 2-4 standard errors out.
+# variance about 0.1, so each bound sits 2-4 standard errors out.  MA
+# truncation on its three models gave means -0.115..-0.003, variances
+# 0.855..0.945 and no |z_a| > 3; its h = 1 columns agree across the three to
+# three digits, since each one-step error is about the one innovation that
+# the same normals give every model.
 MEAN_BOUND = 0.2
 VARIANCE_RANGE = (0.6, 1.4)
 TAIL_SHARE_BOUND = 0.03
@@ -50,15 +55,17 @@ MODELS = {
 }
 
 
-def z_columns(model, drawn=None):
+def z_columns(model, drawn=None, method=CIRCULANT_EMBEDDING):
     """z_a of each predictor column (in ``COLUMNS`` order) per seed, scored
-    against ``model`` on paths drawn from ``drawn`` (``model`` by default)."""
+    against ``model`` on paths ``method`` draws from ``drawn`` (``model`` by
+    default)."""
     g = acvf(model, K + max(HORIZONS))
     weights = (truncated_wk_weights_at(ar_coeffs(model, K + max(HORIZONS) - 1), K, HORIZONS)
                + projection_weights_at(g, K, HORIZONS))
     mse = np.array([mse_of_weights(g, ma_coeffs(model, w.h - 1), w).total for w in weights])
     means = np.array([[est.mean for est in empirical_mses(
-        SimulationPlan(drawn or model, length=1, replications=REPS, seed=seed), weights)]
+        SimulationPlan(drawn or model, length=1, replications=REPS, seed=seed, method=method),
+        weights)]
         for seed in SEEDS])
     return (means - mse) / (mse * math.sqrt(2.0 / REPS))
 
@@ -81,6 +88,19 @@ def gate_failures(z):
 @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
 def test_circulant_sampler_passes_the_gate(model):
     assert gate_failures(z_columns(model)) == []
+
+
+# model_zoo's MA-truncation models: a first-order AR, a finite MA, white noise
+MA_MODELS = {
+    "arma_ar0.9": MODELS["arma_ar0.9"],
+    "finite_ma_4": MODELS["finite_ma_4"],
+    "white_noise": ProcessModel.white_noise(),
+}
+
+
+@pytest.mark.parametrize("model", MA_MODELS.values(), ids=MA_MODELS.keys())
+def test_ma_truncation_sampler_passes_the_gate(model):
+    assert gate_failures(z_columns(model, method=MA_TRUNCATION)) == []
 
 
 def test_gate_catches_a_two_percent_noise_variance_error():

@@ -1,8 +1,11 @@
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,9 +84,10 @@ def test_circulant_matches_per_row_oracle(n):
 @pytest.mark.parametrize("workers", (1, 2, 3))
 def test_circulant_bytes_do_not_depend_on_worker_count(workers, reps, n, monkeypatch):
     # with 3 workers, 700 replications run in fifteen 49-row blocks on three
-    # threads at n = 221 and in three blocks on two threads at n = 51; the
-    # other cells fit in one block, so they run one thread whatever the count
-    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    # threads at n = 221 and in three blocks on two threads at n = 51, whose
+    # 200-normal rows the width rule alone would keep on the calling thread;
+    # the other cells fit in one block, so they run one thread whatever the count
+    monkeypatch.setattr(sim, "_worker_count", lambda _: workers)
     plan = SimulationPlan(ProcessModel.frac_noise(0.3), length=n,
                           replications=reps, seed=2 ** 63 + 5)
     assert np.array_equal(simulate(plan), per_row_paths(plan))
@@ -94,7 +98,7 @@ def test_circulant_bytes_do_not_depend_on_worker_count(workers, reps, n, monkeyp
 @pytest.mark.parametrize("block_rows", (1, 3))
 def test_circulant_block_edges_match_per_row_oracle(n, block_rows, monkeypatch):
     # one worker keeps the whole budget, so blocks hold block_rows rows
-    monkeypatch.setattr(sim, "_worker_count", lambda: 1)
+    monkeypatch.setattr(sim, "_worker_count", lambda _: 1)
     monkeypatch.setattr(sim, "_BLOCK_BYTES", block_rows * 16 * (2 * n - 2))
     plan = SimulationPlan(ProcessModel.frac_noise(0.2), length=n,
                           replications=10, seed=4)
@@ -103,9 +107,10 @@ def test_circulant_block_edges_match_per_row_oracle(n, block_rows, monkeypatch):
 
 @pytest.mark.parametrize("workers", (1, 3))
 def test_circulant_temporaries_stay_within_the_block_budget(workers, monkeypatch):
-    # the threads split one budget: the blocks' complex values and the
-    # normals they are assembled from take 2 * _BLOCK_BYTES in all
-    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    # the workers split one budget (one worker, on the calling thread, keeps
+    # all of it): the blocks' complex values and the normals they are
+    # assembled from take 2 * _BLOCK_BYTES in all
+    monkeypatch.setattr(sim, "_worker_count", lambda _: workers)
     plan = SimulationPlan(ProcessModel.frac_noise(0.3), length=221,
                           replications=700, seed=3)
     simulate(plan)  # warm caches outside the traced region
@@ -142,7 +147,7 @@ def test_empirical_mses_match_per_length_simulations(model, k, horizons, reps, b
                                                      workers, monkeypatch):
     # 7-row blocks at the longest embedding leave a short last block (one
     # worker) or 2-row blocks that three threads take in turn (three workers)
-    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    monkeypatch.setattr(sim, "_worker_count", lambda _: workers)
     if block_rows is not None:
         monkeypatch.setattr(sim, "_BLOCK_BYTES",
                             block_rows * 16 * (2 * (k + max(horizons)) - 2))
@@ -174,7 +179,7 @@ def test_circulant_assembly_matches_copy_copy_product_at_zero_amplitudes(workers
         return lam
 
     monkeypatch.setattr(sim, "_circulant_spectrum", with_zeros)
-    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    monkeypatch.setattr(sim, "_worker_count", lambda _: workers)
     model = ProcessModel.frac_noise(0.3)
     weights = _horizon_weights(model, 20, (20, 1, 5))
     plan = SimulationPlan(model, length=51, replications=200, seed=2 ** 63 + 7)
@@ -229,7 +234,7 @@ def test_circulant_spectrum_is_the_minimal_one_wherever_that_passes(name):
 def test_grown_embedding_matches_per_row_oracle(model, n, m, workers, monkeypatch):
     # 700 rows of the grown embedding run in 100-row budgets, blocks that two
     # workers take in turn
-    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    monkeypatch.setattr(sim, "_worker_count", lambda _: workers)
     monkeypatch.setattr(sim, "_BLOCK_BYTES", 100 * 16 * m)
     assert sim._circulant_spectrum(model, n).size == m
     plan = SimulationPlan(model, length=n, replications=700, seed=2 ** 63 + 5)
@@ -241,7 +246,7 @@ def test_a_grown_length_keeps_the_other_lengths_estimates(workers, monkeypatch):
     # k + h = 26 embeds at its minimal length 50; k + h = 21 grows from 40 to
     # 80, so each row draws 160 normals, and the length-26 embedding reads
     # the first 100 of them, as a plan of that length alone does
-    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    monkeypatch.setattr(sim, "_worker_count", lambda _: workers)
     model = ProcessModel.farima(0.3, ar=(0.9,))
     assert [sim._circulant_spectrum(model, n).size for n in (26, 21)] == [50, 80]
     weights = _horizon_weights(model, 20, (6, 1))
@@ -259,8 +264,9 @@ _MA_MODELS = ("arma_0.9", "finite_ma", "white_noise")  # model_zoo's MA-truncati
 @pytest.mark.parametrize("workers", (1, 2, 3))
 def test_ma_bytes_do_not_depend_on_worker_count(name, budget, workers, monkeypatch):
     # 2000 rows of length 13 take two or three budgets; a 1-byte budget runs
-    # one row per block
-    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    # one row per block; the patched count runs threads on these 77-normal
+    # rows, which the width rule alone keeps on the calling thread
+    monkeypatch.setattr(sim, "_worker_count", lambda _: workers)
     if budget is not None:
         monkeypatch.setattr(sim, "_BLOCK_BYTES", budget)
     plan = SimulationPlan(_SPECTRUM_MODELS[name], length=13, replications=2000, seed=2 ** 63 + 5,
@@ -281,7 +287,7 @@ def test_ma_empirical_mses_match_per_row_paths(name, budget, workers, monkeypatc
                           method=MA_TRUNCATION)
     expected = [empirical_mse(per_row_paths(replace(plan, length=w.k + w.h)), w)
                 for w in weights]
-    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    monkeypatch.setattr(sim, "_worker_count", lambda _: workers)
     if budget is not None:
         monkeypatch.setattr(sim, "_BLOCK_BYTES", budget)
     interval = sys.getswitchinterval()
@@ -297,8 +303,9 @@ def test_ma_empirical_mses_match_per_row_paths(name, budget, workers, monkeypatc
 def test_row_pass_hands_out_every_block_start_once(workers, monkeypatch):
     # a 6-row budget of 4-normal rows makes 2- or 3-row blocks; each thread
     # waits on its first block until every thread holds one, so all of them
-    # take blocks from the hand-out at once
-    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    # take blocks from the hand-out at once (the patched count overrides the
+    # width rule, which runs such narrow rows on the calling thread)
+    monkeypatch.setattr(sim, "_worker_count", lambda _: workers)
     monkeypatch.setattr(sim, "_BLOCK_BYTES", 6 * 8 * 4)
     seed, reps, block = 2 ** 63 + 3, 100, 6 // workers
     taken, lock, first = [], threading.Lock(), threading.local()
@@ -332,7 +339,7 @@ def test_a_stalled_worker_keeps_the_one_worker_bits(method, model, workers, monk
     plan = SimulationPlan(model, length=15, replications=200, seed=2 ** 63 + 17,
                           method=method)
     monkeypatch.setattr(sim, "_BLOCK_BYTES", 1)
-    monkeypatch.setattr(sim, "_worker_count", lambda: 1)
+    monkeypatch.setattr(sim, "_worker_count", lambda _: 1)
     paths, estimates = simulate(plan), empirical_mses(plan, weights)
     streams, stalled, lock = sim._streams, [], threading.Lock()
 
@@ -345,11 +352,136 @@ def test_a_stalled_worker_keeps_the_one_worker_bits(method, model, workers, monk
         return streams(seed, start, stop)
 
     monkeypatch.setattr(sim, "_streams", stall_first)
-    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    monkeypatch.setattr(sim, "_worker_count", lambda _: workers)
     assert np.array_equal(simulate(plan), paths)
     assert len(stalled) == plan.replications
     stalled.clear()
     assert empirical_mses(plan, weights) == estimates
+
+
+def _cpus(monkeypatch, count):
+    """Make ``_worker_count`` see ``count`` CPUs, whatever this host has."""
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda _: set(range(count)), raising=False)
+
+
+def test_worker_count_reads_only_the_row_width(monkeypatch):
+    # model_zoo's rows (200 and 255 normals) take one thread, mc_many_short's
+    # (876) one per CPU
+    _cpus(monkeypatch, 4)
+    assert [sim._worker_count(w) for w in (1, 200, 255, 489)] == [1, 1, 1, 1]
+    assert [sim._worker_count(w) for w in (490, 876, 2000)] == [4, 4, 4]
+
+
+def _drawn(seed, lo, width):
+    return (np.random.Generator(np.random.Philox(key=np.array([seed, lo], dtype=np.uint64)))
+            .standard_normal(width))
+
+
+def test_narrow_row_pass_runs_on_the_calling_thread(monkeypatch):
+    # 255-normal rows in 3-row blocks at 4 CPUs: every block runs on the
+    # calling thread, in order, and no thread starts
+    _cpus(monkeypatch, 4)
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 3 * 8 * 255)
+
+    def no_thread(self):
+        raise AssertionError("a thread started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    seed, taken = 2 ** 63 + 3, []
+    sim._row_pass(seed, 20, 255, 0,
+                  lambda lo, rows, _: taken.append((lo, rows[0].copy(), threading.get_ident())))
+    assert [lo for lo, _, _ in taken] == list(range(0, 20, 3))
+    assert {ident for _, _, ident in taken} == {threading.get_ident()}
+    for lo, row, _ in taken:
+        assert np.array_equal(row, _drawn(seed, lo, 255))
+
+
+def test_wide_row_pass_runs_on_two_threads_at_two_cpus(monkeypatch):
+    # rows of the narrowest threaded width in 3-row blocks: each thread waits
+    # on its first block until the other holds one, so both draw at once
+    _cpus(monkeypatch, 2)
+    width = sim._THREADED_WIDTH
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 6 * 8 * width)
+    seed, taken, lock, first = 2 ** 63 + 3, [], threading.Lock(), threading.local()
+    barrier = threading.Barrier(2, timeout=30)
+
+    def run(lo, rows, _):
+        with lock:
+            taken.append((lo, rows[0].copy(), threading.get_ident()))
+        if not getattr(first, "taken", False):
+            first.taken = True
+            barrier.wait()
+
+    sim._row_pass(seed, 30, width, 0, run)
+    assert sorted(lo for lo, _, _ in taken) == list(range(0, 30, 3))
+    idents = {ident for _, _, ident in taken}
+    assert len(idents) == 2 and threading.get_ident() not in idents
+    for lo, row, _ in taken:
+        assert np.array_equal(row, _drawn(seed, lo, width))
+
+
+@pytest.mark.parametrize("workers", (None, 2))
+def test_row_pass_raises_what_run_raises(workers, monkeypatch):
+    # on the calling thread (the width rule) and from a pool of two threads
+    if workers is not None:
+        monkeypatch.setattr(sim, "_worker_count", lambda _: workers)
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 3 * 8 * 255)
+
+    def run(lo, rows, _):
+        if lo == 9:
+            raise ZeroDivisionError(f"block {lo}")
+
+    with pytest.raises(ZeroDivisionError, match="block 9"):
+        sim._row_pass(5, 20, 255, 0, run)
+
+
+def test_narrow_ma_pass_stays_within_the_block_budget():
+    # model_zoo's MA-truncation shape: 2000 rows of 51 + 204 normals on the
+    # calling thread; all rows at once would take more than 2.5 budgets
+    plan = SimulationPlan(ProcessModel.arma(ar=(0.9,)), length=51, replications=2000, seed=3,
+                          method=MA_TRUNCATION)
+    width = plan.length + sim._ma_truncation_order(plan)
+    assert width == 255 and sim._worker_count(width) == 1
+    assert 8 * plan.replications * width > 2.5 * sim._BLOCK_BYTES
+    simulate(plan)  # warm caches outside the traced region
+    tracemalloc.start()
+    try:
+        out = simulate(plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 1.25 * sim._BLOCK_BYTES
+
+
+_MONTECARLO_MODULES = """
+import sys
+from longpred.cli import main
+for k, cfg, out in zip(*[iter(sys.argv[1:])] * 3):
+    assert main(["montecarlo", "--k", k, "--config", cfg, "--out", out]) == 0
+print("concurrent.futures" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("runs, threaded", [
+    # model_zoo's montecarlo ops on ARMA ar 0.9 (MA truncation, rows of 255
+    # normals) and FARIMA (circulant embedding, rows of 200)
+    ((("50", "kind = arma\nar = 0.9\nsim_method = ma_truncation\n"),
+      ("50", "kind = farima\nd = 0.3\nar = 0.5\nma = 0.3\n")), False),
+    # mc_many_short's shape: rows of 876 normals
+    ((("200", "kind = frac_noise\nd = 0.3\nh_grid = 1,5,10,20\nreps = 3000\n"),), True),
+], ids=["narrow", "wide"])
+def test_montecarlo_loads_a_thread_pool_only_for_wide_rows(runs, threaded, tmp_path):
+    if threaded and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: wide rows run on the calling thread too")
+    args = []
+    for i, (k, text) in enumerate(runs):
+        (tmp_path / f"{i}.cfg").write_text(text)
+        args += [k, str(tmp_path / f"{i}.cfg"), str(tmp_path / f"out{i}")]
+    env = {**os.environ, "PYTHONPATH": str(Path(sim.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", _MONTECARLO_MODULES, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == str(threaded)
 
 
 def test_empirical_mses_ma_truncation_simulates_each_length_once(monkeypatch):
@@ -399,7 +531,7 @@ def test_empirical_mses_keeps_only_a_scored_length():
 def test_empirical_mses_temporaries_stay_within_the_block_budget(workers, monkeypatch):
     # the scorer keeps the squared errors and one budget of row blocks; the
     # paths of one horizon alone would take more than 2.5 budgets
-    monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+    monkeypatch.setattr(sim, "_worker_count", lambda _: workers)
     model, k, reps = ProcessModel.frac_noise(0.3), 200, 2000
     weights = _horizon_weights(model, k, (1, 5, 10, 20))
     plan = SimulationPlan(model, length=1, replications=reps, seed=3)
@@ -459,7 +591,7 @@ def test_ma_truncation_temporaries_stay_within_the_block_budget(monkeypatch):
     order = sim._ma_truncation_order(plan)
     assert 8 * plan.replications * (plan.length + order) > 2.5 * sim._BLOCK_BYTES
     for workers in (1, 2):
-        monkeypatch.setattr(sim, "_worker_count", lambda: workers)
+        monkeypatch.setattr(sim, "_worker_count", lambda _: workers)
         simulate(plan)  # warm caches outside the traced region
         tracemalloc.start()
         try:
