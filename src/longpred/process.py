@@ -39,9 +39,10 @@ Every lag autocorrelation sum_m b_m b_{m+s}, of an MA series, of the FARIMA
 filter or of predictor weights (``mse``), is taken by ``_lag_products``: one
 ``np.correlate``, or one dot per lag when few lags of a long series are
 asked for; a second correlation filters the FARIMA core's autocovariance.
-FARIMA autocovariances, and ARMA ones whose series sticks at subnormal values
-before the block-ratio tail test passes, take a tail estimate, not a proof,
-from the filter's root modulus (``_certified_rational_series``).
+Every autocovariance's dropped tail is an estimate, not a proof: an ARMA
+series' from the block ratio of its squares (``_tail_sq_bound``), which reads
+no tail once those squares are 0.0 in float64, the FARIMA filter's from its
+root modulus (``_certified_rational_series``).
 """
 
 from __future__ import annotations
@@ -274,17 +275,6 @@ def _certified_rational_series(num: Sequence[float], den: Sequence[float],
         f"within {_SERIES_MAX_TERMS} terms")
 
 
-def _stuck_rational_tail(den: Sequence[float], b: np.ndarray) -> bool:
-    """Whether every square of the second half of the series prefix ``b``
-    underflows while ``b`` does not end in len(den) exact zeros.
-
-    Squares underflow from some index L on, and the values reach their floor
-    by about 2L < b.size: exact zeros, or subnormals the recursion rounds back
-    to (ar = 0.9 sticks at 2.5e-323), which never pass a block-ratio test.
-    """
-    return not np.any(b[(b.size - 1) // 2:] ** 2) and bool(np.any(b[-len(den):]))
-
-
 def _lag_products(b: np.ndarray, s2: float, n: int) -> np.ndarray:
     """s2 * sum_m b_m b_{m+s} for lags s = 0..n, 0 past the last lag of b:
     one ``np.correlate`` (b.size^2 products), or one dot per lag, the same
@@ -300,12 +290,14 @@ def _lag_products(b: np.ndarray, s2: float, n: int) -> np.ndarray:
 
 
 def _tail_sq_bound(b: np.ndarray) -> float | None:
-    """Estimate of sum_{m > M} b_m^2 from the prefix's last two quarter blocks."""
+    """Estimate of sum_{m > M} b_m^2 from the prefix's last two quarter blocks;
+    0.0 once every square from the half point on is 0.0 in float64: exact
+    zeros, underflow, or a subnormal the series sticks at (ar = 0.9)."""
     m = b.size - 1
     half, three_q = m // 2, (3 * m) // 4
     s1 = float(np.sum(b[half: three_q] ** 2))
     s2 = float(np.sum(b[three_q:] ** 2))
-    if s2 == 0.0 and np.all(b[half:] == 0.0):
+    if s1 == s2 == 0.0:
         return 0.0
     if s1 > 0.0 and s2 < 0.7 * s1:
         q = s2 / s1  # blockwise geometric decay of the squared tail
@@ -388,14 +380,14 @@ def _psi_series(model: ProcessModel, kind: str, tol: float) -> tuple[np.ndarray,
 
 
 def _filter_tail_tol(psi: np.ndarray, psi_tail: float, core0: float, sigma0: float,
-                     tol: float, what: str) -> float:
-    """Relative error bound for an autocovariance whose filter lost the L1
-    tail ``psi_tail``; ``core0`` is the variance of the filtered core."""
+                     tol: float) -> float:
+    """Relative error bound for a FARIMA autocovariance whose filter lost the
+    L1 tail ``psi_tail``; ``core0`` is the variance of the fractional core."""
     l1 = float(np.sum(np.abs(psi)))
     achieved = (2.0 * psi_tail * l1 + psi_tail ** 2) * core0 / sigma0
     if achieved > tol:
         raise CertificationError(
-            f"{what} autocovariance accuracy not certified below {tol:g}",
+            f"FARIMA autocovariance accuracy not certified below {tol:g}",
             achieved_bound=achieved)
     return achieved
 
@@ -414,7 +406,7 @@ def _farima(model: ProcessModel, kind: str, n: int, tol: float) -> tuple[np.ndar
     gbar = np.concatenate([half[:0:-1], half])  # lags -p..p, index m+p
     folded = sig_f[np.abs(n + p - np.arange(n + 2 * p + 1))]
     out = np.correlate(folded, gbar, "valid")[::-1]
-    return out, _filter_tail_tol(psi, psi_tail, sig_f[0], out[0], tol, "FARIMA")
+    return out, _filter_tail_tol(psi, psi_tail, sig_f[0], out[0], tol)
 
 
 def _generic_acvf(model: ProcessModel, n: int, tol: float) -> tuple[np.ndarray, float]:
@@ -425,21 +417,17 @@ def _generic_acvf(model: ProcessModel, n: int, tol: float) -> tuple[np.ndarray, 
         return _lag_products(_ma_series(model.ma_filter, support), s2, n), 0.0
     # infinite series: extend until the estimated tail of
     # sum_m b_m b_{m+s} drops below tol * sigma(0)
-    den = model.ma_filter[1]
     m = max(4 * (n + 1), 1024)
     while True:
         b = _ma_series(model.ma_filter, m)
         sigma0 = s2 * float(np.dot(b, b))
         tail_sq = _tail_sq_bound(b)
         if tail_sq is not None and s2 * tail_sq <= tol * sigma0:
+            if tail_sq == 0.0 and b[-1]:
+                # no tail but no trailing zeros: sum up to the last nonzero square
+                b = b[:np.flatnonzero(b * b)[-1] + 1]
             out = _lag_products(b, s2, n)
             return out, s2 * tail_sq / out[0]
-        if tail_sq is None and _stuck_rational_tail(den, b):
-            # no longer prefix passes the block test: estimate from the
-            # filter's root modulus instead
-            psi, psi_tail = _psi_series(model, ACVF, tol)
-            out = _lag_products(psi, s2, n)
-            return out, _filter_tail_tol(psi, psi_tail, s2, out[0], tol, "ARMA")
         if m >= _MAX_MA_TERMS:
             achieved = (s2 * tail_sq / sigma0) if tail_sq is not None else None
             raise CertificationError(

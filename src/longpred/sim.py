@@ -56,8 +56,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CertificationError, NumericError
 from .predict import PredictorWeights
-from .process import (DEFAULT_ACVF_TOL, MA, ProcessModel, _ma_series, _psi_series,
-                      _stuck_rational_tail, _tail_sq_bound, acvf, ma_coeffs)
+from .process import ProcessModel, _ma_series, _tail_sq_bound, acvf, ma_coeffs
 
 __all__ = [
     "CIRCULANT_EMBEDDING",
@@ -244,19 +243,13 @@ def _circulant_spectrum(model: ProcessModel, n: int) -> np.ndarray:
 
 def _ma_tail_sq_bound(model: ProcessModel, order: int) -> float | None:
     """Bound on sum_{m > order} b_m^2 of a short-memory model, or None: proven
-    for a finite MA, and for an infinite rational filter by the estimates the
-    ARMA autocovariance certifies its tail with."""
+    for a finite MA; for an infinite rational filter, the ARMA
+    autocovariance's block estimate on b_0..b_order, 0.0 once the squares
+    from its half point on are 0."""
     support = model.finite_ma_support
     if support is not None:
         return 0.0 if order >= support else None
-    # the block estimate, or, once the squares underflow, the L1 tail T of the
-    # filter expansion: sum_{m > order} b_m^2 <= T^2 when that stops by b_order
-    b = _ma_series(model.ma_filter, order)
-    tail_sq = _tail_sq_bound(b)
-    if tail_sq is not None or not _stuck_rational_tail(model.ma_filter[1], b):
-        return tail_sq
-    psi, psi_tail = _psi_series(model, MA, DEFAULT_ACVF_TOL)
-    return psi_tail ** 2 if psi.size <= order + 1 else None
+    return _tail_sq_bound(_ma_series(model.ma_filter, order))
 
 
 def _ma_truncation_order(plan: SimulationPlan) -> int:

@@ -6,8 +6,10 @@ import pytest
 from longpred.asymptotics import (improvement_ratio, rate_fit,
                                   truncation_constant)
 from longpred.errors import ModelError
-from longpred.mse import error_decomposition
-from longpred.process import ProcessModel
+from longpred.fit import projection_weights_at
+from longpred.mse import error_decomposition, mse_of_weights
+from longpred.predict import truncated_wk_weights_at
+from longpred.process import ProcessModel, acvf, ar_coeffs, ma_coeffs
 
 from _oracles import fitted_ar_mse, truncated_one_step_excess
 
@@ -186,9 +188,48 @@ def test_both_excess_constants_by_richardson_extrapolation(d):
     assert np.max(np.abs(_richardson2(ar) - 1.0)) <= 1e-9
 
 
+# (T bound, A bound) per horizon, each about twice the largest value the six
+# models below gave: T 9.55e-7, 9.20e-7 and 1.40e-6, A 1.40e-8, 1.02e-7 and
+# 5.53e-7 at h = 1, 5 and 10 (FARIMA(0.3; ar 0.5) and, for T at h = 10,
+# FARIMA(0.2; ar -0.5, ma 0.3)); the remainder grows with h / k
+LAW_BOUNDS = {1: (2e-6, 3e-8), 5: (2e-6, 2e-7), 10: (3e-6, 1.2e-6)}
+LAW_MODELS = {
+    "frac_noise_0.1": ProcessModel.frac_noise(0.1, noise_variance=2.0),
+    "frac_noise_0.3": ProcessModel.frac_noise(0.3, noise_variance=2.0),
+    "frac_noise_0.45": ProcessModel.frac_noise(0.45, noise_variance=2.0),
+    "farima_0.3_ar0.5": ProcessModel.farima(0.3, ar=(0.5,), noise_variance=2.0),
+    "farima_0.2_ar-0.5_ma0.3": ProcessModel.farima(0.2, ar=(-0.5,), ma=(0.3,),
+                                                   noise_variance=2.0),
+    "farima_0.45_ma0.5": ProcessModel.farima(0.45, ma=(0.5,), noise_variance=2.0),
+}
+
+
+@pytest.mark.parametrize("name", LAW_MODELS)
+def test_both_laws_at_every_horizon_by_richardson_extrapolation(name):
+    # k * T_h -> C(d) S_h and k * A_h -> d^2 S_h, S_h = s2 (sum_{l<h} b_l)^2,
+    # for T_h and A_h the truncated-WK and projection excesses at horizon h;
+    # raw at k = 4096 the ratios sit 1e-5 to 2.1e-3 from 1, about in
+    # proportion to h
+    model = LAW_MODELS[name]
+    ks, horizons = np.array([512, 1024, 2048, 4096]), tuple(LAW_BOUNDS)
+    n = int(ks[-1]) + max(horizons)
+    g, a, b = acvf(model, n), ar_coeffs(model, n), ma_coeffs(model, max(horizons) - 1)
+    excess = np.array([[[mse_of_weights(g, b, w).excess for w in pair]
+                        for pair in zip(truncated_wk_weights_at(a, int(k), horizons),
+                                        projection_weights_at(g, int(k), horizons))]
+                       for k in ks])  # axes: k, h, (T, A)
+    d = model.d
+    for i, h in enumerate(horizons):
+        s_h = model.noise_variance * float(np.sum(b.prefix(h - 1))) ** 2
+        trunc = ks * excess[:, i, 0] / (truncation_constant(d) * s_h)
+        ar = ks * excess[:, i, 1] / (d * d * s_h)
+        t_bound, a_bound = LAW_BOUNDS[h]
+        assert np.max(np.abs(_richardson2(trunc) - 1.0)) <= t_bound, h
+        assert np.max(np.abs(_richardson2(ar) - 1.0)) <= a_bound, h
+
+
 def test_infinite_past_gap_rate_in_h():
     from longpred.mse import infinite_past_mse
-    from longpred.process import acvf, ma_coeffs
 
     d = 0.3
     model = ProcessModel.frac_noise(d)

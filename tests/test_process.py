@@ -522,16 +522,18 @@ def test_farima_acvf_within_lag_growing_eps_of_60_digit_reference(d, ar, ma):
 @pytest.mark.parametrize("ar, ma", [((0.9,), ()), ((0.5, -0.2), (0.4,)),
                                     ((0.99,), ()), ((0.999,), ())])
 def test_arma_acvf_bitwise_matches_block_ratio_loop(ar, ma, n):
-    # where the block test certifies, the root-modulus fallback never runs
+    # the reference never cuts the series: at n = 1024, ar = 0.9 reads no
+    # tail and drops the products past b_3536, each too small to move a bit
     seq = acvf(ProcessModel.arma(ar=ar, ma=ma), n)
     want, want_tol = reference_block_ratio_acvf(ProcessModel.arma(ar=ar, ma=ma), n)
     assert same_bits(seq.prefix(n), want)
     assert seq.certified_tol == want_tol
 
 
-def test_arma_near_unit_root_certified_from_root_modulus(monkeypatch):
-    # ar = 0.9: the MA series sticks at the subnormal 2.5e-323 from j ~ 6724,
-    # so the squared tail underflows and only the root-modulus certificate holds
+def test_arma_near_unit_root_cuts_the_tail_its_squares_underflow(monkeypatch):
+    # ar = 0.9: every square of b_j underflows past j = 3536 and the series
+    # sticks at the subnormal 2.5e-323 from j ~ 6724, so the first block-test
+    # prefix reads no tail and the lag products stop at b_3536
     model = ProcessModel.arma(ar=(0.9,))
     asked = []
 
@@ -542,13 +544,31 @@ def test_arma_near_unit_root_certified_from_root_modulus(monkeypatch):
     monkeypatch.setattr(process, "_ma_series", counted)
     n = 4096
     seq = acvf(model, n)
-    assert max(asked) <= 4 * (n + 1)  # one block-test prefix, no doubling
-    assert 0.0 < seq.certified_tol <= 1e-10
+    assert asked == [4 * (n + 1)]  # one block-test prefix, no doubling
+    assert seq.certified_tol == 0.0
     got = seq.prefix(n)
     want = 0.9 ** np.arange(n + 1) / 0.19
-    # the certificate covers the dropped tail; allow a few ulp of rounding
-    slack = seq.certified_tol + 32 * np.finfo(float).eps
-    assert np.max(np.abs(got - want)) <= slack * got[0]
+    eps = np.finfo(float).eps
+    # measured 2.28 eps sigma(0) at worst; per lag 14.1 eps of itself up to
+    # lag 3382, past which the cut drops 0.81^(3537 - s) of sigma(s)
+    assert np.max(np.abs(got[:3537] - want[:3537])) <= 32 * eps * got[0]
+    assert np.max(np.abs(got[:3001] / want[:3001] - 1.0)) <= 32 * eps
+    assert got[3536] > 0.0 and not np.any(got[3537:])
+
+
+def test_tail_sq_bound_reads_no_tail_once_every_square_is_zero():
+    # exact zeros (ar = 0), squares that underflow while the values decay to
+    # exact zeros (ARMA(0.5, -0.2; 0.4) from j ~ 462 on, zeros from j ~ 925),
+    # and values stuck at a subnormal (ar = 0.9)
+    exact = _ma_series(ProcessModel.arma(ar=(0.0,), ma=(0.5,)).ma_filter, 64)
+    decaying = _ma_series(ProcessModel.arma(ar=(0.5, -0.2), ma=(0.4,)).ma_filter, 1024)
+    stuck = _ma_series(ProcessModel.arma(ar=(0.9,)).ma_filter, 16388)
+    assert not np.any(exact[32:]) and np.any(decaying[512:]) and decaying[-1] == 0.0
+    assert stuck[-1] == 2.5e-323
+    for b in (exact, decaying, stuck):
+        assert process._tail_sq_bound(b) == 0.0
+    # one square left in the last quarter block keeps an estimate
+    assert process._tail_sq_bound(np.concatenate([stuck, [1e-160]])) is None
 
 
 @pytest.mark.parametrize("args", [["coeffs", "--n", "4096"], ["fit", "--k", "2000"]])
@@ -560,7 +580,7 @@ def test_arma_near_unit_root_commands_succeed(tmp_path, args):
     if args[0] == "coeffs":
         comments, _, rows = read_csv(out / "coeffs_acvf.csv")
         tol = float(next(c for c in comments if c.startswith("certified_tol:")).split()[1])
-        assert 0.0 < tol <= 1e-10 and len(rows) == 4097
+        assert tol == 0.0 and len(rows) == 4097
 
 
 # closer to the unit root the MA series outruns 2^21 terms: at 0.999999 the
@@ -704,13 +724,14 @@ def test_lag_kernel_farima_acvf_matches_gather_loop(ar, p, n):
 
 @pytest.mark.one_blas_thread
 def test_lag_kernel_stuck_arma_matches_dot_loop():
-    # ar = 0.9 at n = 2500 sticks and takes the root-modulus filter, which
-    # ends at lag 1024: the kernel writes zeros past it
+    # ar = 0.9 at n = 4096 reads no tail and cuts its series at the last
+    # nonzero square, b_3536: the kernel writes zeros past that lag
     model = ProcessModel.arma(ar=(0.9,))
-    n = 2500
-    psi, _ = process._psi_series(model, ACVF, DEFAULT_ACVF_TOL)
-    assert psi.size - 1 < n
-    assert same_bits(acvf(model, n).prefix(n), reference_lag_products(psi, 1.0, n))
+    n = 4096
+    b = _ma_series(model.ma_filter, 4 * (n + 1))
+    cut = b[:np.flatnonzero(b * b)[-1] + 1]
+    assert cut.size == 3537 and b[-1] != 0.0
+    assert same_bits(acvf(model, n).prefix(n), reference_lag_products(cut, 1.0, n))
 
 
 @pytest.mark.one_blas_thread

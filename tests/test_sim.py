@@ -604,8 +604,8 @@ def test_ma_truncation_temporaries_stay_within_the_block_budget(monkeypatch):
 
 @pytest.mark.parametrize("length, order", [(51, 204), (2001, 8004)])
 def test_ma_truncation_order_near_unit_root_arma(length, order):
-    # at 204 the block test certifies; at 8004 the squared tail underflows and
-    # the filter expansion's L1 tail certifies the first order tried
+    # at 204 the block test certifies; at 8004 every square past the half
+    # point underflows, so the first order tried reads no tail
     plan = SimulationPlan(ProcessModel.arma(ar=(0.9,)), length=length,
                           replications=30, seed=1, method=MA_TRUNCATION)
     assert sim._ma_truncation_order(plan) == order
@@ -638,6 +638,22 @@ def test_ma_truncation_order_table(ar, ma, length, tol, order):
     assert sim._ma_truncation_order(plan) == order
 
 
+@pytest.mark.parametrize("ar, ma, length, order", [
+    # the series sticks at a subnormal before each first order, whose block
+    # test reads no tail: the orders a root-modulus fallback took before
+    ((0.9,), (), 1700, 6800), ((0.9,), (), 2000, 8000), ((0.9,), (), 5000, 20000),
+    ((0.95,), (), 4000, 16000), ((1.6, -0.8), (), 3000, 12000),
+    ((0.99,), (), 20000, 80000),
+    # squares that underflow past the half point of a series that ends in
+    # exact zeros read no tail too: the order no longer doubles (2400, 3200)
+    ((0.5, -0.2), (0.4,), 300, 1200), ((0.5, -0.2), (0.4,), 400, 1600),
+], ids=str)
+def test_ma_truncation_order_once_the_squares_underflow(ar, ma, length, order):
+    plan = SimulationPlan(ProcessModel.arma(ar=ar, ma=ma), length=length, replications=30,
+                          seed=1, method=MA_TRUNCATION)
+    assert sim._ma_truncation_order(plan) == order
+
+
 def _montecarlo_failure(tmp_path, capsys, config):
     """Exit code and stderr line of ``montecarlo --k 10`` on a config file."""
     cfgfile = tmp_path / "c.cfg"
@@ -662,17 +678,15 @@ def test_circulant_embedding_fails_typed_on_a_negative_eigenvalue(tmp_path, caps
     assert line.endswith("beyond the nonnegativity tolerance")
 
 
-def test_ma_truncation_fails_typed_when_the_filter_expansion_outruns_every_order(
+def test_ma_truncation_fails_typed_when_no_order_has_a_tail_estimate(
         tmp_path, capsys, monkeypatch):
-    # an MA series flat at 1e-170 and a filter expansion of 300 terms, both
-    # patched in: the squares underflow, so the block estimate sees no tail,
-    # and the expansion stops past every order tried, so it bounds none; with
-    # no bound at any order the error has none
-    monkeypatch.setattr(sim, "_ma_series", lambda ma_filter, n: np.full(n + 1, 1e-170))
-    monkeypatch.setattr(sim, "_psi_series", lambda model, kind, tol: (np.zeros(300), 0.0))
+    # an MA series flat at 1e-3, patched in: its quarter blocks never decay,
+    # so the block test estimates no tail at any order, and the error has no
+    # bound
+    monkeypatch.setattr(sim, "_ma_series", lambda ma_filter, n: np.full(n + 1, 1e-3))
     monkeypatch.setattr(sim, "_MAX_MA_ORDER", 256)
     model = ProcessModel.arma(ar=(0.5,))
-    assert sim._ma_tail_sq_bound(model, 64) is None
+    assert [sim._ma_tail_sq_bound(model, order) for order in (64, 128, 256)] == [None] * 3
     plan = SimulationPlan(model, length=11, replications=30, seed=1, method=MA_TRUNCATION)
     with pytest.raises(CertificationError, match="within 256 terms") as info:
         sim._ma_truncation_order(plan)
